@@ -367,8 +367,7 @@ def cmd_scan(args) -> int:
         qf = coefficients(spec, M, Q, sol.r0, 0.0)
         # reference transfer: smallest nonzero spatial one (the infrared
         # direction); fall back to the overall smallest if none exists
-        nz = [i for i in range(len(Q))
-              if i != Q.zero_index and Q.momenta[i].n0 == 0]
+        nz = [i for i in range(len(Q)) if i != Q.zero_index and Q.n0[i] == 0]
         if not nz:
             nz = [i for i in range(len(Q)) if i != Q.zero_index]
         iq = min(nz, key=lambda i: Q.qnorm[i])
@@ -433,16 +432,16 @@ def main(argv=None) -> int:
         "scan": cmd_scan,
         "external": cmd_external,
     }
-    for name in commands:
-        add_common(sub.add_parser(name))
+    parsers = {name: sub.add_parser(name) for name in commands}
+    for p in parsers.values():
+        add_common(p)
+    parsers["verify-bound"].set_defaults(count=200)
+    # finite differencing cannot resolve the Hessian below 1e-4
+    parsers["hessian-check"].set_defaults(tol=1e-4)
     args = parser.parse_args(argv)
     if args.tol <= 0:
         print("error: --tol must be positive", file=sys.stderr)
         return 2
-    if args.command == "verify-bound" and args.count == 10:
-        args.count = 200
-    if args.command == "hessian-check" and args.tol == 1e-12:
-        args.tol = 1e-4  # finite differencing cannot do better
     try:
         return commands[args.command](args)
     except ConfigError as exc:

@@ -134,17 +134,10 @@ def radial_integral(beta0: float, center: float) -> float:
 
 def representatives(qf: QuadraticForm) -> list:
     """One transfer index per {q, -q} orbit: q0 > 0, or q0 = 0 and the first
-    nonzero spatial component positive."""
+    nonzero spatial component positive.  In Q's lexicographic order these are
+    exactly the indices after zero_index."""
     Q = qf.transfer
-    out = []
-    for i, q in enumerate(Q.momenta):
-        if q.n0 > 0:
-            out.append(i)
-        elif q.n0 == 0:
-            nz = next((mi for mi in q.m if mi != 0), 0)
-            if nz > 0:
-                out.append(i)
-    return out
+    return list(range(Q.zero_index + 1, len(Q)))
 
 
 def z2(spec: ModelSpec, qf: QuadraticForm):

@@ -5,7 +5,9 @@ bosonic transfer momenta on the even grid q0 = (2 pi/beta) n0.  Spatial
 components are k_i = 2 pi m_i / L with integer m_i.  The cutoff set keeps
 |e_k| <= energy_window and |k0| <= nu; it is always a product of a frequency
 range and a set of surviving spatial vectors, which the heavier modules
-exploit for vectorization.
+exploit for vectorization.  M is ordered frequency-major; Q is sorted
+lexicographically by (n0, m), so negation reverses its index and the indices
+above zero_index are the {q, -q} orbit representatives (see TransferSet).
 """
 
 from __future__ import annotations
@@ -171,37 +173,43 @@ def build_momentum_set(spec: ModelSpec) -> MomentumSet:
 
 
 class TransferSet:
-    """Bosonic difference set Q = {k - p : k, p in M} with negation map."""
+    """Bosonic difference set Q = {k - p : k, p in M} with negation map.
+
+    Ordering contract: Q = dn x dm, the frequency differences times the
+    spatial differences, sorted lexicographically by (n0, m).  Both factors
+    are symmetric, so -q has index |Q| - 1 - i, zero_index is the middle, and
+    the indices above it (the lexicographically positive q) hold one
+    representative per {q, -q} orbit.  `momenta` and `index` label that order.
+    """
 
     def __init__(self, M: MomentumSet):
         spec = M.spec
         self.spec = spec
         self.M = M
-        dn = sorted(
-            {int(a) - int(b) for a in M.freq_n0 for b in M.freq_n0}
+        freq = M.freq_n0
+        spatial = np.array(M.spatial_m, dtype=int).reshape(-1, spec.d)
+        nf, ns = len(freq), len(spatial)
+        dn, fdiff = np.unique(freq[:, None] - freq[None, :], return_inverse=True)
+        dm, sdiff = np.unique(
+            (spatial[:, None, :] - spatial[None, :, :]).reshape(-1, spec.d),
+            axis=0,
+            return_inverse=True,
         )
-        dm = sorted({tuple(np.subtract(a, b)) for a in M.spatial_m for b in M.spatial_m})
-        self.momenta = [
-            Momentum(n, m, BOSONIC) for n in dn for m in dm
-        ]
+        nq = len(dn) * len(dm)
+        self.n0 = np.repeat(dn, len(dm))
+        self.mvec = np.tile(dm, (len(dn), 1))
+        dm_labels = [tuple(m) for m in dm.tolist()]
+        self.momenta = [Momentum(n, m, BOSONIC) for n in dn.tolist() for m in dm_labels]
         self.index = {(q.n0, q.m): i for i, q in enumerate(self.momenta)}
-        self.n0 = np.array([q.n0 for q in self.momenta], dtype=int)
-        self.mvec = np.array([q.m for q in self.momenta], dtype=int)
         self.q0 = (2.0 * math.pi / spec.beta) * self.n0
         self.qvec = 2.0 * math.pi * self.mvec / spec.L
         self.qnorm = np.sqrt(self.q0**2 + (self.qvec**2).sum(axis=1))
-        self.zero_index = self.index[(0, (0,) * spec.d)]
-        self.neg_index = np.array(
-            [self.index[((-q.n0), tuple(-mi for mi in q.m))] for q in self.momenta],
-            dtype=int,
-        )
+        self.zero_index = (nq - 1) // 2
+        self.neg_index = nq - 1 - np.arange(nq)
         # diff_index[k, p] = index of k - p in Q, for k, p in M
-        nk = M.n0[:, None] - M.n0[None, :]
-        self.diff_index = np.empty((len(M), len(M)), dtype=int)
-        for i in range(len(M)):
-            for j in range(len(M)):
-                key = (int(nk[i, j]), tuple(M.mvec[i] - M.mvec[j]))
-                self.diff_index[i, j] = self.index[key]
+        fdiff = fdiff.reshape(nf, 1, nf, 1) * len(dm)
+        sdiff = sdiff.reshape(1, ns, 1, ns)
+        self.diff_index = (fdiff + sdiff).reshape(len(M), len(M))
 
     def __len__(self) -> int:
         return len(self.momenta)
@@ -303,25 +311,14 @@ def autocorrelation(phi: FieldConfig, q: Momentum) -> complex:
 def autocorrelation_all(phi: FieldConfig) -> np.ndarray:
     """A(q) = sum_p phi_p conj(phi_{p+q}) for every q in Q, via zero-padded FFT."""
     Q = phi.transfer
-    spec = Q.spec
-    n_lo = int(Q.n0.min())
-    n_hi = int(Q.n0.max())
-    m_lo = Q.mvec.min(axis=0)
-    m_hi = Q.mvec.max(axis=0)
-    shape = [n_hi - n_lo + 1] + [int(h - l + 1) for l, h in zip(m_lo, m_hi)]
+    coords = np.column_stack((Q.n0, Q.mvec))
+    lo = coords.min(axis=0)
+    shape = coords.max(axis=0) - lo + 1
     dense = np.zeros(shape, dtype=complex)
-    for i, q in enumerate(Q.momenta):
-        idx = (q.n0 - n_lo,) + tuple(int(mi - l) for mi, l in zip(q.m, m_lo))
-        dense[idx] = phi.values[i]
-    padded = [2 * s - 1 for s in shape]
+    dense[tuple((coords - lo).T)] = phi.values
+    padded = tuple((2 * shape - 1).tolist())
     axes = tuple(range(len(shape)))
     f = np.fft.fftn(dense, s=padded, axes=axes)
     # B[dq] = sum_p phi_{p+dq} conj(phi_p); A(q) = conj(B[q])
     B = np.fft.ifftn(f * np.conj(f), axes=axes)
-    out = np.empty(len(Q), dtype=complex)
-    for i, q in enumerate(Q.momenta):
-        idx = tuple(
-            int(s) % p for s, p in zip((q.n0,) + tuple(int(mi) for mi in q.m), padded)
-        )
-        out[i] = np.conj(B[idx])
-    return out
+    return np.conj(B[tuple((coords % padded).T)])

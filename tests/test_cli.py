@@ -114,6 +114,27 @@ def test_verify_bound(config_path, tmp_path, capsys):
         assert float(row["rhs26"]) >= float(row["vbcs_norm"]) - 1e-6
 
 
+def test_verify_bound_explicit_count(config_path, tmp_path, capsys):
+    # --count 10 evaluates ten seeded fields, not the default 200
+    out_csv = str(tmp_path / "bound.csv")
+    code, out, _ = run_cli(
+        ["verify-bound", "--config", config_path, "--count", "10", "--output", out_csv],
+        capsys,
+    )
+    assert code == 0
+    assert "configurations 11" in out
+    with open(out_csv) as fh:
+        assert len(list(csv.DictReader(fh))) == 11
+
+
+def test_verify_bound_default_count(config_path, capsys):
+    code, out, _ = run_cli(
+        ["verify-bound", "--config", config_path, "--output", "-"], capsys
+    )
+    assert code == 0
+    assert "configurations 201" in out
+
+
 def test_expand(config_path, tmp_path, capsys):
     out_csv = str(tmp_path / "expand.csv")
     code, out, _ = run_cli(
@@ -141,6 +162,18 @@ def test_hessian_check(config_path, capsys):
     assert 6.0 <= float(kv["remainder_ratio_min"])
     assert float(kv["remainder_ratio_max"]) <= 10.0
     assert kv["pass"] == "True"
+
+
+def test_hessian_check_explicit_tol(config_path, capsys):
+    # an explicit tolerance is used as given, not replaced by the default 1e-4
+    code, out, _ = run_cli(
+        ["hessian-check", "--config", config_path, "--count", "3", "--tol", "1e-12"],
+        capsys,
+    )
+    kv = parse_kv(out)
+    assert float(kv["hessian_rel_error_re"]) > 1e-12
+    assert kv["pass"] == "False"
+    assert code == 1
 
 
 def test_hessian_check_lambda_zero(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Lattice sets, dispersions and field configurations."""
 
+import itertools
 import math
 
 import numpy as np
@@ -160,3 +161,97 @@ def test_autocorrelation_zero_transfer(desk_spec, desk_Q):
     assert bl.autocorrelation(phi, q0) == pytest.approx(
         float(np.sum(np.abs(phi.values) ** 2))
     )
+
+
+# --- dict-based oracles for the transfer-set index maps -------------------
+
+
+def transfer_set_oracle(M):
+    """Q, its index maps and labels by per-pair tuple and dict lookups."""
+    dn = sorted({int(a) - int(b) for a in M.freq_n0 for b in M.freq_n0})
+    dm = sorted({tuple(np.subtract(a, b)) for a in M.spatial_m for b in M.spatial_m})
+    momenta = [bl.Momentum(n, m, "bosonic") for n in dn for m in dm]
+    index = {(q.n0, q.m): i for i, q in enumerate(momenta)}
+    neg_index = np.array(
+        [index[(-q.n0, tuple(-mi for mi in q.m))] for q in momenta], dtype=int
+    )
+    diff_index = np.empty((len(M), len(M)), dtype=int)
+    for i, j in itertools.product(range(len(M)), repeat=2):
+        key = (int(M.n0[i] - M.n0[j]), tuple(M.mvec[i] - M.mvec[j]))
+        diff_index[i, j] = index[key]
+    return dict(
+        momenta=momenta,
+        index=index,
+        n0=np.array([q.n0 for q in momenta], dtype=int),
+        mvec=np.array([q.m for q in momenta], dtype=int),
+        zero_index=index[(0, (0,) * M.spec.d)],
+        neg_index=neg_index,
+        diff_index=diff_index,
+    )
+
+
+def autocorrelation_all_oracle(phi):
+    """The zero-padded FFT autocorrelation with per-transfer scatter and gather."""
+    Q = phi.transfer
+    n_lo = int(Q.n0.min())
+    m_lo = Q.mvec.min(axis=0)
+    shape = [int(Q.n0.max()) - n_lo + 1] + [
+        int(h - l + 1) for l, h in zip(m_lo, Q.mvec.max(axis=0))
+    ]
+    dense = np.zeros(shape, dtype=complex)
+    for i, q in enumerate(Q.momenta):
+        idx = (q.n0 - n_lo,) + tuple(int(mi - l) for mi, l in zip(q.m, m_lo))
+        dense[idx] = phi.values[i]
+    padded = [2 * s - 1 for s in shape]
+    axes = tuple(range(len(shape)))
+    f = np.fft.fftn(dense, s=padded, axes=axes)
+    B = np.fft.ifftn(f * np.conj(f), axes=axes)
+    out = np.empty(len(Q), dtype=complex)
+    for i, q in enumerate(Q.momenta):
+        idx = tuple(int(s) % p for s, p in zip((q.n0,) + tuple(q.m), padded))
+        out[i] = np.conj(B[idx])
+    return out
+
+
+def _lattice(d, L, beta, nu):
+    return bl.build_momentum_set(bl.ModelSpec(d=d, L=L, beta=beta, nu=nu, lam=1.0))
+
+
+def _gapped_set():
+    # non-contiguous frequencies and an asymmetric spatial subset
+    spec = bl.ModelSpec(d=2, L=8.0, beta=4.0, nu=10.0, lam=1.0)
+    return bl.model.MomentumSet(
+        spec, [-3, -1, 0, 4], [(-2, 1), (0, 0), (1, 3), (3, -1), (4, 4)]
+    )
+
+
+@pytest.fixture(
+    scope="module",
+    params=["small-d1", "small-d2", "d3-L4", "desk-d1", "gapped"],
+)
+def lattice(request, small_M, desk_M):
+    return {
+        "small-d1": lambda: small_M,
+        "small-d2": lambda: _lattice(2, 4.0, 2.0, 4.0),
+        "d3-L4": lambda: _lattice(3, 4.0, 2.0, 4.0),
+        "desk-d1": lambda: desk_M,
+        "gapped": _gapped_set,
+    }[request.param]()
+
+
+def test_transfer_maps_match_oracle(lattice):
+    Q = bl.build_transfer_set(lattice)
+    ref = transfer_set_oracle(lattice)
+    assert Q.momenta == ref["momenta"]
+    assert Q.index == ref["index"]
+    assert Q.zero_index == ref["zero_index"]
+    for name in ("n0", "mvec", "neg_index", "diff_index"):
+        got = getattr(Q, name)
+        assert got.dtype == ref[name].dtype, name
+        assert np.array_equal(got, ref[name]), name
+
+
+def test_autocorrelation_all_matches_oracle(lattice):
+    Q = bl.build_transfer_set(lattice)
+    phi = bl.random_config(lattice.spec, Q, 1.0, seed=5)
+    assert np.array_equal(bl.autocorrelation_all(phi), autocorrelation_all_oracle(phi))

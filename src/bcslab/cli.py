@@ -29,7 +29,6 @@ from .model import (
 from .potential import (
     ExternalField,
     potential_full,
-    potential_real,
     potential_reduced,
     vbcs_sum,
 )
@@ -399,51 +398,57 @@ def cmd_external(args) -> int:
     return 0
 
 
-def add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", default=None, help="key = value configuration file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--output", default=None, help="CSV output path (default stdout)")
-    p.add_argument("--external", default=None, metavar="MAG[,PHASE]")
-    p.add_argument(
-        "--include-zero-mode",
-        type=lambda s: s.lower() in ("1", "true", "yes"),
-        default=True,
-        metavar="BOOL",
-    )
-    p.add_argument("--sweep", default=None, metavar="KEY=START:STOP:STEPS")
-    p.add_argument("--orbits", type=int, default=3,
-                   help="pair orbits in the restricted Hessian block")
+OPTIONS = {
+    "config": dict(help="key = value configuration file"),
+    "seed": dict(type=int, default=0),
+    "count": dict(type=int, default=10),
+    "tol": dict(type=float, default=1e-12),
+    "scale": dict(type=float, default=1.0),
+    "output": dict(help="CSV output path (default stdout)"),
+    "external": dict(metavar="MAG[,PHASE]"),
+    "include-zero-mode": dict(
+        type=lambda s: s.lower() in ("1", "true", "yes"), default=True, metavar="BOOL"
+    ),
+    "sweep": dict(metavar="KEY=START:STOP:STEPS"),
+    "orbits": dict(type=int, default=3, help="pair orbits in the restricted Hessian block"),
+}
+
+# subcommand -> (handler, the options it reads besides --config)
+COMMANDS = {
+    "lattice-info": (cmd_lattice_info, ()),
+    "gap": (cmd_gap, ("external", "tol")),
+    "eval": (cmd_eval, ("seed", "scale")),
+    "verify-bound": (cmd_verify_bound, ("seed", "count", "scale", "output")),
+    "expand": (cmd_expand, ("output",)),
+    "hessian-check": (cmd_hessian_check, ("seed", "count", "tol", "orbits")),
+    "gaussian": (cmd_gaussian, ("include-zero-mode", "output")),
+    "scan": (cmd_scan, ("sweep", "include-zero-mode", "output")),
+    "external": (cmd_external, ("external", "tol")),
+}
+# finite differencing cannot resolve the Hessian below 1e-4
+DEFAULTS = {"verify-bound": {"count": 200}, "hessian-check": {"tol": 1e-4}}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each with only the options its handler reads."""
+    parser = argparse.ArgumentParser(prog="bcslab")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, options) in COMMANDS.items():
+        p = sub.add_parser(name)
+        for opt in ("config",) + options:
+            p.add_argument("--" + opt, **OPTIONS[opt])
+        p.set_defaults(**DEFAULTS.get(name, {}))
+    return parser
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="bcslab")
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "lattice-info": cmd_lattice_info,
-        "gap": cmd_gap,
-        "eval": cmd_eval,
-        "verify-bound": cmd_verify_bound,
-        "expand": cmd_expand,
-        "hessian-check": cmd_hessian_check,
-        "gaussian": cmd_gaussian,
-        "scan": cmd_scan,
-        "external": cmd_external,
-    }
-    parsers = {name: sub.add_parser(name) for name in commands}
-    for p in parsers.values():
-        add_common(p)
-    parsers["verify-bound"].set_defaults(count=200)
-    # finite differencing cannot resolve the Hessian below 1e-4
-    parsers["hessian-check"].set_defaults(tol=1e-4)
-    args = parser.parse_args(argv)
-    if args.tol <= 0:
+    args = build_parser().parse_args(argv)
+    # NaN fails this test too; only the subcommands that read --tol have it
+    if "tol" in args and not args.tol > 0:
         print("error: --tol must be positive", file=sys.stderr)
         return 2
     try:
-        return commands[args.command](args)
+        return COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .model import ModelSpec, MomentumSet
-from .potential import ExternalField, vbcs_cosh, vbcs_sum
+from .potential import ExternalField, _log_cosh, vbcs_cosh, vbcs_sum
 
 
 class GapConvergenceError(RuntimeError):
@@ -148,10 +148,9 @@ def solve_gap_external(
     e = M.spatial_e
     arg_gap = 0.5 * spec.beta * np.sqrt(e**2 + spec.lam * y0**2)
     arg_free = 0.5 * spec.beta * np.abs(e)
-    logcosh = lambda x: np.abs(x) + np.log1p(np.exp(-2.0 * np.abs(x))) - math.log(2.0)
     v_cosh = float(
         spec.kappa * (y0 + ratio) ** 2
-        - 2.0 * np.sum(logcosh(arg_gap) - logcosh(arg_free))
+        - 2.0 * np.sum(_log_cosh(arg_gap) - _log_cosh(arg_free))
     )
     return GapSolution(
         r0=abs(y0),

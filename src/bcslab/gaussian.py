@@ -11,13 +11,12 @@ Lambda_2(q) = (1/lambda)[(alpha + i gamma + beta)/(alpha^2 + gamma^2 +
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .expansion import QuadraticForm
 from .model import Momentum, ModelSpec, MomentumSet
-from .potential import ExternalField  # noqa: F401  (re-exported for CLI use)
 
 
 class FlatGaussianMode(ValueError):
@@ -36,10 +35,6 @@ class GaussianReport:
     eps_int2: float
     pair_factors: dict
     q0_zero_handling: str
-    exponent_note: str = (
-        "radial weight exp(-2*beta0*(rho0 - sqrt(kappa) r0)^2), coefficient "
-        "2*beta0 taken from the quadratic form"
-    )
 
 
 def pair_denominator(alpha: float, beta_coef: float, gamma: float) -> float:

@@ -3,9 +3,12 @@
 The full potential is V = sum_q |phi_q|^2 - log det of the 2N x 2N block
 matrix [[Id, C((ig/sqrt(kappa)) phi* - rbar Id)],
         [Cbar((ig/sqrt(kappa)) phi + r Id), Id]]
-with (phi)_{k,p} = phi_{k-p} and C = diag(1/a_k), a_k = i k0 - e_k.  The
-reduced N x N route det[Id + (lambda/kappa) Cbar phi C phi*] gives the same
-value and is the fast path.
+with (phi)_{k,p} = phi_{k-p} and C = diag(1/a_k), a_k = i k0 - e_k.  At r = 0
+its N x N Schur complement Id + (lambda/kappa) Cbar phi C phi* has the same
+determinant: the routes agree in the real part, and their per-pivot imaginary
+parts may differ by 2 pi k.  The reduced route serves Re V, the bound chain and
+finite differencing (its imaginary part is smooth); the full route serves eval,
+the remainder and the external-field route, and is the oracle in the checks.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .model import FieldConfig, Momentum, ModelSpec, MomentumSet
+from .model import FieldConfig, ModelSpec, MomentumSet
 
 
 class SingularMatrixError(ValueError):
@@ -53,7 +56,6 @@ class PotentialValue:
     total: complex
     sum_term: float
     logdet_term: complex
-    branch_note: str = "principal-branch per-pivot"
 
 
 def logdet(matrix: np.ndarray) -> complex:
@@ -105,11 +107,27 @@ def assemble_block(
     return block
 
 
+def _field_sum(phi: FieldConfig) -> float:
+    return float(np.sum(np.abs(phi.values) ** 2))
+
+
+def _shifted_field_sum(spec: ModelSpec, phi: FieldConfig, r: ExternalField) -> float:
+    """Sum term of U_r: the zero mode's imaginary part shifted by sqrt(kappa)|r|/g."""
+    if spec.lam == 0.0:
+        raise ValueError("external field requires lambda > 0")
+    z0 = phi.values[phi.transfer.zero_index]
+    shift = math.sqrt(spec.kappa) * r.magnitude / spec.g
+    return z0.real**2 + (z0.imag + shift) ** 2 + (_field_sum(phi) - abs(z0) ** 2)
+
+
+def _potential(sum_term: float, matrix: np.ndarray) -> PotentialValue:
+    ld = logdet(matrix)
+    return PotentialValue(total=sum_term - ld, sum_term=sum_term, logdet_term=ld)
+
+
 def potential_full(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> PotentialValue:
     """V = sum_q |phi_q|^2 - log det of the full block matrix."""
-    sum_term = float(np.sum(np.abs(phi.values) ** 2))
-    ld = logdet(assemble_block(spec, M, phi))
-    return PotentialValue(total=sum_term - ld, sum_term=sum_term, logdet_term=ld)
+    return _potential(_field_sum(phi), assemble_block(spec, M, phi))
 
 
 def reduced_matrix(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> np.ndarray:
@@ -125,19 +143,15 @@ def potential_reduced(
     spec: ModelSpec, M: MomentumSet, phi: FieldConfig
 ) -> PotentialValue:
     """Same value as potential_full via the N x N reduced determinant."""
-    sum_term = float(np.sum(np.abs(phi.values) ** 2))
-    ld = logdet(reduced_matrix(spec, M, phi))
-    return PotentialValue(total=sum_term - ld, sum_term=sum_term, logdet_term=ld)
+    return _potential(_field_sum(phi), reduced_matrix(spec, M, phi))
 
 
 def potential_real(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> float:
-    """Re V = sum |phi_q|^2 - log|det|; +inf on a singular block."""
-    sum_term = float(np.sum(np.abs(phi.values) ** 2))
+    """Re V = sum |phi_q|^2 - log|det| by the reduced route; +inf if singular."""
     try:
-        ld = logdet(assemble_block(spec, M, phi))
+        return potential_reduced(spec, M, phi).total.real
     except SingularMatrixError:
         return math.inf
-    return sum_term - ld.real
 
 
 def vbcs_sum(spec: ModelSpec, M: MomentumSet, rho: float) -> float:
@@ -180,18 +194,10 @@ def potential_external(
     """U_r after the shift/rotation of the zero mode; reduces to V at r = 0."""
     if r.magnitude == 0.0:
         return potential_full(spec, M, phi)
-    if spec.lam == 0.0:
-        raise ValueError("external field requires lambda > 0")
-    Q = phi.transfer
-    z0 = phi.values[Q.zero_index]
-    u0, v0 = z0.real, z0.imag
-    rest = float(np.sum(np.abs(phi.values) ** 2) - abs(z0) ** 2)
-    shift = math.sqrt(spec.kappa) * r.magnitude / spec.g
-    sum_term = u0**2 + (v0 + shift) ** 2 + rest
-    # the field r is absorbed into the zero-mode shift; the determinant sees
-    # only the tilted field
-    ld = logdet(assemble_block(spec, M, tilted_field(phi, r)))
-    return PotentialValue(total=sum_term - ld, sum_term=sum_term, logdet_term=ld)
+    # r is absorbed into the zero-mode shift; the determinant sees the tilted field
+    return _potential(
+        _shifted_field_sum(spec, phi, r), assemble_block(spec, M, tilted_field(phi, r))
+    )
 
 
 def potential_external_reduced(
@@ -205,16 +211,9 @@ def potential_external_reduced(
     """
     if r.magnitude == 0.0:
         return potential_reduced(spec, M, phi)
-    if spec.lam == 0.0:
-        raise ValueError("external field requires lambda > 0")
-    Q = phi.transfer
-    z0 = phi.values[Q.zero_index]
-    u0, v0 = z0.real, z0.imag
-    rest = float(np.sum(np.abs(phi.values) ** 2) - abs(z0) ** 2)
-    shift = math.sqrt(spec.kappa) * r.magnitude / spec.g
-    sum_term = u0**2 + (v0 + shift) ** 2 + rest
-    ld = logdet(reduced_matrix(spec, M, tilted_field(phi, r)))
-    return PotentialValue(total=sum_term - ld, sum_term=sum_term, logdet_term=ld)
+    return _potential(
+        _shifted_field_sum(spec, phi, r), reduced_matrix(spec, M, tilted_field(phi, r))
+    )
 
 
 def propagators(

@@ -1,13 +1,18 @@
 """Command-line driver: subcommands, CSV output and exit codes."""
 
 import csv
+import importlib.util
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from bcslab import cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 SMALL_CONFIG = """
@@ -276,11 +281,90 @@ def test_bad_tol(config_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("tol", ["0", "nan"])
+@pytest.mark.parametrize("command", ["gap", "hessian-check", "external"])
+def test_bad_tol_on_every_tol_command(config_path, capsys, command, tol):
+    code, _, err = run_cli([command, "--config", config_path, "--tol", tol], capsys)
+    assert code == 2
+    assert "--tol must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gap", "--sweep", "lambda=1:2:3", "--orbits", "7"],
+        ["lattice-info", "--seed", "1"],
+        ["gap", "--count", "3"],
+        ["eval", "--output", "v.csv"],
+        ["verify-bound", "--tol", "1e-3"],
+        ["expand", "--scale", "2"],
+        ["hessian-check", "--external", "1e-2"],
+        ["gaussian", "--seed", "1"],
+        ["scan", "--orbits", "2"],
+        ["external", "--include-zero-mode", "false"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[1]}",
+)
+def test_foreign_option_exits_2(argv, capsys):
+    # each subcommand declares only the options it reads
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def load_workloads(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_argv_parse_and_run(tmp_path, monkeypatch, capsys):
+    # every benchmark command line parses to the same options as before, with
+    # nothing dropped, and runs on the small lattice
+    w = load_workloads(monkeypatch)
+    cfg, out = w.CONFIG, w.CSV_OUT
+    expected = [
+        (w.SETUP_ARGV, {"command": "lattice-info", "config": cfg}),
+        (
+            w.bound_argv(0),
+            {"command": "verify-bound", "config": cfg, "seed": 0,
+             "count": w.BOUND_COUNT, "scale": 1.0, "output": out},
+        ),
+        (
+            w.hessian_argv(0),
+            {"command": "hessian-check", "config": cfg, "seed": 0, "count": 10,
+             "tol": w.HESSIAN_TOL, "orbits": 3},
+        ),
+        (
+            w.gaussian_argv(0),
+            {"command": "gaussian", "config": cfg, "include_zero_mode": True,
+             "output": out},
+        ),
+    ]
+    (tmp_path / cfg).write_text(SMALL_CONFIG)
+    monkeypatch.chdir(tmp_path)
+    for argv, want in expected:
+        assert vars(cli.build_parser().parse_args(argv)) == want
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+
+
 def test_subprocess_entry_point(config_path):
+    # the child imports the package under test, also when pytest put it on the
+    # path itself (pyproject's pythonpath) and PYTHONPATH is unset
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "bcslab.cli", "lattice-info", "--config", config_path],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "momenta 4" in proc.stdout

@@ -115,6 +115,18 @@ def test_potential_real_matches_total(desk_spec, desk_M, desk_Q):
     )
 
 
+@pytest.mark.parametrize("scale", [0.3, 1.0, 3.0, 10.0])
+def test_potential_real_is_reduced_route(desk_spec, desk_M, desk_Q, scale):
+    # Re V is branch-free, so the 2 pi k offsets between the routes' imaginary
+    # parts at the larger scales leave it untouched
+    for seed in range(3):
+        phi = bl.random_config(desk_spec, desk_Q, scale, seed=seed)
+        re_v = bl.potential_real(desk_spec, desk_M, phi)
+        full = bl.potential_full(desk_spec, desk_M, phi).total.real
+        assert abs(re_v - full) <= 1e-12 * (1.0 + abs(full))
+        assert re_v == bl.potential_reduced(desk_spec, desk_M, phi).total.real
+
+
 def test_vbcs_sum_brute(desk_spec, desk_M):
     rho = 0.4
     acc = 0.0

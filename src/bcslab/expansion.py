@@ -218,61 +218,46 @@ def u2_external(
 
 
 def analytic_hessian(
-    spec: ModelSpec, qf: QuadraticForm, r: ExternalField | None = None
+    spec: ModelSpec, qf: QuadraticForm, r: ExternalField | None = None, coords=None
 ):
     """Hessian of the quadratic form in the real coordinates (u_q, v_q).
 
-    Coordinate 2 i is u of transfer index i, coordinate 2 i + 1 is v.
-    Returns (real part, imaginary part).  With an external field the
-    condensate block is 2*shift on u_0 and 4*beta0 + 2*shift on v_0;
+    Coordinate 2 i is u of transfer index i, coordinate 2 i + 1 is v; `coords`
+    selects coordinates as in `fd_hessian` (None: all 2|Q|) and only that
+    submatrix is built.  Returns (real part, imaginary part).  Transfer i
+    couples with itself only on the diagonal, 2 alpha + 2 beta (+ 2 shift) and
+    2 gamma, and with -i = `Q.neg_index[i]` through 2 beta cos 2 theta (u u),
+    -2 beta cos 2 theta (v v) and 2 beta sin 2 theta (u v), signs flipped with
+    a field and beta read at the orbit's lower index.  With an external field
+    the condensate block is 2*shift on u_0 and 4*beta0 + 2*shift on v_0;
     without it the block is 4*beta0 along e^{i theta0} and flat tangentially.
     """
     Q = qf.transfer
-    n = len(Q)
-    hre = np.zeros((2 * n, 2 * n))
-    him = np.zeros((2 * n, 2 * n))
     z = Q.zero_index
-    external = r is not None
-    if external:
-        hre[2 * z, 2 * z] = 2.0 * qf.shift
-        hre[2 * z + 1, 2 * z + 1] = 4.0 * qf.beta0 + 2.0 * qf.shift
-        two_phase = 2.0 * r.phase
-        sign = -1.0
+    c = np.arange(2 * len(Q)) if coords is None else np.asarray(coords, dtype=int)
+    t, p = c // 2, c % 2  # transfer index; 0 for u, 1 for v
+    lo = np.minimum(t, Q.neg_index[t])
+    if r is not None:
+        block = np.diag([2.0 * qf.shift, 4.0 * qf.beta0 + 2.0 * qf.shift])
+        two_phase, sign, two_shift = 2.0 * r.phase, -1.0, 2.0 * qf.shift
     else:
         er = np.array([math.cos(qf.theta0), math.sin(qf.theta0)])
-        hre[2 * z : 2 * z + 2, 2 * z : 2 * z + 2] = 4.0 * qf.beta0 * np.outer(er, er)
-        two_phase = 2.0 * qf.theta0
-        sign = 1.0
-    c2, s2 = math.cos(two_phase), math.sin(two_phase)
-    seen = set()
-    for i in range(n):
-        if i == z:
-            continue
-        ui, vi = 2 * i, 2 * i + 1
-        hre[ui, ui] += 2.0 * qf.alpha[i]
-        hre[vi, vi] += 2.0 * qf.alpha[i]
-        him[ui, ui] += 2.0 * qf.gamma[i]
-        him[vi, vi] += 2.0 * qf.gamma[i]
-        if external:
-            hre[ui, ui] += 2.0 * qf.shift
-            hre[vi, vi] += 2.0 * qf.shift
-        j = int(Q.neg_index[i])
-        pair = (min(i, j), max(i, j))
-        if pair in seen:
-            continue
-        seen.add(pair)
-        b = qf.beta_coef[i]
-        uj, vj = 2 * j, 2 * j + 1
-        for c in (ui, vi, uj, vj):
-            hre[c, c] += 2.0 * b
-        hre[ui, uj] += sign * 2.0 * b * c2
-        hre[uj, ui] += sign * 2.0 * b * c2
-        hre[vi, vj] -= sign * 2.0 * b * c2
-        hre[vj, vi] -= sign * 2.0 * b * c2
-        hre[ui, vj] += sign * 2.0 * b * s2
-        hre[vj, ui] += sign * 2.0 * b * s2
-        hre[vi, uj] += sign * 2.0 * b * s2
-        hre[uj, vi] += sign * 2.0 * b * s2
+        block = 4.0 * qf.beta0 * np.outer(er, er)
+        two_phase, sign, two_shift = 2.0 * qf.theta0, 1.0, 0.0
+    c2, s2 = sign * math.cos(two_phase), sign * math.sin(two_phase)
+    two_a, two_b = 2.0 * qf.alpha[t], 2.0 * qf.beta_coef[lo]
+    # summed as the reference loop in the tests sums them (an orbit's lower
+    # index: alpha, shift, beta; its upper: beta, alpha, shift), bit for bit
+    diag = np.where(t == lo, two_a + two_shift + two_b, two_b + two_a + two_shift)
+    hre, him = np.zeros((len(c), len(c))), np.zeros((len(c), len(c)))
+    a, b = np.nonzero(c[:, None] == c[None, :])
+    hre[a, b], him[a, b] = diag[a], 2.0 * qf.gamma[t[a]]
+    a, b = np.nonzero(Q.neg_index[t][:, None] == t[None, :])
+    hre[a, b] = two_b[a] * np.where(p[a] == p[b], np.where(p[a] == 0, c2, -c2), s2)
+    # q = 0 is its own partner: the condensate block replaces both rules there
+    zc = np.flatnonzero(t == z)
+    hre[np.ix_(zc, zc)] = block[np.ix_(p[zc], p[zc])]
+    him[np.ix_(zc, zc)] = 0.0
     return hre, him
 
 

@@ -91,12 +91,6 @@ class Momentum:
         return Momentum(-self.n0, mneg, BOSONIC)
 
 
-def frequency_value(spec: ModelSpec, n0: int, flavor: str = FERMIONIC) -> float:
-    if flavor == FERMIONIC:
-        return (math.pi / spec.beta) * (2 * n0 + 1)
-    return (2.0 * math.pi / spec.beta) * n0
-
-
 def dispersion(spec: ModelSpec, m) -> float:
     """Single-particle energy e_k = eps_k - mu at spatial index vector m."""
     m = tuple(m)

@@ -292,6 +292,48 @@ def test_bad_tol_on_every_tol_command(config_path, capsys, command, tol):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["hessian-check", "--count", "0"],
+        ["verify-bound", "--count", "0"],
+        ["verify-bound", "--count", "-3"],
+        ["hessian-check", "--orbits", "0"],
+        ["eval", "--seed", "-1"],
+        ["verify-bound", "--seed", "-1"],
+        ["hessian-check", "--seed", "-1"],
+        ["eval", "--scale", "-1"],
+        ["eval", "--scale", "nan"],
+        ["eval", "--scale", "inf"],
+        ["verify-bound", "--scale", "-0.5"],
+        ["verify-bound", "--scale", "nan"],
+        ["verify-bound", "--scale=-inf"],
+    ],
+    ids=lambda argv: "".join(argv),
+)
+def test_bad_count_orbits_seed_scale(config_path, capsys, argv):
+    # rejected before any work, with one line naming the option
+    code, out, err = run_cli(argv + ["--config", config_path], capsys)
+    opt = argv[1].split("=")[0]
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {opt} must be ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hessian-check", "--count", "1", "--orbits", "1", "--seed", "0"],
+        ["verify-bound", "--count", "1", "--seed", "0", "--output", "-"],
+        ["eval", "--scale", "0", "--seed", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_smallest_valid_values_run(config_path, capsys, argv):
+    code, _, _ = run_cli(argv + ["--config", config_path], capsys)
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["gap", "--sweep", "lambda=1:2:3", "--orbits", "7"],
         ["lattice-info", "--seed", "1"],
         ["gap", "--count", "3"],

@@ -1,11 +1,13 @@
 """Quadratic expansion around the minimum: coefficients, Hessians, remainder."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import bcslab as bl
+from bcslab.cli import _hessian_coords
 from bcslab.expansion import default_fd_step
 
 
@@ -123,6 +125,119 @@ def test_fd_hessian_on_quadratic(small_Q):
         expansion.potential_reduced = orig
     assert np.max(np.abs(fre - H)) < 1e-9
     assert np.max(np.abs(fim)) < 1e-12
+
+
+def loop_analytic_hessian(spec, qf, r=None):
+    """Dense 2|Q| x 2|Q| Hessian filled by a loop over the {q, -q} orbits:
+    the reference that `analytic_hessian` reproduces entry for entry."""
+    Q = qf.transfer
+    n = len(Q)
+    hre = np.zeros((2 * n, 2 * n))
+    him = np.zeros((2 * n, 2 * n))
+    z = Q.zero_index
+    external = r is not None
+    if external:
+        hre[2 * z, 2 * z] = 2.0 * qf.shift
+        hre[2 * z + 1, 2 * z + 1] = 4.0 * qf.beta0 + 2.0 * qf.shift
+        two_phase = 2.0 * r.phase
+        sign = -1.0
+    else:
+        er = np.array([math.cos(qf.theta0), math.sin(qf.theta0)])
+        hre[2 * z : 2 * z + 2, 2 * z : 2 * z + 2] = 4.0 * qf.beta0 * np.outer(er, er)
+        two_phase = 2.0 * qf.theta0
+        sign = 1.0
+    c2, s2 = math.cos(two_phase), math.sin(two_phase)
+    seen = set()
+    for i in range(n):
+        if i == z:
+            continue
+        ui, vi = 2 * i, 2 * i + 1
+        hre[ui, ui] += 2.0 * qf.alpha[i]
+        hre[vi, vi] += 2.0 * qf.alpha[i]
+        him[ui, ui] += 2.0 * qf.gamma[i]
+        him[vi, vi] += 2.0 * qf.gamma[i]
+        if external:
+            hre[ui, ui] += 2.0 * qf.shift
+            hre[vi, vi] += 2.0 * qf.shift
+        j = int(Q.neg_index[i])
+        pair = (min(i, j), max(i, j))
+        if pair in seen:
+            continue
+        seen.add(pair)
+        b = qf.beta_coef[i]
+        uj, vj = 2 * j, 2 * j + 1
+        for c in (ui, vi, uj, vj):
+            hre[c, c] += 2.0 * b
+        hre[ui, uj] += sign * 2.0 * b * c2
+        hre[uj, ui] += sign * 2.0 * b * c2
+        hre[vi, vj] -= sign * 2.0 * b * c2
+        hre[vj, vi] -= sign * 2.0 * b * c2
+        hre[ui, vj] += sign * 2.0 * b * s2
+        hre[vj, ui] += sign * 2.0 * b * s2
+        hre[vi, uj] += sign * 2.0 * b * s2
+        hre[uj, vi] += sign * 2.0 * b * s2
+    return hre, him
+
+
+def _small_d2_case():
+    probe = bl.ModelSpec(d=2, L=4.0, beta=2.0, nu=4.0, lam=0.0)
+    lam_c = bl.critical_coupling(probe, bl.build_momentum_set(probe))
+    spec = bl.ModelSpec(d=2, L=4.0, beta=2.0, nu=4.0, lam=2.0 * lam_c)
+    M = bl.build_momentum_set(spec)
+    sol = bl.solve_gap(spec, M)
+    return spec, bl.coefficients(spec, M, bl.build_transfer_set(M), sol.r0, 0.0), None
+
+
+def _external_case(spec, M, Q):
+    r = bl.ExternalField(1e-2, 0.4)
+    sol = bl.solve_gap_external(spec, M, r)
+    return spec, bl.coefficients_external(spec, M, Q, sol.y0, r), r
+
+
+@pytest.fixture(
+    scope="module",
+    params=["small-d1", "small-d2", "desk-theta0", "desk-theta1.3", "external"],
+)
+def hessian_case(
+    request, desk_spec, desk_M, desk_Q, desk_sol, desk_qf, small_spec, small_qf
+):
+    """(spec, quadratic form, external field or None)."""
+    return {
+        "small-d1": lambda: (small_spec, small_qf, None),
+        "small-d2": _small_d2_case,
+        "desk-theta0": lambda: (desk_spec, desk_qf, None),
+        "desk-theta1.3": lambda: (
+            desk_spec, bl.coefficients(desk_spec, desk_M, desk_Q, desk_sol.r0, 1.3), None
+        ),
+        "external": lambda: _external_case(desk_spec, desk_M, desk_Q),
+    }[request.param]()
+
+
+@pytest.mark.parametrize("block", [False, True], ids=["all", "orbits3"])
+def test_analytic_hessian_matches_loop_oracle(hessian_case, block):
+    spec, qf, r = hessian_case
+    ref_re, ref_im = loop_analytic_hessian(spec, qf, r=r)
+    if block:
+        coords = _hessian_coords(qf.transfer, 3)
+        got_re, got_im = bl.analytic_hessian(spec, qf, r=r, coords=coords)
+        ref_re, ref_im = ref_re[np.ix_(coords, coords)], ref_im[np.ix_(coords, coords)]
+    else:
+        got_re, got_im = bl.analytic_hessian(spec, qf, r=r)
+    assert np.array_equal(got_re, ref_re)
+    assert np.array_equal(got_im, ref_im)
+
+
+def test_analytic_hessian_block_memory(desk_spec, desk_Q, desk_qf):
+    # the 14-coordinate block allocates nothing of size 2|Q| x 2|Q| (70.6 MB here)
+    coords = _hessian_coords(desk_Q, 3)
+    tracemalloc.start()
+    try:
+        hre, him = bl.analytic_hessian(desk_spec, desk_qf, coords=coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hre.shape == him.shape == (14, 14)
+    assert peak < 1_000_000
 
 
 def test_full_hessian_small_lattice(small_spec, small_M, small_Q, small_sol, small_qf):

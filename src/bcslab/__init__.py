@@ -19,6 +19,7 @@ from .model import (
     random_config,
 )
 from .potential import (
+    DisplacedPotential,
     ExternalField,
     PotentialValue,
     SingularMatrixError,

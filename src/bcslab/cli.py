@@ -269,6 +269,11 @@ def _hessian_coords(Q, max_orbits: int):
 def cmd_hessian_check(args) -> int:
     spec, M, _ = build_spec(parse_config(args.config))
     Q = build_transfer_set(M)
+    n_orbits = (len(Q) - 1) // 2  # q = 0 is its own partner
+    if args.orbits > n_orbits:
+        raise ConfigError(
+            f"--orbits must be at most {n_orbits}, the {{q, -q}} orbits of this lattice"
+        )
     if spec.lam == 0.0:
         base = bcs_config(spec, Q, 0.0, 0.0)
         coords = _hessian_coords(Q, 2)

@@ -35,13 +35,7 @@ from .model import (
     dispersion_array,
 )
 from .gap import vbcs_r
-from .potential import (
-    ExternalField,
-    potential_external_reduced,
-    potential_full,
-    potential_reduced,
-    vbcs_sum,
-)
+from .potential import DisplacedPotential, ExternalField, potential_full, vbcs_sum
 
 
 @dataclass
@@ -217,6 +211,17 @@ def u2_external(
     return complex(qf.v_min + rad + diag + anom + lift)
 
 
+def _coordinates(Q: TransferSet, coords) -> np.ndarray:
+    """`coords` as an index array into the 2|Q| real coordinates (None: all)."""
+    n = 2 * len(Q)
+    if coords is None:
+        return np.arange(n)
+    c = np.asarray(coords, dtype=int)
+    if c.ndim != 1 or np.any((c < 0) | (c >= n)):
+        raise ValueError(f"coords must be a list of indices in [0, {n})")
+    return c
+
+
 def analytic_hessian(
     spec: ModelSpec, qf: QuadraticForm, r: ExternalField | None = None, coords=None
 ):
@@ -234,7 +239,7 @@ def analytic_hessian(
     """
     Q = qf.transfer
     z = Q.zero_index
-    c = np.arange(2 * len(Q)) if coords is None else np.asarray(coords, dtype=int)
+    c = _coordinates(Q, coords)
     t, p = c // 2, c % 2  # transfer index; 0 for u, 1 for v
     lo = np.minimum(t, Q.neg_index[t])
     if r is not None:
@@ -274,44 +279,32 @@ def fd_hessian(
     `coords` restricts to a coordinate subset (indices into the 2|Q| real
     coordinates, u before v per transfer index); the result is the exact
     Hessian submatrix.  Returns (real part, imaginary part), symmetrized.
+    Every displaced value comes from one `DisplacedPotential` on `base`: the
+    reduced route, whose pivots stay near the positive axis around the
+    minimum, so the per-pivot imaginary part differences smoothly; a step on
+    one or two transfers updates the base reduced matrix in O(N^2) and only
+    the LU is O(N^3).
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    Q = base.transfer
-    ncoord = 2 * len(Q)
-    if coords is None:
-        coords = np.arange(ncoord)
-    coords = np.asarray(coords, dtype=int)
-
-    def evaluate(values: np.ndarray) -> complex:
-        # reduced route: its pivots stay near the positive axis around the
-        # minimum, so the per-pivot imaginary part differences smoothly
-        cfg = FieldConfig(Q, values)
-        if r is None or r.magnitude == 0.0:
-            return potential_reduced(spec, M, cfg).total
-        return potential_external_reduced(spec, M, cfg, r).total
-
-    def displaced(steps) -> complex:
-        vals = base.values.copy()
-        for c, s in steps:
-            delta = s * h if c % 2 == 0 else 1j * s * h
-            vals[c // 2] += delta
-        return evaluate(vals)
-
-    f0 = evaluate(base.values.copy())
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError("h must be positive and finite")
+    coords = _coordinates(base.transfer, coords)
+    t = coords // 2
+    step = np.where(coords % 2 == 0, h, 1j * h)  # u or v step as a shift of phi_t
+    V = DisplacedPotential(spec, M, base, r)
+    f0 = V().total
     m = len(coords)
     out = np.zeros((m, m), dtype=complex)
     for a in range(m):
-        ca = int(coords[a])
-        fp = displaced([(ca, +1)])
-        fm = displaced([(ca, -1)])
+        ta, sa = t[a], step[a]
+        fp = V([(ta, sa)]).total
+        fm = V([(ta, -sa)]).total
         out[a, a] = (fp + fm - 2.0 * f0) / h**2
         for b in range(a + 1, m):
-            cb = int(coords[b])
-            fpp = displaced([(ca, +1), (cb, +1)])
-            fmm = displaced([(ca, -1), (cb, -1)])
-            fpm = displaced([(ca, +1), (cb, -1)])
-            fmp = displaced([(ca, -1), (cb, +1)])
+            tb, sb = t[b], step[b]
+            fpp = V([(ta, sa), (tb, sb)]).total
+            fmm = V([(ta, -sa), (tb, -sb)]).total
+            fpm = V([(ta, sa), (tb, -sb)]).total
+            fmp = V([(ta, -sa), (tb, sb)]).total
             val = (fpp + fmm - fpm - fmp) / (4.0 * h**2)
             out[a, b] = val
             out[b, a] = val

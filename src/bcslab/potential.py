@@ -9,6 +9,9 @@ determinant: the routes agree in the real part, and their per-pivot imaginary
 parts may differ by 2 pi k.  The reduced route serves Re V, the bound chain and
 finite differencing (its imaginary part is smooth); the full route serves eval,
 the remainder and the external-field route, and is the oracle in the checks.
+Finite differencing goes through `DisplacedPotential`: it forms the base
+field's phi C phi^H once, and each displaced field, which differs from the
+base on one or two transfers, updates it in O(N^2) before the order-N LU.
 """
 
 from __future__ import annotations
@@ -146,6 +149,106 @@ def potential_reduced(
     return _potential(_field_sum(phi), reduced_matrix(spec, M, phi))
 
 
+class DisplacedPotential:
+    """Reduced-route V (U_r with a field) at base + steps, for finite differencing.
+
+    A step delta_t on transfer t adds delta_t E_t to phi, where E_t is the 0/1
+    matrix of diff_index == t.  With core0 = phi C phi^H, W = C phi^H and
+    phi C formed once for the base, the displaced reduced matrix is
+    Id + (lam/kappa) Cbar core with
+
+        core = core0 + sum_t delta_t E_t W + sum_t conj(delta_t) (phi C) E_t^T
+               + D C D^H,                               D = sum_t delta_t E_t.
+
+    Row k of E_t W is row k - t of W and column k of (phi C) E_t^T is column
+    k - t of phi C (zero if k - t is not in M), so each stepped transfer costs
+    two gathers into reused buffers and two axpys, and D C D^H (with the
+    cross terms between any two stepped transfers, q and -q included) has at
+    most one entry per row and pair: an evaluation is O(N^2) besides the LU.
+    With a field the matrix sees the tilted field, so a zero-mode step is
+    rotated by e^{i phase}; the sum term is U_r's.
+    """
+
+    def __init__(
+        self,
+        spec: ModelSpec,
+        M: MomentumSet,
+        base: FieldConfig,
+        r: ExternalField | None = None,
+    ):
+        self.spec = spec
+        self.base = base
+        self.r = None if r is None or r.magnitude == 0.0 else r
+        tilted = base if self.r is None else tilted_field(base, self.r)
+        self.tilt = 1.0 if self.r is None else cmath.exp(1j * self.r.phase)
+        self.diff = base.transfer.diff_index
+        n = len(M)
+        self.C = 1.0 / M.a
+        self.rc = (spec.lam / spec.kappa) / np.conj(M.a)
+        Phi = phi_matrix(M, tilted)
+        # one zero row (column) past the end: the gather target where k - t
+        # is not in M
+        self.W = np.zeros((n + 1, n), dtype=complex)
+        self.W[:n] = self.C[:, None] * Phi.conj().T
+        self.PC = np.zeros((n, n + 1), dtype=complex)
+        self.PC[:, :n] = Phi * self.C[None, :]
+        self.core0 = Phi @ self.W[:n]
+        self.buf = np.empty((n, n), dtype=complex)
+        self.R = np.empty((n, n), dtype=complex)
+        self.axpy = scipy.linalg.blas.get_blas_funcs("axpy", (self.R,))
+        self.maps: dict = {}
+
+    def _map(self, t: int):
+        """E_t's nonzeros (k, j = k - t), the gather index src[k] = j (n where
+        k - t is not in M) and its inverse dst[j] = k (-1 where j + t is not)."""
+        if t not in self.maps:
+            n = len(self.diff)
+            k, j = np.nonzero(self.diff == t)
+            src = np.full(n, n, dtype=np.intp)
+            src[k] = j
+            dst = np.full(n, -1, dtype=np.intp)
+            dst[j] = k
+            self.maps[t] = (k, j, src, dst)
+        return self.maps[t]
+
+    def __call__(self, steps=()) -> PotentialValue:
+        """V at base + delta on each (transfer, complex delta) pair of `steps`;
+        u and v steps on one transfer are merged."""
+        merged: dict = {}
+        for t, delta in steps:
+            merged[int(t)] = merged.get(int(t), 0.0) + delta
+        values = self.base.values.copy()
+        for t, delta in merged.items():
+            values[t] += delta
+        field = FieldConfig(self.base.transfer, values)
+        if self.r is None:
+            sum_term = _field_sum(field)
+        else:
+            sum_term = _shifted_field_sum(self.spec, field, self.r)
+        z = self.base.transfer.zero_index
+        shifts = {t: d * self.tilt if t == z else d for t, d in merged.items()}
+        R, buf = self.R, self.buf
+        np.copyto(R, self.core0)
+        flat = R.reshape(-1)
+        for t, delta in shifts.items():
+            src = self._map(t)[2]
+            # mode="clip" gathers straight into buf; "raise" would buffer
+            np.take(self.W, src, axis=0, out=buf, mode="clip")
+            flat = self.axpy(buf.reshape(-1), flat, a=delta)
+            np.take(self.PC, src, axis=1, out=buf, mode="clip")
+            flat = self.axpy(buf.reshape(-1), flat, a=np.conj(delta))
+        R = flat.reshape(R.shape)  # axpy works in place; this holds if it copied
+        for t, dt in shifts.items():
+            k, j = self._map(t)[:2]
+            for s, ds in shifts.items():
+                p = self._map(s)[3][j]
+                keep = p >= 0
+                R[k[keep], p[keep]] += (dt * np.conj(ds)) * self.C[j[keep]]
+        R *= self.rc[:, None]
+        R.flat[:: len(R) + 1] += 1.0
+        return _potential(sum_term, R)
+
+
 def potential_real(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> float:
     """Re V = sum |phi_q|^2 - log|det| by the reduced route; +inf if singular."""
     try:
@@ -206,8 +309,8 @@ def potential_external_reduced(
     """U_r via the N x N reduced determinant.
 
     Near the mean-field minimum the reduced matrix is a perturbation of a
-    positive diagonal, so the per-pivot imaginary part varies smoothly; this
-    is the route used for finite differencing.
+    positive diagonal, so the per-pivot imaginary part varies smoothly;
+    finite differencing takes the same value from `DisplacedPotential`.
     """
     if r.magnitude == 0.0:
         return potential_reduced(spec, M, phi)

@@ -410,3 +410,18 @@ def test_subprocess_entry_point(config_path):
     )
     assert proc.returncode == 0
     assert "momenta 4" in proc.stdout
+
+
+def test_hessian_check_orbits_bound(config_path, capsys):
+    # the small lattice has |Q| = 9 transfers: (9 - 1) / 2 = 4 {q, -q} orbits
+    code, out, _ = run_cli(
+        ["hessian-check", "--config", config_path, "--count", "1", "--orbits", "4"],
+        capsys,
+    )
+    assert code == 0 and parse_kv(out)["pass"] == "True"
+    code, out, err = run_cli(
+        ["hessian-check", "--config", config_path, "--orbits", "5"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --orbits must be at most 4") and err.count("\n") == 1

@@ -99,7 +99,7 @@ def test_v2_matches_manual_form(desk_spec, desk_Q, desk_qf):
     assert got == pytest.approx(acc, rel=1e-12)
 
 
-def test_fd_hessian_on_quadratic(small_Q):
+def test_fd_hessian_on_quadratic(small_Q, monkeypatch):
     # a synthetic quadratic gives the exact Hessian up to rounding
     n = 2 * len(small_Q)
     rng = np.random.default_rng(4)
@@ -112,19 +112,168 @@ def test_fd_hessian_on_quadratic(small_Q):
         out[1::2] = values.imag
         return out
 
+    class Quadratic:
+        """Stands in for the displaced-field evaluator fd_hessian builds."""
+
+        def __init__(self, spec, M, base, r=None):
+            self.base = base
+
+        def __call__(self, steps=()):
+            values = self.base.values.copy()
+            for t, delta in steps:
+                values[t] += delta
+            x = to_real(values)
+            return bl.PotentialValue(complex(0.5 * x @ H @ x), 0.0, 0j)
+
     import bcslab.expansion as expansion
 
+    monkeypatch.setattr(expansion, "DisplacedPotential", Quadratic)
     base = bl.FieldConfig(small_Q, np.zeros(len(small_Q), dtype=complex))
-    orig = expansion.potential_reduced
-    try:
-        expansion.potential_reduced = lambda spec, M, cfg: type(
-            "P", (), {"total": complex(0.5 * to_real(cfg.values) @ H @ to_real(cfg.values))}
-        )()
-        fre, fim = bl.fd_hessian(None, None, base, 1e-3)
-    finally:
-        expansion.potential_reduced = orig
+    fre, fim = bl.fd_hessian(None, None, base, 1e-3)
     assert np.max(np.abs(fre - H)) < 1e-9
     assert np.max(np.abs(fim)) < 1e-12
+
+
+def loop_fd_hessian(spec, M, base, h, r=None, coords=None):
+    """Central differences with a fresh FieldConfig and a fresh reduced-route
+    potential per displaced field: the reference for `fd_hessian`."""
+    Q = base.transfer
+    coords = np.arange(2 * len(Q)) if coords is None else np.asarray(coords, dtype=int)
+
+    def evaluate(values):
+        cfg = bl.FieldConfig(Q, values)
+        if r is None or r.magnitude == 0.0:
+            return bl.potential_reduced(spec, M, cfg).total
+        return bl.potential_external_reduced(spec, M, cfg, r).total
+
+    def displaced(steps):
+        vals = base.values.copy()
+        for c, s in steps:
+            vals[c // 2] += s * h if c % 2 == 0 else 1j * s * h
+        return evaluate(vals)
+
+    f0 = evaluate(base.values.copy())
+    m = len(coords)
+    out = np.zeros((m, m), dtype=complex)
+    for a in range(m):
+        ca = int(coords[a])
+        out[a, a] = (displaced([(ca, +1)]) + displaced([(ca, -1)]) - 2.0 * f0) / h**2
+        for b in range(a + 1, m):
+            cb = int(coords[b])
+            val = (
+                displaced([(ca, +1), (cb, +1)]) + displaced([(ca, -1), (cb, -1)])
+                - displaced([(ca, +1), (cb, -1)]) - displaced([(ca, -1), (cb, +1)])
+            ) / (4.0 * h**2)
+            out[a, b] = val
+            out[b, a] = val
+    out = 0.5 * (out + out.T)
+    return out.real, out.imag
+
+
+def _lattice(d, L, beta, nu):
+    probe = bl.ModelSpec(d=d, L=L, beta=beta, nu=nu, lam=0.0)
+    lam_c = bl.critical_coupling(probe, bl.build_momentum_set(probe))
+    spec = bl.ModelSpec(d=d, L=L, beta=beta, nu=nu, lam=2.0 * lam_c)
+    M = bl.build_momentum_set(spec)
+    return spec, M, bl.build_transfer_set(M)
+
+
+@pytest.fixture(scope="module", params=["small-d1", "small-d2", "desk"])
+def lattice(request, small_spec, small_M, small_Q, desk_spec, desk_M, desk_Q):
+    """(spec, M, Q, gap solution)."""
+    spec, M, Q = {
+        "small-d1": lambda: (small_spec, small_M, small_Q),
+        "small-d2": lambda: _lattice(2, 4.0, 2.0, 4.0),
+        "desk": lambda: (desk_spec, desk_M, desk_Q),
+    }[request.param]()
+    return spec, M, Q, bl.solve_gap(spec, M)
+
+
+def _step_cases(Q, h):
+    """Named (transfer, complex step) lists: the shapes fd_hessian asks for."""
+    z = Q.zero_index
+    q = int(np.argsort(Q.qnorm)[1])  # a smallest nonzero transfer
+    nq = int(Q.neg_index[q])
+    return {
+        "none": [],
+        "u": [(q, h)],
+        "v": [(q, -1j * h)],
+        "u+v": [(q, h), (q, 1j * h)],
+        "q,-q": [(q, -h), (nq, 1j * h)],
+        "q,-q v": [(q, 1j * h), (nq, -1j * h)],
+        "zero u": [(z, h)],
+        "zero v": [(z, -1j * h)],
+        "zero u+v": [(z, h), (z, 1j * h)],
+        "zero,q": [(z, 1j * h), (q, -h)],
+    }
+
+
+@pytest.mark.parametrize(
+    "field", [None, bl.ExternalField(0.0), bl.ExternalField(1e-2, 0.4)],
+    ids=["none", "zero-field", "field"],
+)
+def test_displaced_potential_matches_fresh_route(lattice, field):
+    spec, M, Q, sol = lattice
+    rng = np.random.default_rng(5)
+    # a generic base near the minimum: every transfer carries some field
+    base = bl.bcs_config(spec, Q, sol.r0, 0.3)
+    base.values += 1e-2 * (rng.standard_normal(len(Q)) + 1j * rng.standard_normal(len(Q)))
+    V = bl.DisplacedPotential(spec, M, base, field)
+    for name, steps in _step_cases(Q, 1e-2 * math.sqrt(spec.kappa)).items():
+        values = base.values.copy()
+        for t, delta in steps:
+            values[t] += delta
+        cfg = bl.FieldConfig(Q, values)
+        if field is None:
+            ref = bl.potential_reduced(spec, M, cfg).total
+        else:
+            ref = bl.potential_external_reduced(spec, M, cfg, field).total
+        got = V(steps).total
+        assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref)), name
+
+
+@pytest.fixture(scope="module", params=["small", "small-field", "desk-block"])
+def fd_case(request, small_spec, small_M, small_Q, small_sol, desk_spec, desk_M,
+            desk_Q, desk_sol):
+    """(spec, M, base, h, field, coords) as criterion 4 and hessian-check use them."""
+    if request.param == "small":
+        base = bl.bcs_config(small_spec, small_Q, small_sol.r0, 0.0)
+        return small_spec, small_M, base, default_fd_step(small_spec, small_sol.r0), None, None
+    if request.param == "small-field":
+        r = bl.ExternalField(1e-2, 0.4)
+        y0 = abs(bl.solve_gap_external(small_spec, small_M, r).y0)
+        base = bl.bcs_config(small_spec, small_Q, y0, -math.pi / 2)
+        return small_spec, small_M, base, 1e-3, r, None
+    base = bl.bcs_config(desk_spec, desk_Q, desk_sol.r0, 0.0)
+    h = default_fd_step(desk_spec, desk_sol.r0)
+    return desk_spec, desk_M, base, h, None, _hessian_coords(desk_Q, 3)
+
+
+def test_fd_hessian_matches_loop_oracle(fd_case):
+    spec, M, base, h, r, coords = fd_case
+    ref_re, ref_im = loop_fd_hessian(spec, M, base, h, r=r, coords=coords)
+    got_re, got_im = bl.fd_hessian(spec, M, base, h, r=r, coords=coords)
+    m = 2 * len(base.transfer) if coords is None else len(coords)
+    assert got_re.shape == got_im.shape == (m, m)
+    assert np.max(np.abs(got_re - ref_re)) <= 1e-8
+    assert np.max(np.abs(got_im - ref_im)) <= 1e-8
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
+def test_fd_hessian_rejects_bad_step(small_spec, small_M, small_Q, h):
+    base = bl.bcs_config(small_spec, small_Q, 0.5, 0.0)
+    with pytest.raises(ValueError, match="h must be"):
+        bl.fd_hessian(small_spec, small_M, base, h, coords=[0])
+
+
+@pytest.mark.parametrize("coords", [[-1], [18], [0, 2, 19], [[0, 1]]])
+def test_hessians_reject_bad_coords(small_spec, small_M, small_Q, small_qf, coords):
+    # 2|Q| = 18 real coordinates on the small lattice; -1 must not alias 17
+    base = bl.bcs_config(small_spec, small_Q, small_qf.r0, 0.0)
+    with pytest.raises(ValueError, match="coords"):
+        bl.fd_hessian(small_spec, small_M, base, 1e-3, coords=coords)
+    with pytest.raises(ValueError, match="coords"):
+        bl.analytic_hessian(small_spec, small_qf, coords=coords)
 
 
 def loop_analytic_hessian(spec, qf, r=None):
@@ -180,12 +329,9 @@ def loop_analytic_hessian(spec, qf, r=None):
 
 
 def _small_d2_case():
-    probe = bl.ModelSpec(d=2, L=4.0, beta=2.0, nu=4.0, lam=0.0)
-    lam_c = bl.critical_coupling(probe, bl.build_momentum_set(probe))
-    spec = bl.ModelSpec(d=2, L=4.0, beta=2.0, nu=4.0, lam=2.0 * lam_c)
-    M = bl.build_momentum_set(spec)
+    spec, M, Q = _lattice(2, 4.0, 2.0, 4.0)
     sol = bl.solve_gap(spec, M)
-    return spec, bl.coefficients(spec, M, bl.build_transfer_set(M), sol.r0, 0.0), None
+    return spec, bl.coefficients(spec, M, Q, sol.r0, 0.0), None
 
 
 def _external_case(spec, M, Q):

@@ -5,15 +5,12 @@ from .model import (
     DispersionSpec,
     FieldConfig,
     ModelSpec,
-    Momentum,
     MomentumSet,
     TransferSet,
-    autocorrelation,
     autocorrelation_all,
     bcs_config,
     build_momentum_set,
     build_transfer_set,
-    dispersion,
     field_norm,
     nondegeneracy_check,
     random_config,
@@ -27,11 +24,9 @@ from .potential import (
     logdet,
     phi_matrix,
     potential_external,
-    potential_external_reduced,
     potential_full,
     potential_real,
     potential_reduced,
-    propagators,
     reduced_matrix,
     tilted_field,
     vbcs_cosh,
@@ -46,7 +41,7 @@ from .gap import (
     solve_gap_external,
     vbcs_r,
 )
-from .bound import BoundReport, bound_report, hadamard_rhs, overlap_prime_sq, overlap_sq
+from .bound import BoundReport, bound_report, hadamard_rhs
 from .expansion import (
     QuadraticForm,
     analytic_hessian,
@@ -61,12 +56,10 @@ from .expansion import (
 from .gaussian import (
     GaussianReport,
     eps_int2,
-    free_bubble,
     gaussian_report,
     lambda2,
     lambda2_zero,
     pair_factor,
-    pair_oracle,
     z2,
 )
 

@@ -14,15 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    FieldConfig,
-    Momentum,
-    ModelSpec,
-    MomentumSet,
-    autocorrelation,
-    autocorrelation_all,
-    field_norm,
-)
+from .model import FieldConfig, ModelSpec, MomentumSet, autocorrelation_all, field_norm
 from .potential import potential_real, vbcs_sum
 
 # floor on (1 - overlap) before the log; an exactly parallel column pair means
@@ -34,37 +26,9 @@ def _denominators(spec: ModelSpec, M: MomentumSet, norm_sq: float) -> np.ndarray
     return M.k0**2 + M.e**2 + spec.lam * norm_sq
 
 
-def overlap_sq(
-    spec: ModelSpec, M: MomentumSet, phi: FieldConfig, k: Momentum, t: Momentum
-) -> float:
-    """|(e_k, e_t)|^2: normalized Gram overlap of two unprimed columns."""
-    ik, it = M.index[(k.n0, k.m)], M.index[(t.n0, t.m)]
-    Q = phi.transfer
-    q = Q.momenta[Q.diff_index[it, ik]]  # t - k
-    num = abs(spec.lam / spec.kappa * autocorrelation(phi, q)) ** 2
-    den = _denominators(spec, M, field_norm(phi))
-    return float(num / (den[ik] * den[it]))
-
-
-def overlap_prime_sq(
-    spec: ModelSpec, M: MomentumSet, phi: FieldConfig, k: Momentum, t: Momentum
-) -> float:
-    """|(e'_k, e_t)|^2: primed-against-unprimed Gram overlap."""
-    ik, it = M.index[(k.n0, k.m)], M.index[(t.n0, t.m)]
-    Q = phi.transfer
-    phi_tk = phi.values[Q.diff_index[it, ik]]
-    num = (
-        spec.lam
-        / spec.kappa
-        * abs(phi_tk) ** 2
-        * abs(M.a[it] - M.a[ik]) ** 2
-    )
-    den = _denominators(spec, M, field_norm(phi))
-    return float(num / (den[ik] * den[it]))
-
-
 def _overlap_matrices(spec: ModelSpec, M: MomentumSet, phi: FieldConfig):
-    """O1[k, t], O2[k, t] for all momentum pairs, clipped into [0, 1]."""
+    """Normalized Gram overlaps O1[k, t] = |(e_k, e_t)|^2 and
+    O2[k, t] = |(e'_k, e_t)|^2 for all index pairs, clipped into [0, 1]."""
     Q = phi.transfer
     norm_sq = field_norm(phi)
     den = _denominators(spec, M, norm_sq)
@@ -81,7 +45,8 @@ def _overlap_matrices(spec: ModelSpec, M: MomentumSet, phi: FieldConfig):
 def hadamard_rhs(spec: ModelSpec, M: MomentumSet, phi: FieldConfig):
     """Best lower bound on Re V over the reference momentum t.
 
-    Returns (rhs, t): V_BCS(||phi||) minus the smallest log-product deficit.
+    Returns (rhs, t): V_BCS(||phi||) minus the smallest log-product deficit,
+    and the index into M of the reference momentum that attains it.
     """
     o1, o2 = _overlap_matrices(spec, M, phi)
     with np.errstate(divide="ignore"):
@@ -93,7 +58,7 @@ def hadamard_rhs(spec: ModelSpec, M: MomentumSet, phi: FieldConfig):
     deficits = logs.sum(axis=0)  # sum over k = t - q, per column t; each <= 0
     best = int(np.argmin(deficits))  # most negative deficit gives the largest bound
     rhs = vbcs_sum(spec, M, math.sqrt(field_norm(phi))) - float(deficits[best])
-    return rhs, M.momenta[best]
+    return rhs, best
 
 
 @dataclass
@@ -101,7 +66,7 @@ class BoundReport:
     re_v: float
     rhs26: float
     vbcs_at_norm: float
-    argmax_t: Momentum
+    argmax_t: int
     chain_ok: bool
     slack: float
 

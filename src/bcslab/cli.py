@@ -43,7 +43,7 @@ from .expansion import (
     fd_hessian,
     remainder,
 )
-from .gaussian import eps_int2, gaussian_report, lambda2, lambda2_zero
+from .gaussian import eps_int2, gaussian_report, lambda2, lambda2_zero, nonzero
 
 FMT = "%.17g"
 
@@ -155,8 +155,9 @@ def emit_csv(path: str | None, header: list, rows: list):
             out.close()
 
 
-def q_label(q) -> str:
-    return f"({q.n0};{';'.join(str(mi) for mi in q.m)})"
+def q_label(Q, i: int) -> str:
+    """Transfer i of Q as (n0;m1;...)."""
+    return f"({Q.n0[i]};{';'.join(str(mi) for mi in Q.mvec[i])})"
 
 
 def cmd_lattice_info(args) -> int:
@@ -235,9 +236,9 @@ def cmd_expand(args) -> int:
     lhs = decomposition_lhs(spec, M, Q, sol.delta_sq)
     resid = np.abs(lhs - (qf.alpha + 1j * qf.gamma + qf.beta_coef))
     rows = [
-        (q_label(q), float(qf.alpha[i]), float(qf.beta_coef[i]), float(qf.gamma[i]),
+        (q_label(Q, i), float(qf.alpha[i]), float(qf.beta_coef[i]), float(qf.gamma[i]),
          float(resid[i]))
-        for i, q in enumerate(Q.momenta)
+        for i in range(len(Q))
     ]
     emit_csv(args.output, ["q", "alpha", "beta", "gamma", "identity_residual"], rows)
     print(f"beta0 {FMT % qf.beta0}")
@@ -266,6 +267,11 @@ def _hessian_coords(Q, max_orbits: int):
     return np.array(coords, dtype=int)
 
 
+# with lambda = 0, V = sum |phi_q|^2, so the FD Hessian is 2 Id up to rounding;
+# --tol can tighten this bound but not loosen it
+LAMBDA0_TOL = 1e-6
+
+
 def cmd_hessian_check(args) -> int:
     spec, M, _ = build_spec(parse_config(args.config))
     Q = build_transfer_set(M)
@@ -274,18 +280,17 @@ def cmd_hessian_check(args) -> int:
         raise ConfigError(
             f"--orbits must be at most {n_orbits}, the {{q, -q}} orbits of this lattice"
         )
+    coords = _hessian_coords(Q, args.orbits)
     if spec.lam == 0.0:
         base = bcs_config(spec, Q, 0.0, 0.0)
-        coords = _hessian_coords(Q, 2)
         hre, him = fd_hessian(spec, M, base, 1e-4 * math.sqrt(spec.kappa), coords=coords)
         err = max(
             np.max(np.abs(hre - 2.0 * np.eye(len(coords)))), np.max(np.abs(him))
         )
         print(f"lambda0_identity_error {FMT % float(err)}")
-        return 0 if err <= 1e-6 else 1
+        return 0 if err <= min(args.tol, LAMBDA0_TOL) else 1
     sol = solve_gap(spec, M)
     qf = coefficients(spec, M, Q, sol.r0, 0.0)
-    coords = _hessian_coords(Q, args.orbits)
     are, aim = analytic_hessian(spec, qf, coords=coords)
     h = default_fd_step(spec, sol.r0)
     fre, fim = fd_hessian(spec, M, bcs_config(spec, Q, sol.r0, 0.0), h, coords=coords)
@@ -327,8 +332,8 @@ def cmd_gaussian(args) -> int:
     qf = coefficients(spec, M, Q, sol.r0, 0.0)
     rep = gaussian_report(spec, qf, include_zero_mode=args.include_zero_mode)
     rows = [
-        (q_label(q), float(v.real), float(v.imag))
-        for q, v in rep.lambda2.items()
+        (q_label(Q, i), float(v.real), float(v.imag))
+        for i, v in zip(nonzero(Q), rep.lambda2)
     ]
     emit_csv(args.output, ["q", "re_lambda2", "im_lambda2"], rows)
     print(f"log_z2 {FMT % rep.log_z2}")
@@ -431,8 +436,18 @@ COMMANDS = {
     "scan": (cmd_scan, ("sweep", "include-zero-mode", "output")),
     "external": (cmd_external, ("external", "tol")),
 }
-# finite differencing cannot resolve the Hessian below 1e-4
-DEFAULTS = {"verify-bound": {"count": 200}, "hessian-check": {"tol": 1e-4}}
+# subcommand -> option -> settings that replace those in OPTIONS there
+OVERRIDES = {
+    "verify-bound": {"count": dict(default=200)},
+    # finite differencing cannot resolve the Hessian below 1e-4
+    "hessian-check": {
+        "tol": dict(
+            default=1e-4,
+            help="bound on the Hessian's relative error (default 1e-4); with "
+            "lambda = 0 the identity check uses min(TOL, 1e-6)",
+        )
+    },
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, options) in COMMANDS.items():
         p = sub.add_parser(name)
         for opt in ("config",) + options:
-            p.add_argument("--" + opt, **OPTIONS[opt])
-        p.set_defaults(**DEFAULTS.get(name, {}))
+            settings = {**OPTIONS[opt], **OVERRIDES.get(name, {}).get(opt, {})}
+            p.add_argument("--" + opt, **settings)
     return parser
 
 

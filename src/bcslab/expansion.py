@@ -26,16 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    FieldConfig,
-    ModelSpec,
-    MomentumSet,
-    TransferSet,
-    bcs_config,
-    dispersion_array,
-)
+from .model import FieldConfig, ModelSpec, MomentumSet, TransferSet, bcs_config
 from .gap import vbcs_r
-from .potential import DisplacedPotential, ExternalField, potential_full, vbcs_sum
+from .potential import DisplacedPotential, ExternalField, potential_reduced, vbcs_sum
 
 
 @dataclass
@@ -56,55 +49,51 @@ class QuadraticForm:
 
 def _pair_sums(spec: ModelSpec, M: MomentumSet, Q: TransferSet, delta_sq: float):
     """Per-q sums 1/(E^2 E'^2), the alpha numerator, the gamma numerator and
-    the complex a_k abar_{k-q} sum, exploiting the product structure of M."""
+    the complex a_k abar_{k-q} sum, exploiting the product structure of M.
+
+    Q = dn x dm frequency-major, so transfer jn * |dm| + jm is (dn[jn], dm[jm]):
+    the spatial pairs of each dm[jm] are found once and serve every dn[jn].
+    """
     beta_f = math.pi / spec.beta
     n_lo = int(M.freq_n0.min())
     n_hi = int(M.freq_n0.max())
-    spatial = {m: i for i, m in enumerate(M.spatial_m)}
+    n_dm = int(np.count_nonzero(Q.n0 == Q.n0[0]))
+    n_s = len(M.spatial_m)
+    # spatial transfer index of m - m' for m, m' in spatial_m
+    sdiff = Q.diff_index[:n_s, :n_s] % n_dm
     e_s = M.spatial_e
+    freq = []
+    for nq in Q.n0[::n_dm].tolist():
+        lo = max(n_lo, n_lo + nq)
+        hi = min(n_hi, n_hi + nq)
+        n0 = np.arange(lo, hi + 1)
+        k0 = beta_f * (2 * n0 + 1)
+        freq.append((nq, k0, k0 - 2.0 * math.pi * nq / spec.beta))
 
-    # cache spatial masks/shifted dispersions per distinct spatial transfer
-    spatial_cache: dict = {}
-    nq_cache: dict = {}
     inv_sum = np.zeros(len(Q))
     alpha_num = np.zeros(len(Q))
     gamma_num = np.zeros(len(Q))
     cross = np.zeros(len(Q), dtype=complex)
     half_sum = np.zeros(len(Q))
 
-    for iq, q in enumerate(Q.momenta):
-        mq = q.m
-        if mq not in spatial_cache:
-            keep = [i for i, m in enumerate(M.spatial_m)
-                    if tuple(a - b for a, b in zip(m, mq)) in spatial]
-            e1 = e_s[keep]
-            e2 = dispersion_array(
-                spec, np.array([np.subtract(M.spatial_m[i], mq) for i in keep])
-            ) if keep else np.zeros(0)
-            spatial_cache[mq] = (e1, e2)
-        e1, e2 = spatial_cache[mq]
-        nq = q.n0
-        if nq not in nq_cache:
-            lo = max(n_lo, n_lo + nq)
-            hi = min(n_hi, n_hi + nq)
-            n0 = np.arange(lo, hi + 1)
-            k0 = beta_f * (2 * n0 + 1)
-            nq_cache[nq] = (k0, k0 - 2.0 * math.pi * nq / spec.beta)
-        k0, k0q = nq_cache[nq]
-        if len(k0) == 0 or len(e1) == 0:
-            continue
-        E1 = k0[:, None] ** 2 + e1[None, :] ** 2 + delta_sq
-        E2 = k0q[:, None] ** 2 + e2[None, :] ** 2 + delta_sq
-        inv = 1.0 / (E1 * E2)
-        inv_sum[iq] = inv.sum()
-        de = e1[None, :] - e2[None, :]
-        q0 = 2.0 * math.pi * nq / spec.beta
-        alpha_num[iq] = ((q0**2 + de**2) * inv).sum()
-        gamma_num[iq] = ((k0[:, None] * e2[None, :] - k0q[:, None] * e1[None, :]) * inv).sum()
-        ak = 1j * k0[:, None] - e1[None, :]
-        akq_bar = -1j * k0q[:, None] - e2[None, :]
-        cross[iq] = (ak * akq_bar * inv).sum()
-        half_sum[iq] = (0.5 * (E1 + E2) * inv).sum()
+    for jm in range(n_dm):
+        keep, partner = np.nonzero(sdiff == jm)  # m_keep - dm[jm] = m_partner
+        e1 = e_s[keep]
+        e2 = e_s[partner]
+        for jn, (nq, k0, k0q) in enumerate(freq):
+            iq = jn * n_dm + jm
+            E1 = k0[:, None] ** 2 + e1[None, :] ** 2 + delta_sq
+            E2 = k0q[:, None] ** 2 + e2[None, :] ** 2 + delta_sq
+            inv = 1.0 / (E1 * E2)
+            inv_sum[iq] = inv.sum()
+            de = e1[None, :] - e2[None, :]
+            q0 = 2.0 * math.pi * nq / spec.beta
+            alpha_num[iq] = ((q0**2 + de**2) * inv).sum()
+            gamma_num[iq] = ((k0[:, None] * e2[None, :] - k0q[:, None] * e1[None, :]) * inv).sum()
+            ak = 1j * k0[:, None] - e1[None, :]
+            akq_bar = -1j * k0q[:, None] - e2[None, :]
+            cross[iq] = (ak * akq_bar * inv).sum()
+            half_sum[iq] = (0.5 * (E1 + E2) * inv).sum()
     return inv_sum, alpha_num, gamma_num, cross, half_sum
 
 
@@ -324,12 +313,14 @@ def remainder(
     xi: FieldConfig,
     t: float,
 ) -> float:
-    """|V(phi_min + t xi) - V_2(phi_min + t xi)|, the cubic remainder probe."""
+    """|V(phi_min + t xi) - V_2(phi_min + t xi)|, the cubic remainder probe.
+
+    V comes from the reduced route, whose imaginary part stays smooth near the
+    minimum; the full route's per-pivot imaginary part can jump by 2 pi k.
+    """
     if t < 0:
         raise ValueError("t must be nonnegative")
     Q = qf.transfer
     base = bcs_config(spec, Q, qf.r0, qf.theta0)
     cfg = FieldConfig(Q, base.values + t * xi.values)
-    full = potential_full(spec, M, cfg).total
-    quad = v2(spec, qf, cfg)
-    return abs(full - quad)
+    return abs(potential_reduced(spec, M, cfg).total - v2(spec, qf, cfg))

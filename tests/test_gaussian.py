@@ -1,5 +1,6 @@
 """Gaussian-approximation quantities and their quadrature oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,12 +10,13 @@ from scipy.integrate import quad
 import bcslab as bl
 from bcslab.gaussian import (
     FlatGaussianMode,
-    QuadratureError,
+    nonzero,
     pair_denominator,
     pair_factor_coeffs,
     radial_integral,
     representatives,
 )
+from oracles import free_bubble, index_of, labels, lambda2_zero_quadrature, pair_oracle
 
 
 def test_pair_factor_closed_form():
@@ -31,22 +33,23 @@ def test_pair_factor_vs_oracle_random():
         beta = rng.random()
         gamma = rng.standard_normal()
         closed = pair_factor_coeffs(alpha, beta, gamma)
-        oracle = bl.pair_oracle(alpha, beta, gamma)
+        oracle = pair_oracle(alpha, beta, gamma)
         assert closed == pytest.approx(oracle, rel=1e-8)
 
 
 def test_pair_oracle_theta_invariant():
-    v0 = bl.pair_oracle(0.8, 0.3, 0.5, theta0=0.0)
-    v1 = bl.pair_oracle(0.8, 0.3, 0.5, theta0=1.7)
+    v0 = pair_oracle(0.8, 0.3, 0.5, theta0=0.0)
+    v1 = pair_oracle(0.8, 0.3, 0.5, theta0=1.7)
     assert v0 == v1
 
 
 def test_pair_factor_lattice(desk_spec, desk_Q, desk_qf):
     i = next(j for j in range(len(desk_Q)) if j != desk_Q.zero_index)
-    q = desk_Q.momenta[i]
-    assert bl.pair_factor(desk_qf, q) == bl.pair_factor(desk_qf, i)
+    assert bl.pair_factor(desk_qf, np.array([i]))[0] == bl.pair_factor(desk_qf, i)
     with pytest.raises(ValueError):
         bl.pair_factor(desk_qf, desk_Q.zero_index)
+    with pytest.raises(ValueError):
+        bl.pair_factor(desk_qf, np.array([i, desk_Q.zero_index]))
 
 
 def test_radial_integral_vs_quad():
@@ -108,7 +111,7 @@ def test_lambda2_pair_moment_oracle(desk_spec, desk_Q, desk_qf):
             float(desk_qf.gamma[i]),
         )
         h = 1e-6
-        f = bl.pair_oracle
+        f = pair_oracle
         dlog = (math.log(f(a + h, b, g)) - math.log(f(a - h, b, g))) / (2.0 * h)
         # -dlog = <|phi_q|^2 + |phi_-q|^2>; both transfers share |Lambda2|
         mean_sq = -0.5 * dlog
@@ -156,14 +159,15 @@ def test_eps_int2_real_and_split(desk_spec, desk_qf):
 
 
 def test_free_bubble_brute(small_spec, small_M):
-    q = bl.Momentum(1, (0,), "bosonic")
+    q = (1, (0,))
+    index = index_of(small_M)
     acc = 0.0 + 0.0j
-    for i, k in enumerate(small_M.momenta):
-        key = (q.n0 - k.n0 - 1, tuple(a - b for a, b in zip(q.m, k.m)))
-        j = small_M.index.get(key)
+    for i, (n0, m) in enumerate(labels(small_M)):
+        key = (q[0] - n0 - 1, tuple(a - b for a, b in zip(q[1], m)))
+        j = index.get(key)
         if j is not None:
             acc += 1.0 / (small_M.a[i] * small_M.a[j])
-    assert bl.free_bubble(small_spec, small_M, q) == pytest.approx(
+    assert free_bubble(small_spec, small_M, q) == pytest.approx(
         acc / small_spec.kappa, rel=1e-12
     )
 
@@ -171,8 +175,7 @@ def test_free_bubble_brute(small_spec, small_M):
 def test_free_bubble_pairing_structure(small_spec, small_M):
     # the summand pairs k with q - k: at q = 0 the partner of (n0, m) is
     # (-n0 - 1, -m), the time-reversed momentum, which is always in the set
-    q = bl.Momentum(0, (0,), "bosonic")
-    val = bl.free_bubble(small_spec, small_M, q)
+    val = free_bubble(small_spec, small_M, (0, (0,)))
     # a_{-k} = abar_k (k0 flips sign, e is even), so each term is 1/|a_k|^2
     expected = np.sum(1.0 / (small_M.a * np.conj(small_M.a)))
     assert val == pytest.approx(complex(expected) / small_spec.kappa, rel=1e-12)
@@ -184,3 +187,64 @@ def test_gaussian_report(desk_spec, desk_qf):
     assert rep.eps_int2 == pytest.approx(bl.eps_int2(desk_spec, desk_qf))
     assert len(rep.lambda2) == len(desk_qf.transfer) - 1
     assert "included" in rep.q0_zero_handling
+    # lambda2 is aligned to the nonzero transfers, pair_factors to representatives
+    Q = desk_qf.transfer
+    nz, reps = nonzero(Q), representatives(desk_qf)
+    assert Q.zero_index not in nz and len(nz) == len(Q) - 1
+    for j in (0, 17, len(nz) - 1):
+        assert rep.lambda2[j] == bl.lambda2(desk_spec, desk_qf, int(nz[j]))
+    assert len(rep.pair_factors) == len(reps)
+    for j in (0, 5, len(reps) - 1):
+        assert rep.pair_factors[j] == bl.pair_factor(desk_qf, int(reps[j]))
+
+
+def test_lambda2_array_matches_scalar_formula(desk_spec, desk_qf):
+    # the array form is bit for bit the per-transfer complex arithmetic
+    nz = nonzero(desk_qf.transfer)
+    got = bl.lambda2(desk_spec, desk_qf, nz)
+    ref = []
+    for i in nz:
+        a, b, g = desk_qf.alpha[i], desk_qf.beta_coef[i], desk_qf.gamma[i]
+        den = a**2 + g**2 + 2.0 * a * b
+        ref.append((complex(a + b, g) / den - 1.0) / desk_spec.lam)
+    assert np.array_equal(got, np.array(ref))
+
+
+def test_sums_match_sequential_loops(desk_spec, desk_qf):
+    # eps_int2 and log z2 sum with np.sum; a sequential loop differs by rounding only
+    Q = desk_qf.transfer
+    total = 0.0 + 0.0j
+    for i in nonzero(Q):
+        total += bl.lambda2(desk_spec, desk_qf, int(i))
+    eps = total.real / desk_spec.kappa
+    assert bl.eps_int2(desk_spec, desk_qf, include_zero_mode=False) == pytest.approx(
+        eps, rel=1e-13
+    )
+    center = math.sqrt(desk_spec.kappa) * desk_qf.r0
+    log_val = -desk_qf.v_min + math.log(radial_integral(desk_qf.beta0, center))
+    for i in representatives(desk_qf):
+        log_val += math.log(bl.pair_factor(desk_qf, int(i)))
+    assert bl.z2(desk_spec, desk_qf)[1] == pytest.approx(log_val, rel=1e-13)
+
+
+@pytest.mark.parametrize("factor", [1.2, 2.0, 5.0])
+@pytest.mark.parametrize("lattice", [(1, 4.0, 2.0, 4.0), (1, 16.0, 8.0, 20.0),
+                                     (1, 32.0, 8.0, 20.0), (2, 4.0, 2.0, 4.0)],
+                         ids=["d1-L4", "d1-L16", "d1-L32", "d2-L4"])
+def test_lambda2_zero_closed_form_vs_quadrature(lattice, factor):
+    d, L, beta, nu = lattice
+    probe = bl.ModelSpec(d=d, L=L, beta=beta, nu=nu, lam=0.0)
+    lam_c = bl.critical_coupling(probe, bl.build_momentum_set(probe))
+    spec = bl.ModelSpec(d=d, L=L, beta=beta, nu=nu, lam=factor * lam_c)
+    M = bl.build_momentum_set(spec)
+    sol = bl.solve_gap(spec, M)
+    qf = bl.coefficients(spec, M, bl.build_transfer_set(M), sol.r0, 0.0)
+    assert bl.lambda2_zero(spec, qf) == pytest.approx(
+        lambda2_zero_quadrature(spec, qf), rel=1e-12
+    )
+
+
+def test_lambda2_zero_flat_radial_mode(desk_spec, desk_qf):
+    flat = dataclasses.replace(desk_qf, beta0=0.0)
+    with pytest.raises(FlatGaussianMode):
+        bl.lambda2_zero(desk_spec, flat)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import bcslab as bl
+from bcslab.model import dispersion_array, spatial_grid
+from oracles import autocorrelation, dispersion, index_of, labels, nondegenerate
 
 
 def test_desk_set_sizes(desk_M, desk_Q):
@@ -18,15 +20,16 @@ def test_momentum_set_is_product(desk_M):
     # every (n0, m) combination of the frequency range and surviving spatial
     # vectors is present exactly once
     assert len(desk_M) == len(desk_M.freq_n0) * len(desk_M.spatial_m)
-    assert len(set(desk_M.index)) == len(desk_M)
+    assert len(set(labels(desk_M))) == len(desk_M)
 
 
 def test_energy_window(desk_spec, desk_M):
     assert np.all(np.abs(desk_M.e) <= desk_spec.energy_window + 1e-12)
     # a momentum outside the window is rejected
-    for m in bl.model.spatial_grid(desk_spec):
-        inside = abs(bl.dispersion(desk_spec, m)) <= desk_spec.energy_window
-        assert (m in [p for p in desk_M.spatial_m]) == inside
+    kept = {tuple(m) for m in desk_M.spatial_m.tolist()}
+    for m in spatial_grid(desk_spec).tolist():
+        inside = abs(dispersion(desk_spec, m)) <= desk_spec.energy_window
+        assert (tuple(m) in kept) == inside
 
 
 def test_frequency_cutoff(desk_spec, desk_M):
@@ -37,9 +40,9 @@ def test_frequency_cutoff(desk_spec, desk_M):
 
 
 def test_dispersion_even(desk_spec):
-    for m in bl.model.spatial_grid(desk_spec):
+    for m in spatial_grid(desk_spec).tolist():
         neg = tuple(-mi for mi in m)
-        assert bl.dispersion(desk_spec, m) == bl.dispersion(desk_spec, neg)
+        assert dispersion(desk_spec, m) == dispersion(desk_spec, neg)
 
 
 def test_quadratic_dispersion():
@@ -48,7 +51,7 @@ def test_quadratic_dispersion():
         dispersion=bl.DispersionSpec(kind="quadratic"),
         energy_window=5.0,
     )
-    assert bl.dispersion(spec, (2,)) == pytest.approx(0.5 * (2 * math.pi * 2 / 8.0) ** 2)
+    assert dispersion(spec, (2,)) == pytest.approx(0.5 * (2 * math.pi * 2 / 8.0) ** 2)
 
 
 def test_dispersion_kind_rejected():
@@ -65,17 +68,10 @@ def test_spec_validation():
         bl.ModelSpec(beta=8.0, nu=0.1)
 
 
-def test_momentum_negation():
-    k = bl.Momentum(3, (2,))
-    assert -k == bl.Momentum(-4, (-2,))
-    q = bl.Momentum(3, (2,), "bosonic")
-    assert -q == bl.Momentum(-3, (-2,), "bosonic")
-
-
 def test_a_values(desk_spec, desk_M):
-    for i, p in enumerate(desk_M.momenta):
-        k0 = (math.pi / desk_spec.beta) * (2 * p.n0 + 1)
-        assert desk_M.a[i] == pytest.approx(1j * k0 - bl.dispersion(desk_spec, p.m))
+    for i, (n0, m) in enumerate(labels(desk_M)):
+        k0 = (math.pi / desk_spec.beta) * (2 * n0 + 1)
+        assert desk_M.a[i] == pytest.approx(1j * k0 - dispersion(desk_spec, m))
 
 
 def test_transfer_negation_involution(desk_Q):
@@ -84,17 +80,17 @@ def test_transfer_negation_involution(desk_Q):
 
 
 def test_diff_index(small_M, small_Q):
-    for i, k in enumerate(small_M.momenta):
-        for j, p in enumerate(small_M.momenta):
-            q = small_Q.momenta[small_Q.diff_index[i, j]]
-            assert q.n0 == k.n0 - p.n0
-            assert q.m == tuple(a - b for a, b in zip(k.m, p.m))
+    for i in range(len(small_M)):
+        for j in range(len(small_M)):
+            q = small_Q.diff_index[i, j]
+            assert small_Q.n0[q] == small_M.n0[i] - small_M.n0[j]
+            assert np.array_equal(small_Q.mvec[q], small_M.mvec[i] - small_M.mvec[j])
 
 
 def test_transfer_set_closure(desk_M, desk_Q):
-    diffs = {(k.n0 - p.n0, tuple(np.subtract(k.m, p.m)))
-             for k in desk_M.momenta for p in desk_M.momenta}
-    assert diffs <= set(desk_Q.index)
+    diffs = {(k[0] - p[0], tuple(np.subtract(k[1], p[1])))
+             for k in labels(desk_M) for p in labels(desk_M)}
+    assert diffs <= set(labels(desk_Q))
 
 
 def test_nondegeneracy(desk_spec, desk_Q):
@@ -134,14 +130,16 @@ def test_field_config_validation(desk_Q):
 
 def test_autocorrelation_brute(small_spec, small_Q):
     phi = bl.random_config(small_spec, small_Q, 1.0, seed=3)
-    for q in small_Q.momenta:
+    index = index_of(small_Q)
+    for iq, q in enumerate(labels(small_Q)):
         acc = 0.0 + 0.0j
-        for i, p in enumerate(small_Q.momenta):
-            key = (p.n0 + q.n0, tuple(a + b for a, b in zip(p.m, q.m)))
-            j = small_Q.index.get(key)
+        for i, p in enumerate(labels(small_Q)):
+            key = (p[0] + q[0], tuple(a + b for a, b in zip(p[1], q[1])))
+            j = index.get(key)
             if j is not None:
                 acc += phi.values[i] * np.conj(phi.values[j])
-        assert bl.autocorrelation(phi, q) == pytest.approx(acc, abs=1e-12)
+        assert autocorrelation(phi, iq) == pytest.approx(acc, abs=1e-12)
+        assert autocorrelation(phi, q) == pytest.approx(acc, abs=1e-12)
 
 
 def test_autocorrelation_all_matches_pointwise(desk_spec, desk_Q):
@@ -149,16 +147,14 @@ def test_autocorrelation_all_matches_pointwise(desk_spec, desk_Q):
     allvals = bl.autocorrelation_all(phi)
     rng = np.random.default_rng(0)
     for i in rng.choice(len(desk_Q), size=25, replace=False):
-        q = desk_Q.momenta[int(i)]
         assert allvals[int(i)] == pytest.approx(
-            bl.autocorrelation(phi, q), rel=1e-10, abs=1e-10
+            autocorrelation(phi, int(i)), rel=1e-10, abs=1e-10
         )
 
 
 def test_autocorrelation_zero_transfer(desk_spec, desk_Q):
     phi = bl.random_config(desk_spec, desk_Q, 1.0, seed=2)
-    q0 = desk_Q.momenta[desk_Q.zero_index]
-    assert bl.autocorrelation(phi, q0) == pytest.approx(
+    assert autocorrelation(phi, desk_Q.zero_index) == pytest.approx(
         float(np.sum(np.abs(phi.values) ** 2))
     )
 
@@ -167,23 +163,22 @@ def test_autocorrelation_zero_transfer(desk_spec, desk_Q):
 
 
 def transfer_set_oracle(M):
-    """Q, its index maps and labels by per-pair tuple and dict lookups."""
+    """Q and its index maps by per-pair tuple and dict lookups."""
     dn = sorted({int(a) - int(b) for a in M.freq_n0 for b in M.freq_n0})
-    dm = sorted({tuple(np.subtract(a, b)) for a in M.spatial_m for b in M.spatial_m})
-    momenta = [bl.Momentum(n, m, "bosonic") for n in dn for m in dm]
-    index = {(q.n0, q.m): i for i, q in enumerate(momenta)}
+    spatial = [tuple(m) for m in M.spatial_m.tolist()]
+    dm = sorted({tuple(np.subtract(a, b).tolist()) for a in spatial for b in spatial})
+    momenta = [(n, m) for n in dn for m in dm]
+    index = {q: i for i, q in enumerate(momenta)}
     neg_index = np.array(
-        [index[(-q.n0, tuple(-mi for mi in q.m))] for q in momenta], dtype=int
+        [index[(-n, tuple(-mi for mi in m))] for n, m in momenta], dtype=int
     )
     diff_index = np.empty((len(M), len(M)), dtype=int)
     for i, j in itertools.product(range(len(M)), repeat=2):
         key = (int(M.n0[i] - M.n0[j]), tuple(M.mvec[i] - M.mvec[j]))
         diff_index[i, j] = index[key]
     return dict(
-        momenta=momenta,
-        index=index,
-        n0=np.array([q.n0 for q in momenta], dtype=int),
-        mvec=np.array([q.m for q in momenta], dtype=int),
+        n0=np.array([n for n, _ in momenta], dtype=int),
+        mvec=np.array([m for _, m in momenta], dtype=int),
         zero_index=index[(0, (0,) * M.spec.d)],
         neg_index=neg_index,
         diff_index=diff_index,
@@ -199,16 +194,16 @@ def autocorrelation_all_oracle(phi):
         int(h - l + 1) for l, h in zip(m_lo, Q.mvec.max(axis=0))
     ]
     dense = np.zeros(shape, dtype=complex)
-    for i, q in enumerate(Q.momenta):
-        idx = (q.n0 - n_lo,) + tuple(int(mi - l) for mi, l in zip(q.m, m_lo))
+    for i, (n0, m) in enumerate(labels(Q)):
+        idx = (n0 - n_lo,) + tuple(int(mi - l) for mi, l in zip(m, m_lo))
         dense[idx] = phi.values[i]
     padded = [2 * s - 1 for s in shape]
     axes = tuple(range(len(shape)))
     f = np.fft.fftn(dense, s=padded, axes=axes)
     B = np.fft.ifftn(f * np.conj(f), axes=axes)
     out = np.empty(len(Q), dtype=complex)
-    for i, q in enumerate(Q.momenta):
-        idx = tuple(int(s) % p for s, p in zip((q.n0,) + tuple(q.m), padded))
+    for i, (n0, m) in enumerate(labels(Q)):
+        idx = tuple(int(s) % p for s, p in zip((n0,) + m, padded))
         out[i] = np.conj(B[idx])
     return out
 
@@ -242,8 +237,6 @@ def lattice(request, small_M, desk_M):
 def test_transfer_maps_match_oracle(lattice):
     Q = bl.build_transfer_set(lattice)
     ref = transfer_set_oracle(lattice)
-    assert Q.momenta == ref["momenta"]
-    assert Q.index == ref["index"]
     assert Q.zero_index == ref["zero_index"]
     for name in ("n0", "mvec", "neg_index", "diff_index"):
         got = getattr(Q, name)
@@ -255,3 +248,42 @@ def test_autocorrelation_all_matches_oracle(lattice):
     Q = bl.build_transfer_set(lattice)
     phi = bl.random_config(lattice.spec, Q, 1.0, seed=5)
     assert np.array_equal(bl.autocorrelation_all(phi), autocorrelation_all_oracle(phi))
+
+
+def _dispersion_cases():
+    """Specs over both dispersion kinds, d = 1..3, odd and even L, two mu; t = 0
+    (a flat band) and L = 2 (q = 2 maps cos(pi m) onto itself) are degenerate."""
+    cases = []
+    for d, Ls in ((1, (2, 3, 4, 7, 16)), (2, (2, 3, 4, 8)), (3, (2, 3, 4))):
+        for L in Ls:
+            for mu in (0.0, 0.3):
+                for disp in (
+                    bl.DispersionSpec("tight_binding", 1.0),
+                    bl.DispersionSpec("tight_binding", 0.0),
+                    bl.DispersionSpec("quadratic"),
+                ):
+                    cases.append(
+                        bl.ModelSpec(d=d, L=float(L), beta=2.0, nu=4.0, mu=mu,
+                                     dispersion=disp, lam=1.0, energy_window=2.0)
+                    )
+    return cases
+
+
+def test_dispersion_array_matches_scalar_oracle():
+    # the evenness check, the cutoff filter and nondegeneracy_check all read
+    # dispersion_array; each verdict must be the scalar loop's
+    verdicts = []
+    for spec in _dispersion_cases():
+        grid = spatial_grid(spec)
+        ref = np.array([dispersion(spec, m) for m in grid.tolist()])
+        got = dispersion_array(spec, grid)
+        assert np.max(np.abs(got - ref)) <= 1e-15, spec
+        assert all(dispersion(spec, m) == dispersion(spec, -np.array(m)) for m in grid.tolist())
+        M = bl.build_momentum_set(spec)
+        kept = [m for m in grid.tolist() if abs(dispersion(spec, m)) <= spec.energy_window]
+        assert M.spatial_m.tolist() == kept, spec
+        Q = bl.build_transfer_set(M)
+        verdict = bl.nondegeneracy_check(spec, Q)
+        assert verdict == nondegenerate(spec, Q), spec
+        verdicts.append(verdict)
+    assert False in verdicts and True in verdicts

@@ -2,8 +2,9 @@
 
 Subcommands: lattice-info, gap, eval, verify-bound, expand, hessian-check,
 gaussian, scan, external.  Configuration comes from a plain key = value file
-(--config); unknown keys are rejected.  Exit codes: 0 success, 1 verification
-failure, 2 configuration error.  Numbers are printed with 17 significant
+(--config); unknown keys and non-finite numbers are rejected.  Exit codes:
+0 success, 1 verification failure, 2 configuration error (including a gap
+equation the solver cannot solve).  Numbers are printed with 17 significant
 digits so CSV output round-trips exactly.
 """
 
@@ -32,7 +33,7 @@ from .potential import (
     potential_reduced,
     vbcs_sum,
 )
-from .gap import critical_coupling, solve_gap, solve_gap_external
+from .gap import GapConvergenceError, critical_coupling, solve_gap, solve_gap_external
 from .bound import bound_report
 from .expansion import (
     analytic_hessian,
@@ -86,9 +87,12 @@ def parse_config(path: str | None) -> dict:
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = CONFIG_KEYS[key](val)
+            value = CONFIG_KEYS[key](val)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {val!r}")
+        values[key] = value
     return values
 
 
@@ -128,8 +132,10 @@ def parse_external(arg: str | None) -> ExternalField | None:
         phase = float(parts[1]) if len(parts) > 1 else 0.0
     except (ValueError, IndexError):
         raise ConfigError(f"bad --external value {arg!r}")
-    if mag <= 0:
-        raise ConfigError("--external magnitude must be positive")
+    if not 0 < mag < math.inf:
+        raise ConfigError("--external magnitude must be positive and finite")
+    if not math.isfinite(phase):
+        raise ConfigError("--external phase must be finite")
     return ExternalField(magnitude=mag, phase=phase)
 
 
@@ -153,6 +159,22 @@ def emit_csv(path: str | None, header: list, rows: list):
     finally:
         if close:
             out.close()
+
+
+def _scaled_field(spec, M, Q, scale: float, seed: int) -> FieldConfig:
+    """random_config, or a ConfigError naming --scale if its matrices can overflow.
+
+    For each k, p -> k - p is injective, so every entry of Cbar phi C phi^H,
+    and every partial sum forming it, is at most max|1/a_k|^2 sum_q |phi_q|^2.
+    """
+    phi = random_config(spec, Q, 1.0, seed)
+    with np.errstate(over="ignore"):  # the factor 2 leaves headroom for the products
+        bound = np.float64(2.0 * scale / np.min(np.abs(M.a))) ** 2
+        bound *= np.sum(np.abs(phi.values) ** 2)
+    if not np.isfinite(bound):
+        raise ConfigError(f"--scale must be small enough for finite matrices, not {scale:g}")
+    phi.values *= scale
+    return phi
 
 
 def q_label(Q, i: int) -> str:
@@ -193,7 +215,7 @@ def cmd_gap(args) -> int:
 def cmd_eval(args) -> int:
     spec, M, _ = build_spec(parse_config(args.config))
     Q = build_transfer_set(M)
-    phi = random_config(spec, Q, args.scale, args.seed)
+    phi = _scaled_field(spec, M, Q, args.scale, args.seed)
     full = potential_full(spec, M, phi)
     red = potential_reduced(spec, M, phi)
     print(f"seed {args.seed}")
@@ -213,7 +235,7 @@ def cmd_verify_bound(args) -> int:
     ok_all = True
     configs = [("bcs", bcs_config(spec, Q, sol.r0, 0.0))]
     configs += [
-        (str(s), random_config(spec, Q, args.scale, s))
+        (str(s), _scaled_field(spec, M, Q, args.scale, s))
         for s in range(args.seed, args.seed + args.count)
     ]
     for label, phi in configs:
@@ -409,6 +431,8 @@ def cmd_external(args) -> int:
     return 0
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
 OPTIONS = {
     "config": dict(help="key = value configuration file"),
     "seed": dict(type=int, default=0),
@@ -417,8 +441,9 @@ OPTIONS = {
     "scale": dict(type=float, default=1.0),
     "output": dict(help="CSV output path (default stdout)"),
     "external": dict(metavar="MAG[,PHASE]"),
+    # any other spelling parses to None, which VALID rejects
     "include-zero-mode": dict(
-        type=lambda s: s.lower() in ("1", "true", "yes"), default=True, metavar="BOOL"
+        type=lambda s: _BOOLS.get(s.lower()), default=True, metavar="BOOL"
     ),
     "sweep": dict(metavar="KEY=START:STOP:STEPS"),
     "orbits": dict(type=int, default=3, help="pair orbits in the restricted Hessian block"),
@@ -469,6 +494,7 @@ VALID = {
     "orbits": (lambda x: x >= 1, "at least 1"),
     "seed": (lambda x: x >= 0, "nonnegative"),
     "scale": (lambda x: 0 <= x < math.inf, "finite and nonnegative"),
+    "include-zero-mode": (lambda x: x is not None, "1, true, yes, 0, false or no"),
 }
 
 
@@ -476,12 +502,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # only the subcommands that read an option have it
     for opt, (ok, must) in VALID.items():
-        if opt in args and not ok(getattr(args, opt)):
+        dest = opt.replace("-", "_")
+        if dest in args and not ok(getattr(args, dest)):
             print(f"error: --{opt} must be {must}", file=sys.stderr)
             return 2
     try:
         return COMMANDS[args.command][0](args)
-    except ConfigError as exc:
+    except (ConfigError, GapConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -47,77 +47,55 @@ class QuadraticForm:
     shift: float = 0.0
 
 
-def _pair_sums(spec: ModelSpec, M: MomentumSet, Q: TransferSet, delta_sq: float):
-    """Per-q sums 1/(E^2 E'^2), the alpha numerator, the gamma numerator and
-    the complex a_k abar_{k-q} sum, exploiting the product structure of M.
+def _pair_sum(M: MomentumSet, Q: TransferSet, weight) -> np.ndarray:
+    """Per q, the sum of weight(k, p) over k, p in M with k - p = q.
 
-    Q = dn x dm frequency-major, so transfer jn * |dm| + jm is (dn[jn], dm[jm]):
-    the spatial pairs of each dm[jm] are found once and serve every dn[jn].
+    `weight` maps a column of momentum indices k and the row of all indices p
+    to their real weights.  diff_index is read one row block at a time, the
+    len(M.spatial_m) momenta k of one Matsubara frequency, so no N x N float
+    array is formed.
     """
-    beta_f = math.pi / spec.beta
-    n_lo = int(M.freq_n0.min())
-    n_hi = int(M.freq_n0.max())
-    n_dm = int(np.count_nonzero(Q.n0 == Q.n0[0]))
-    n_s = len(M.spatial_m)
-    # spatial transfer index of m - m' for m, m' in spatial_m
-    sdiff = Q.diff_index[:n_s, :n_s] % n_dm
-    e_s = M.spatial_e
-    freq = []
-    for nq in Q.n0[::n_dm].tolist():
-        lo = max(n_lo, n_lo + nq)
-        hi = min(n_hi, n_hi + nq)
-        n0 = np.arange(lo, hi + 1)
-        k0 = beta_f * (2 * n0 + 1)
-        freq.append((nq, k0, k0 - 2.0 * math.pi * nq / spec.beta))
+    s = len(M.spatial_m)
+    p = np.arange(len(M))
+    out = np.zeros(len(Q))
+    for lo in range(0, len(M), s):
+        k = p[lo : lo + s, None]
+        out += np.bincount(
+            Q.diff_index[lo : lo + s].ravel(), weight(k, p).ravel(), minlength=len(Q)
+        )
+    return out
 
-    inv_sum = np.zeros(len(Q))
-    alpha_num = np.zeros(len(Q))
-    gamma_num = np.zeros(len(Q))
-    cross = np.zeros(len(Q), dtype=complex)
-    half_sum = np.zeros(len(Q))
 
-    for jm in range(n_dm):
-        keep, partner = np.nonzero(sdiff == jm)  # m_keep - dm[jm] = m_partner
-        e1 = e_s[keep]
-        e2 = e_s[partner]
-        for jn, (nq, k0, k0q) in enumerate(freq):
-            iq = jn * n_dm + jm
-            E1 = k0[:, None] ** 2 + e1[None, :] ** 2 + delta_sq
-            E2 = k0q[:, None] ** 2 + e2[None, :] ** 2 + delta_sq
-            inv = 1.0 / (E1 * E2)
-            inv_sum[iq] = inv.sum()
-            de = e1[None, :] - e2[None, :]
-            q0 = 2.0 * math.pi * nq / spec.beta
-            alpha_num[iq] = ((q0**2 + de**2) * inv).sum()
-            gamma_num[iq] = ((k0[:, None] * e2[None, :] - k0q[:, None] * e1[None, :]) * inv).sum()
-            ak = 1j * k0[:, None] - e1[None, :]
-            akq_bar = -1j * k0q[:, None] - e2[None, :]
-            cross[iq] = (ak * akq_bar * inv).sum()
-            half_sum[iq] = (0.5 * (E1 + E2) * inv).sum()
-    return inv_sum, alpha_num, gamma_num, cross, half_sum
+def _quadratic_form(spec, M, Q, r0: float, theta0: float, v_min: float, shift=0.0):
+    """Coefficients with E_k^2 = k0^2 + e_k^2 + lam r0^2 and stiffness `shift`."""
+    delta_sq = spec.lam * r0**2
+    ratio = spec.lam / spec.kappa
+    k0, e = M.k0, M.e
+    e_sq = k0**2 + e**2 + delta_sq
+
+    def over_e_sq(num):
+        return _pair_sum(M, Q, lambda k, p: num(k, p) / (e_sq[k] * e_sq[p]))
+
+    inv_sum = over_e_sq(lambda k, p: 1.0)
+    alpha_num = over_e_sq(lambda k, p: (k0[k] - k0[p]) ** 2 + (e[k] - e[p]) ** 2)
+    gamma_num = over_e_sq(lambda k, p: k0[k] * e[p] - k0[p] * e[k])
+    half_sum = over_e_sq(lambda k, p: 0.5 * (e_sq[k] + e_sq[p]))
+    # the external equation of state gives (lam/kappa) sum 1/E^2 = 1 - shift,
+    # so separating the shift keeps alpha(0) at the solver residual
+    alpha = (1.0 - shift) - ratio * half_sum + 0.5 * ratio * alpha_num
+    beta_coef = ratio * delta_sq * inv_sum
+    return QuadraticForm(
+        transfer=Q, alpha=alpha, beta_coef=beta_coef, gamma=ratio * gamma_num,
+        beta0=float(beta_coef[Q.zero_index]), r0=r0, theta0=theta0, v_min=v_min,
+        e_sq=e_sq, shift=shift,
+    )
 
 
 def coefficients(
     spec: ModelSpec, M: MomentumSet, Q: TransferSet, r0: float, theta0: float
 ) -> QuadraticForm:
     """Quadratic-form coefficients around the mean-field configuration."""
-    delta_sq = spec.lam * r0**2
-    ratio = spec.lam / spec.kappa
-    inv_sum, alpha_num, gamma_num, _, half_sum = _pair_sums(spec, M, Q, delta_sq)
-    alpha = 1.0 - ratio * half_sum + 0.5 * ratio * alpha_num
-    beta_coef = ratio * delta_sq * inv_sum
-    gamma = ratio * gamma_num
-    return QuadraticForm(
-        transfer=Q,
-        alpha=alpha,
-        beta_coef=beta_coef,
-        gamma=gamma,
-        beta0=float(beta_coef[Q.zero_index]),
-        r0=r0,
-        theta0=theta0,
-        v_min=vbcs_sum(spec, M, r0),
-        e_sq=M.k0**2 + M.e**2 + delta_sq,
-    )
+    return _quadratic_form(spec, M, Q, r0, theta0, vbcs_sum(spec, M, r0))
 
 
 def coefficients_external(
@@ -127,27 +105,8 @@ def coefficients_external(
     field-induced extra stiffness shift = |r|/(g |y0|)."""
     if y0 == 0.0:
         raise ValueError("y0 = 0: external-field stiffness undefined")
-    delta_sq = spec.lam * y0**2
-    ratio = spec.lam / spec.kappa
     shift = r.magnitude / (spec.g * abs(y0))
-    inv_sum, alpha_num, gamma_num, _, half_sum = _pair_sums(spec, M, Q, delta_sq)
-    # the external equation of state gives (lam/kappa) sum 1/E^2 = 1 - shift,
-    # so separating the shift keeps alpha(0) at the solver residual
-    alpha = (1.0 - shift) - ratio * half_sum + 0.5 * ratio * alpha_num
-    beta_coef = ratio * delta_sq * inv_sum
-    gamma = ratio * gamma_num
-    return QuadraticForm(
-        transfer=Q,
-        alpha=alpha,
-        beta_coef=beta_coef,
-        gamma=gamma,
-        beta0=float(beta_coef[Q.zero_index]),
-        r0=y0,
-        theta0=r.phase,
-        v_min=vbcs_r(spec, M, y0, r),
-        e_sq=M.k0**2 + M.e**2 + delta_sq,
-        shift=r.magnitude / (spec.g * abs(y0)),
-    )
+    return _quadratic_form(spec, M, Q, y0, r.phase, vbcs_r(spec, M, y0, r), shift)
 
 
 def decomposition_lhs(
@@ -156,10 +115,15 @@ def decomposition_lhs(
     """1 - (lam/kappa) sum_k a_k abar_{k-q} / (E_k^2 E_{k-q}^2), per q.
 
     Equals alpha_q + i gamma_q + beta_q exactly; computed here directly from
-    the a_k products so the comparison is independent of the coefficient code.
+    the a_k products, so it shares only the summation primitive `_pair_sum`
+    with the coefficient code.
     """
-    _, _, _, cross, _ = _pair_sums(spec, M, Q, delta_sq)
-    return 1.0 - (spec.lam / spec.kappa) * cross
+    a, e_sq = M.a, M.k0**2 + M.e**2 + delta_sq
+
+    def part(f):  # real or imaginary part of a_k abar_p / (E_k^2 E_p^2)
+        return _pair_sum(M, Q, lambda k, p: f(a[k] * np.conj(a[p]) / (e_sq[k] * e_sq[p])))
+
+    return 1.0 - (spec.lam / spec.kappa) * (part(np.real) + 1j * part(np.imag))
 
 
 def v2(spec: ModelSpec, qf: QuadraticForm, phi: FieldConfig) -> complex:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelSpec, MomentumSet
-from .potential import ExternalField, _log_cosh, vbcs_cosh, vbcs_sum
+from .potential import ExternalField, _log_cosh_sum, vbcs_cosh, vbcs_sum
 
 
 class GapConvergenceError(RuntimeError):
@@ -135,26 +135,23 @@ def solve_gap_external(
     hi = -1e-14
     lo = -max(1.0, ratio)
     it = 0
-    while _stationarity(spec, M, lo, ratio) >= 0.0:
-        lo *= 2.0
-        it += 1
-        if it > 200:
-            raise GapConvergenceError("could not bracket external-field minimizer")
-    y0 = brentq(
-        lambda y: _stationarity(spec, M, y, ratio), lo, hi, xtol=1e-15, rtol=8.9e-16
-    )
+    try:
+        while _stationarity(spec, M, lo, ratio) >= 0.0:
+            lo *= 2.0
+            it += 1
+            if it > 200:
+                raise GapConvergenceError("could not bracket external-field minimizer")
+        y0 = brentq(
+            lambda y: _stationarity(spec, M, y, ratio), lo, hi, xtol=1e-15, rtol=8.9e-16
+        )
+    except OverflowError:  # y^2 left the float range
+        raise GapConvergenceError(f"external field {r.magnitude:g} too large") from None
     residual = abs(gap_lhs(spec, M, spec.lam * y0**2) - 1.0 + ratio / abs(y0))
     if residual > tol:
         raise GapConvergenceError(
             f"external gap residual {residual:.3e} exceeds tol {tol:.3e}"
         )
-    e = M.spatial_e
-    arg_gap = 0.5 * spec.beta * np.sqrt(e**2 + spec.lam * y0**2)
-    arg_free = 0.5 * spec.beta * np.abs(e)
-    v_cosh = float(
-        spec.kappa * (y0 + ratio) ** 2
-        - 2.0 * np.sum(_log_cosh(arg_gap) - _log_cosh(arg_free))
-    )
+    v_cosh = float(spec.kappa * (y0 + ratio) ** 2 - 2.0 * _log_cosh_sum(spec, M, y0))
     return GapSolution(
         r0=abs(y0),
         delta_sq=spec.lam * y0**2,

@@ -4,11 +4,13 @@ Fermionic momenta live on the odd Matsubara grid k0 = (pi/beta)(2 n0 + 1),
 bosonic transfer momenta on the even grid q0 = (2 pi/beta) n0.  Spatial
 components are k_i = 2 pi m_i / L with integer m_i.  The cutoff set keeps
 |e_k| <= energy_window and |k0| <= nu; it is always a product of a frequency
-range and a set of surviving spatial vectors, which the heavier modules
-exploit for vectorization.  A momentum or transfer is an integer index into
-its set's arrays.  M is ordered frequency-major; Q is sorted
-lexicographically by (n0, m), so negation reverses its index and the indices
-above zero_index are the {q, -q} orbit representatives (see TransferSet).
+range and a set of surviving spatial vectors.  Three pieces of code use that
+structure: the TransferSet build, autocorrelation_all, and the pair sums of
+the expansion, which read diff_index one frequency's block of rows at a time.
+A momentum or transfer is an integer index into its set's arrays.  M is
+ordered frequency-major; Q is sorted lexicographically by (n0, m), so
+negation reverses its index and the indices above zero_index are the
+{q, -q} orbit representatives (see TransferSet).
 """
 
 from __future__ import annotations
@@ -142,7 +144,6 @@ class TransferSet:
     def __init__(self, M: MomentumSet):
         spec = M.spec
         self.spec = spec
-        self.M = M
         freq = M.freq_n0
         spatial = M.spatial_m
         nf, ns = len(freq), len(spatial)

@@ -273,17 +273,21 @@ def _log_cosh(x: np.ndarray) -> np.ndarray:
     return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
 
 
+def _log_cosh_sum(spec: ModelSpec, M: MomentumSet, y: float) -> float:
+    """sum over the spatial momenta of M of log cosh(beta E/2) - log cosh(beta |e|/2),
+    with E^2 = e^2 + lam y^2."""
+    e = M.spatial_e
+    arg_gap = 0.5 * spec.beta * np.sqrt(e**2 + spec.lam * y**2)
+    arg_free = 0.5 * spec.beta * np.abs(e)
+    return np.sum(_log_cosh(arg_gap) - _log_cosh(arg_free))
+
+
 def vbcs_cosh(spec: ModelSpec, M: MomentumSet, rho: float) -> float:
     """Closed-form (full Matsubara sum) BCS potential over the spatial momenta of M."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    e = M.spatial_e
-    arg_gap = 0.5 * spec.beta * np.sqrt(e**2 + spec.lam * rho**2)
-    arg_free = 0.5 * spec.beta * np.abs(e)
     # full frequency product per spatial momentum: cosh^2(beta E/2)/cosh^2(beta e/2)
-    return float(
-        spec.kappa * rho**2 - 2.0 * np.sum(_log_cosh(arg_gap) - _log_cosh(arg_free))
-    )
+    return float(spec.kappa * rho**2 - 2.0 * _log_cosh_sum(spec, M, rho))
 
 
 def tilted_field(phi: FieldConfig, r: ExternalField) -> FieldConfig:

@@ -227,3 +227,54 @@ def nondegenerate(spec, Q) -> bool:
         ):
             return False
     return True
+
+
+def pair_sums_loop(spec, M, Q, delta_sq):
+    """Per-q sums 1/(E^2 E'^2), the alpha numerator, the gamma numerator, the
+    complex a_k abar_{k-q} sum and the half-sum, by a loop over Q's product
+    structure.
+
+    Q = dn x dm frequency-major, so transfer jn * |dm| + jm is (dn[jn], dm[jm]):
+    the spatial pairs of each dm[jm] are found once and serve every dn[jn].
+    """
+    beta_f = math.pi / spec.beta
+    n_lo = int(M.freq_n0.min())
+    n_hi = int(M.freq_n0.max())
+    n_dm = int(np.count_nonzero(Q.n0 == Q.n0[0]))
+    n_s = len(M.spatial_m)
+    # spatial transfer index of m - m' for m, m' in spatial_m
+    sdiff = Q.diff_index[:n_s, :n_s] % n_dm
+    e_s = M.spatial_e
+    freq = []
+    for nq in Q.n0[::n_dm].tolist():
+        lo = max(n_lo, n_lo + nq)
+        hi = min(n_hi, n_hi + nq)
+        n0 = np.arange(lo, hi + 1)
+        k0 = beta_f * (2 * n0 + 1)
+        freq.append((nq, k0, k0 - 2.0 * math.pi * nq / spec.beta))
+
+    inv_sum = np.zeros(len(Q))
+    alpha_num = np.zeros(len(Q))
+    gamma_num = np.zeros(len(Q))
+    cross = np.zeros(len(Q), dtype=complex)
+    half_sum = np.zeros(len(Q))
+
+    for jm in range(n_dm):
+        keep, partner = np.nonzero(sdiff == jm)  # m_keep - dm[jm] = m_partner
+        e1 = e_s[keep]
+        e2 = e_s[partner]
+        for jn, (nq, k0, k0q) in enumerate(freq):
+            iq = jn * n_dm + jm
+            E1 = k0[:, None] ** 2 + e1[None, :] ** 2 + delta_sq
+            E2 = k0q[:, None] ** 2 + e2[None, :] ** 2 + delta_sq
+            inv = 1.0 / (E1 * E2)
+            inv_sum[iq] = inv.sum()
+            de = e1[None, :] - e2[None, :]
+            q0 = 2.0 * math.pi * nq / spec.beta
+            alpha_num[iq] = ((q0**2 + de**2) * inv).sum()
+            gamma_num[iq] = ((k0[:, None] * e2[None, :] - k0q[:, None] * e1[None, :]) * inv).sum()
+            ak = 1j * k0[:, None] - e1[None, :]
+            akq_bar = -1j * k0q[:, None] - e2[None, :]
+            cross[iq] = (ak * akq_bar * inv).sum()
+            half_sum[iq] = (0.5 * (E1 + E2) * inv).sum()
+    return inv_sum, alpha_num, gamma_num, cross, half_sum

@@ -258,11 +258,34 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "unknown key" in err
 
 
-def test_bad_config_value(tmp_path, capsys):
+BAD_CONFIG_LINES = [
+    ("beta = warm", "bad value for 'beta'"),
+    # non-finite numbers, whatever the key
+    ("L = inf", "bad value for 'L'"),
+    ("nu = inf", "bad value for 'nu'"),
+    ("lambda = nan", "bad value for 'lambda'"),
+    ("lambda = inf", "bad value for 'lambda'"),
+    ("lambda_factor = inf", "bad value for 'lambda_factor'"),
+    ("beta = nan", "bad value for 'beta'"),
+    ("mu = nan", "bad value for 'mu'"),
+    ("t = nan", "bad value for 't'"),
+    # finite but too strong: the gap solver cannot bracket the root
+    ("lambda = 1e300", "could not bracket the gap equation"),
+    ("lambda_factor = 1e200", "could not bracket the gap equation"),
+]
+
+
+@pytest.mark.parametrize(
+    "line, message", BAD_CONFIG_LINES, ids=[line.replace(" ", "") for line, _ in BAD_CONFIG_LINES]
+)
+def test_bad_config_value(tmp_path, capsys, line, message):
     path = tmp_path / "bad.cfg"
-    path.write_text("beta = warm\n")
-    code, _, err = run_cli(["lattice-info", "--config", str(path)], capsys)
+    path.write_text(SMALL_CONFIG + line + "\n")
+    code, out, err = run_cli(["gap", "--config", str(path)], capsys)
     assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_missing_config_file(capsys):
@@ -270,11 +293,37 @@ def test_missing_config_file(capsys):
     assert code == 2
 
 
-def test_bad_external(config_path, capsys):
-    code, _, err = run_cli(
-        ["gap", "--config", config_path, "--external", "nope"], capsys
-    )
+BAD_EXTERNAL = [
+    (["gap", "--external", "nope"], "bad --external value"),
+    (["gap", "--external", "inf"], "magnitude must be positive and finite"),
+    (["gap", "--external", "nan"], "magnitude must be positive and finite"),
+    (["external", "--external", "inf,0.4"], "magnitude must be positive and finite"),
+    (["gap", "--external", "1e-2,nan"], "phase must be finite"),
+    (["external", "--external", "1e-2,inf"], "phase must be finite"),
+    # finite, but the minimizer's y^2 overflows
+    (["gap", "--external", "1e300"], "too large"),
+    (["external", "--external", "1e300"], "too large"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", BAD_EXTERNAL, ids=["".join(argv) for argv, _ in BAD_EXTERNAL]
+)
+def test_bad_external(config_path, capsys, argv, message):
+    code, out, err = run_cli(argv + ["--config", config_path], capsys)
     assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [("1", True), ("Yes", True), ("TRUE", True), ("0", False), ("No", False), ("False", False)],
+)
+def test_include_zero_mode_spellings(value, expected):
+    args = cli.build_parser().parse_args(["gaussian", "--include-zero-mode", value])
+    assert args.include_zero_mode is expected
 
 
 def test_bad_tol(config_path, capsys):
@@ -306,6 +355,13 @@ def test_bad_tol_on_every_tol_command(config_path, capsys, command, tol):
         ["verify-bound", "--scale", "-0.5"],
         ["verify-bound", "--scale", "nan"],
         ["verify-bound", "--scale=-inf"],
+        # finite, but the matrices of the field overflow
+        ["eval", "--scale", "1e200"],
+        ["verify-bound", "--scale", "1e200"],
+        # spellings that once silently meant false
+        ["gaussian", "--include-zero-mode", "maybe"],
+        ["scan", "--include-zero-mode", "ture"],
+        ["gaussian", "--include-zero-mode", ""],
     ],
     ids=lambda argv: "".join(argv),
 )

@@ -9,7 +9,15 @@ import pytest
 import bcslab as bl
 from bcslab.cli import _hessian_coords
 from bcslab.expansion import default_fd_step
-from oracles import index_of, labels, potential_external_reduced
+from oracles import index_of, labels, pair_sums_loop, potential_external_reduced
+
+
+def _lattice(d, L, beta, nu):
+    probe = bl.ModelSpec(d=d, L=L, beta=beta, nu=nu, lam=0.0)
+    lam_c = bl.critical_coupling(probe, bl.build_momentum_set(probe))
+    spec = bl.ModelSpec(d=d, L=L, beta=beta, nu=nu, lam=2.0 * lam_c)
+    M = bl.build_momentum_set(spec)
+    return spec, M, bl.build_transfer_set(M)
 
 
 def brute_coefficients(spec, M, Q, delta_sq):
@@ -44,13 +52,47 @@ def brute_coefficients(spec, M, Q, delta_sq):
     return alpha, beta, gamma
 
 
-def test_coefficients_brute(small_spec, small_M, small_Q, small_sol, small_qf):
-    alpha, beta, gamma = brute_coefficients(
-        small_spec, small_M, small_Q, small_sol.delta_sq
-    )
-    assert np.allclose(small_qf.alpha, alpha, rtol=1e-12, atol=1e-14)
-    assert np.allclose(small_qf.beta_coef, beta, rtol=1e-12, atol=1e-14)
-    assert np.allclose(small_qf.gamma, gamma, rtol=1e-12, atol=1e-14)
+# the small lattice (4 momenta, 9 transfers) and d=2 L=4 (16 momenta, 75)
+@pytest.mark.parametrize("d", [1, 2], ids=["small", "d2-L4"])
+def test_coefficients_brute(d):
+    spec, M, Q = _lattice(d, 4.0, 2.0, 4.0)
+    sol = bl.solve_gap(spec, M)
+    qf = bl.coefficients(spec, M, Q, sol.r0, 0.0)
+    alpha, beta, gamma = brute_coefficients(spec, M, Q, sol.delta_sq)
+    assert np.allclose(qf.alpha, alpha, rtol=1e-12, atol=1e-14)
+    assert np.allclose(qf.beta_coef, beta, rtol=1e-12, atol=1e-14)
+    assert np.allclose(qf.gamma, gamma, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 4.0, 2.0, 4.0), (2, 4.0, 2.0, 4.0), (1, 16.0, 8.0, 20.0), (2, 8.0, 8.0, 20.0)],
+    ids=["small", "d2-L4", "desk", "d2-L8"],
+)
+def test_pair_sums_match_loop_oracle(shape):
+    # the pair sums change summation order against the loop over Q's product
+    # structure; gamma cancels to ~1e-18 at some q, so the bound is relative
+    # to each array's largest entry
+    spec, M, Q = _lattice(*shape)
+    ratio = spec.lam / spec.kappa
+
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def check(qf, delta_sq, shift):
+        inv, alpha_num, gamma_num, cross, half = pair_sums_loop(spec, M, Q, delta_sq)
+        close(qf.alpha, (1.0 - shift) - ratio * half + 0.5 * ratio * alpha_num)
+        close(qf.beta_coef, ratio * delta_sq * inv)
+        close(qf.gamma, ratio * gamma_num)
+        return 1.0 - ratio * cross
+
+    sol = bl.solve_gap(spec, M)
+    want = check(bl.coefficients(spec, M, Q, sol.r0, 0.0), sol.delta_sq, 0.0)
+    close(bl.decomposition_lhs(spec, M, Q, sol.delta_sq), want)
+    r = bl.ExternalField(1e-2, 0.4)
+    ext = bl.solve_gap_external(spec, M, r)
+    qf = bl.coefficients_external(spec, M, Q, ext.y0, r)
+    check(qf, ext.delta_sq, qf.shift)
 
 
 def test_decomposition_identity(desk_spec, desk_M, desk_Q, desk_sol, desk_qf):
@@ -170,14 +212,6 @@ def loop_fd_hessian(spec, M, base, h, r=None, coords=None):
             out[b, a] = val
     out = 0.5 * (out + out.T)
     return out.real, out.imag
-
-
-def _lattice(d, L, beta, nu):
-    probe = bl.ModelSpec(d=d, L=L, beta=beta, nu=nu, lam=0.0)
-    lam_c = bl.critical_coupling(probe, bl.build_momentum_set(probe))
-    spec = bl.ModelSpec(d=d, L=L, beta=beta, nu=nu, lam=2.0 * lam_c)
-    M = bl.build_momentum_set(spec)
-    return spec, M, bl.build_transfer_set(M)
 
 
 @pytest.fixture(scope="module", params=["small-d1", "small-d2", "desk"])

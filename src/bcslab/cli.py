@@ -421,7 +421,10 @@ def cmd_external(args) -> int:
     r = parse_external(args.external) or ExternalField(magnitude=1e-2)
     Q = build_transfer_set(M)
     sol = solve_gap_external(spec, M, r, tol=args.tol)
-    qf = coefficients_external(spec, M, Q, sol.y0, r)
+    try:
+        qf = coefficients_external(spec, M, Q, sol.y0, r)
+    except OverflowError as exc:
+        raise ConfigError(f"--external {r.magnitude:g} too large: {exc}") from None
     print(f"y0 {FMT % sol.y0}")
     print(f"delta_sq {FMT % sol.delta_sq}")
     print(f"residual {FMT % sol.residual}")

@@ -22,6 +22,7 @@ beta_q -> 0 and alpha_q + i gamma_q -> 1, matching V = sum |phi_q|^2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,8 @@ def _quadratic_form(spec, M, Q, r0: float, theta0: float, v_min: float, shift=0.
     ratio = spec.lam / spec.kappa
     k0, e = M.k0, M.e
     e_sq = k0**2 + e**2 + delta_sq
+    if np.max(e_sq) > math.sqrt(sys.float_info.max):
+        raise OverflowError(f"E_k^2 E_p^2 overflows at lam r0^2 = {delta_sq:g}")
 
     def over_e_sq(num):
         return _pair_sum(M, Q, lambda k, p: num(k, p) / (e_sq[k] * e_sq[p]))
@@ -234,9 +237,12 @@ def fd_hessian(
     Hessian submatrix.  Returns (real part, imaginary part), symmetrized.
     Every displaced value comes from one `DisplacedPotential` on `base`: the
     reduced route, whose pivots stay near the positive axis around the
-    minimum, so the per-pivot imaginary part differences smoothly; a step on
-    one or two transfers updates the base reduced matrix in O(N^2) and only
-    the LU is O(N^3).
+    minimum, so the per-pivot imaginary part differences smoothly.  `base`
+    must carry only the zero mode, as the mean-field minimum does; a base
+    with any other nonzero transfer raises ValueError.  A displaced field
+    then lives on at most three transfers, and its reduced matrix, with at
+    most nine entries per row, is assembled in O(N) and factored by sparse
+    LU.
     """
     if not (h > 0 and math.isfinite(h)):
         raise ValueError("h must be positive and finite")

@@ -10,16 +10,19 @@ parts may differ by 2 pi k.  The reduced route serves Re V, the bound chain,
 the cubic remainder probe and finite differencing, where its imaginary part
 is smooth near the minimum; the full route serves eval and the external-field
 route, and is the oracle in the checks.  Finite differencing goes through
-`DisplacedPotential`: it forms the base field's phi C phi^H once, and each
-displaced field, which differs from the base on one or two transfers, updates
-it in O(N^2) before the order-N LU.  The reduced-route U_r and the propagators
-serve only as test oracles and live with the tests.
+`DisplacedPotential`: its base carries only the zero mode, so a displaced
+field lives on at most three transfers and its reduced matrix has a few
+entries per row.  It is assembled in O(N) as a scipy.sparse matrix, and
+`logdet` factors it by sparse LU; dense matrices go to LAPACK.  The
+reduced-route U_r and the propagators serve only as test oracles and live
+with the tests.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -63,24 +66,72 @@ class PotentialValue:
     logdet_term: complex
 
 
-def logdet(matrix: np.ndarray) -> complex:
-    """log det with exact real part and per-pivot principal-branch imaginary part."""
+def _parity(perm: np.ndarray) -> int:
+    """Parity of a permutation, (n - its number of cycles) mod 2.
+
+    Pointer doubling labels each index with the smallest index on its cycle:
+    after step i, low[k] is the minimum over perm^j(k), j < 2^i.
+    """
+    n = len(perm)
+    low, jump = np.arange(n), np.asarray(perm)
+    for _ in range(n.bit_length()):
+        low = np.minimum(low, low[jump])
+        jump = jump[jump]
+    return (n - int(np.count_nonzero(low == np.arange(n)))) % 2
+
+
+def _dense_pivots(matrix) -> tuple:
+    """U's diagonal and the row-swap parity of LAPACK's partial-pivoting LU."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix must be finite")
     with warnings.catch_warnings():
-        # an exactly zero pivot is handled by the explicit check below
+        # an exactly zero pivot is handled by the caller's check
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
-    diag = np.diag(lu)
+    return np.diag(lu), int(np.sum(piv != np.arange(len(piv)))) % 2
+
+
+def _sparse_pivots(matrix) -> tuple:
+    """U's diagonal and the parity of the row and column permutations of
+    SuperLU's Pr A Pc = L U (L has a unit diagonal)."""
+    # imported here, not at module level: only finite differencing builds
+    # sparse matrices, and the other subcommands need not pay for the import
+    import scipy.sparse.linalg
+
+    matrix = matrix.tocsc().astype(complex, copy=False)
+    if matrix.shape[0] != matrix.shape[1]:
+        raise ValueError("matrix must be square")
+    if not np.all(np.isfinite(matrix.data)):
+        raise ValueError("matrix must be finite")
+    try:
+        lu = scipy.sparse.linalg.splu(matrix)
+    except RuntimeError as exc:  # SuperLU's report of an exactly zero pivot
+        if "singular" not in str(exc):
+            raise
+        raise SingularMatrixError("singular") from None
+    return lu.U.diagonal(), (_parity(lu.perm_r) + _parity(lu.perm_c)) % 2
+
+
+def logdet(matrix) -> complex:
+    """log det with exact real part and per-pivot principal-branch imaginary part.
+
+    A dense array is factored by LAPACK, a scipy.sparse matrix by SuperLU.
+    Either way the real part is sum log|U_ii| and the imaginary part is
+    sum arg U_ii, plus pi when the pivoting permutations are odd.
+    """
+    # a sparse matrix exists only once scipy.sparse is loaded
+    sparse = sys.modules.get("scipy.sparse")
+    if sparse is not None and sparse.issparse(matrix):
+        diag, odd = _sparse_pivots(matrix)
+    else:
+        diag, odd = _dense_pivots(matrix)
     if np.any(diag == 0):
         raise SingularMatrixError("singular")
-    # row swaps contribute the permutation sign
-    nswaps = int(np.sum(piv != np.arange(len(piv))))
     re = float(np.sum(np.log(np.abs(diag))))
-    im = float(np.sum(np.angle(diag))) + (math.pi if nswaps % 2 else 0.0)
+    im = float(np.sum(np.angle(diag))) + (math.pi if odd else 0.0)
     return complex(re, im)
 
 
@@ -154,21 +205,19 @@ def potential_reduced(
 class DisplacedPotential:
     """Reduced-route V (U_r with a field) at base + steps, for finite differencing.
 
-    A step delta_t on transfer t adds delta_t E_t to phi, where E_t is the 0/1
-    matrix of diff_index == t.  With core0 = phi C phi^H, W = C phi^H and
-    phi C formed once for the base, the displaced reduced matrix is
-    Id + (lam/kappa) Cbar core with
+    The base carries only the zero mode, as the mean-field minimum does, so a
+    displaced field is phi = sum_t phi_t E_t over the zero mode z and the
+    stepped transfers, where E_t is the 0/1 matrix of diff_index == t and
+    phi_z is the zero mode tilted by the field phase.  Row k of E_t has its one
+    entry in column k - t (none if k - t is not in M), so the reduced matrix
+    Id + (lam/kappa) Cbar phi C phi^H has, for each pair t, s, the entry
 
-        core = core0 + sum_t delta_t E_t W + sum_t conj(delta_t) (phi C) E_t^T
-               + D C D^H,                               D = sum_t delta_t E_t.
+        (lam/kappa) Cbar_k phi_t conj(phi_s) C_{k-t}   at (k, k - t + s).
 
-    Row k of E_t W is row k - t of W and column k of (phi C) E_t^T is column
-    k - t of phi C (zero if k - t is not in M), so each stepped transfer costs
-    two gathers into reused buffers and two axpys, and D C D^H (with the
-    cross terms between any two stepped transfers, q and -q included) has at
-    most one entry per row and pair: an evaluation is O(N^2) besides the LU.
-    With a field the matrix sees the tilted field, so a zero-mode step is
-    rotated by e^{i phase}; the sum term is U_r's.
+    With one or two stepped transfers that is at most nine entries per row,
+    assembled in O(N) as a sparse matrix that `logdet` factors by sparse LU.
+    With a field the sum term is U_r's.  A base with any other nonzero
+    transfer raises ValueError.
     """
 
     def __init__(
@@ -178,76 +227,61 @@ class DisplacedPotential:
         base: FieldConfig,
         r: ExternalField | None = None,
     ):
+        Q = base.transfer
+        if np.any(np.flatnonzero(base.values) != Q.zero_index):
+            raise ValueError("base field must carry only the zero mode")
         self.spec = spec
         self.base = base
         self.r = None if r is None or r.magnitude == 0.0 else r
-        tilted = base if self.r is None else tilted_field(base, self.r)
         self.tilt = 1.0 if self.r is None else cmath.exp(1j * self.r.phase)
-        self.diff = base.transfer.diff_index
-        n = len(M)
-        self.C = 1.0 / M.a
+        self.diff = Q.diff_index
         self.rc = (spec.lam / spec.kappa) / np.conj(M.a)
-        Phi = phi_matrix(M, tilted)
-        # one zero row (column) past the end: the gather target where k - t
-        # is not in M
-        self.W = np.zeros((n + 1, n), dtype=complex)
-        self.W[:n] = self.C[:, None] * Phi.conj().T
-        self.PC = np.zeros((n, n + 1), dtype=complex)
-        self.PC[:, :n] = Phi * self.C[None, :]
-        self.core0 = Phi @ self.W[:n]
-        self.buf = np.empty((n, n), dtype=complex)
-        self.R = np.empty((n, n), dtype=complex)
-        self.axpy = scipy.linalg.blas.get_blas_funcs("axpy", (self.R,))
+        self.C = 1.0 / M.a
         self.maps: dict = {}
 
     def _map(self, t: int):
-        """E_t's nonzeros (k, j = k - t), the gather index src[k] = j (n where
-        k - t is not in M) and its inverse dst[j] = k (-1 where j + t is not)."""
+        """E_t's nonzeros (k, j = k - t), their weights (lam/kappa) Cbar_k C_j,
+        and dst[j] = k, the index of j + t (-1 where it is not in M)."""
         if t not in self.maps:
             n = len(self.diff)
             k, j = np.nonzero(self.diff == t)
-            src = np.full(n, n, dtype=np.intp)
-            src[k] = j
             dst = np.full(n, -1, dtype=np.intp)
             dst[j] = k
-            self.maps[t] = (k, j, src, dst)
+            self.maps[t] = (k, j, self.rc[k] * self.C[j], dst)
         return self.maps[t]
 
     def __call__(self, steps=()) -> PotentialValue:
         """V at base + delta on each (transfer, complex delta) pair of `steps`;
         u and v steps on one transfer are merged."""
-        merged: dict = {}
-        for t, delta in steps:
-            merged[int(t)] = merged.get(int(t), 0.0) + delta
+        import scipy.sparse  # here, not at module level, as in logdet
+
+        Q = self.base.transfer
         values = self.base.values.copy()
-        for t, delta in merged.items():
-            values[t] += delta
-        field = FieldConfig(self.base.transfer, values)
+        for t, delta in steps:
+            values[int(t)] += delta
+        field = FieldConfig(Q, values)
         if self.r is None:
             sum_term = _field_sum(field)
         else:
             sum_term = _shifted_field_sum(self.spec, field, self.r)
-        z = self.base.transfer.zero_index
-        shifts = {t: d * self.tilt if t == z else d for t, d in merged.items()}
-        R, buf = self.R, self.buf
-        np.copyto(R, self.core0)
-        flat = R.reshape(-1)
-        for t, delta in shifts.items():
-            src = self._map(t)[2]
-            # mode="clip" gathers straight into buf; "raise" would buffer
-            np.take(self.W, src, axis=0, out=buf, mode="clip")
-            flat = self.axpy(buf.reshape(-1), flat, a=delta)
-            np.take(self.PC, src, axis=1, out=buf, mode="clip")
-            flat = self.axpy(buf.reshape(-1), flat, a=np.conj(delta))
-        R = flat.reshape(R.shape)  # axpy works in place; this holds if it copied
-        for t, dt in shifts.items():
-            k, j = self._map(t)[:2]
-            for s, ds in shifts.items():
-                p = self._map(s)[3][j]
-                keep = p >= 0
-                R[k[keep], p[keep]] += (dt * np.conj(ds)) * self.C[j[keep]]
-        R *= self.rc[:, None]
-        R.flat[:: len(R) + 1] += 1.0
+        z = Q.zero_index
+        phi = {int(t): values[t] for t, _ in steps}
+        phi[z] = values[z] * self.tilt
+        n = len(self.diff)
+        rows, cols, entries = [np.arange(n)], [np.arange(n)], [np.ones(n, dtype=complex)]
+        for t, phi_t in phi.items():
+            k, j, weight = self._map(t)[:3]
+            for s, phi_s in phi.items():
+                l = self._map(s)[3][j]
+                keep = l >= 0
+                rows.append(k[keep])
+                cols.append(l[keep])
+                entries.append((phi_t * np.conj(phi_s)) * weight[keep])
+        # duplicate (k, l) pairs, as on the diagonal where t = s, are summed
+        R = scipy.sparse.csc_matrix(
+            (np.concatenate(entries), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n, n),
+        )
         return _potential(sum_term, R)
 
 

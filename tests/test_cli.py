@@ -250,6 +250,18 @@ def test_external(config_path, capsys):
     assert float(kv["y0"]) < 0
 
 
+def test_external_overflow_exits_2(config_path):
+    # E_k^2 E_p^2 overflows once lam y0^2 passes ~1e154: one line naming
+    # --external, not numpy's overflow warning and an underflowed beta0 of 0
+    proc = run_child(
+        ["-m", "bcslab.cli", "external", "--config", config_path, "--external", "1e100"]
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: --external") and proc.stderr.count("\n") == 1
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def test_unknown_config_key(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("volume = 12\n")
@@ -553,9 +565,18 @@ def test_hessian_check_lambda_zero_tol(free_config, monkeypatch, capsys, err, ar
     assert got == code
 
 
-def test_import_skips_scipy_optimize():
-    # only solve_gap_external needs scipy.optimize; a CLI process that does not
-    # call it does not pay for the import
-    proc = run_child(["-c", "import sys, bcslab.cli; print('scipy.optimize' in sys.modules)"])
+def test_import_skips_scipy_optimize(config_path):
+    # only solve_gap_external needs scipy.optimize and only finite differencing
+    # scipy.sparse; a CLI process that does not call them does not pay for the
+    # imports
+    script = (
+        "import os, sys, bcslab.cli\n"
+        "print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)\n"
+        f"bcslab.cli.main(['verify-bound', '--config', {config_path!r}, '--count', '2',"
+        " '--output', os.devnull])\n"
+        "print('scipy.sparse' in sys.modules)\n"
+    )
+    proc = run_child(["-c", script])
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "False"
+    lines = proc.stdout.splitlines()
+    assert lines == ["False False", "configurations 3", "all_chains_ok True", "False"]

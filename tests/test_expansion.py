@@ -1,5 +1,6 @@
 """Quadratic expansion around the minimum: coefficients, Hessians, remainder."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -244,16 +245,17 @@ def _step_cases(Q, h):
     }
 
 
-@pytest.mark.parametrize(
-    "field", [None, bl.ExternalField(0.0), bl.ExternalField(1e-2, 0.4)],
-    ids=["none", "zero-field", "field"],
-)
-def test_displaced_potential_matches_fresh_route(lattice, field):
+@pytest.mark.parametrize("case", ["none", "zero-field", "field", "lambda0"])
+def test_displaced_potential_matches_fresh_route(lattice, case):
     spec, M, Q, sol = lattice
-    rng = np.random.default_rng(5)
-    # a generic base near the minimum: every transfer carries some field
-    base = bl.bcs_config(spec, Q, sol.r0, 0.3)
-    base.values += 1e-2 * (rng.standard_normal(len(Q)) + 1j * rng.standard_normal(len(Q)))
+    # the bases finite differencing uses: the condensate, here at phase 0.3,
+    # with or without a field, and the zero field at lambda = 0
+    field = {"zero-field": bl.ExternalField(0.0), "field": bl.ExternalField(1e-2, 0.4)}.get(case)
+    if case == "lambda0":
+        spec = dataclasses.replace(spec, lam=0.0)
+        base = bl.FieldConfig(Q, np.zeros(len(Q), dtype=complex))
+    else:
+        base = bl.bcs_config(spec, Q, sol.r0, 0.3)
     V = bl.DisplacedPotential(spec, M, base, field)
     for name, steps in _step_cases(Q, 1e-2 * math.sqrt(spec.kappa)).items():
         values = base.values.copy()
@@ -266,6 +268,18 @@ def test_displaced_potential_matches_fresh_route(lattice, field):
             ref = potential_external_reduced(spec, M, cfg, field).total
         got = V(steps).total
         assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref)), name
+
+
+def test_displaced_potential_rejects_generic_base(small_spec, small_M, small_Q, small_sol):
+    # only a base on the zero mode gives the displaced matrices their few
+    # entries per row; any other nonzero transfer is refused
+    base = bl.bcs_config(small_spec, small_Q, small_sol.r0, 0.0)
+    q = int(np.argsort(small_Q.qnorm)[1])
+    base.values[q] = 1e-3
+    with pytest.raises(ValueError, match="only the zero mode"):
+        bl.DisplacedPotential(small_spec, small_M, base)
+    with pytest.raises(ValueError, match="only the zero mode"):
+        bl.fd_hessian(small_spec, small_M, base, 1e-3, coords=[0])
 
 
 @pytest.fixture(scope="module", params=["small", "small-field", "desk-block"])

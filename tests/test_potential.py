@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import bcslab as bl
 from oracles import potential_external_reduced, propagators
@@ -37,6 +38,40 @@ def test_logdet_validation():
         bl.logdet(np.array([[np.inf, 0.0], [0.0, 1.0]]))
     with pytest.raises(bl.SingularMatrixError):
         bl.logdet(np.zeros((3, 3)))
+
+
+def _near_diagonal(n, seed):
+    """Positive diagonal plus a few small complex off-diagonal entries."""
+    rng = np.random.default_rng(seed)
+    A = np.diag(1.0 + rng.random(n)).astype(complex)
+    k = rng.integers(0, n, size=(2 * n, 2))
+    A[k[:, 0], k[:, 1]] += 0.05 * (rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n))
+    return A
+
+
+@pytest.mark.parametrize("odd", [False, True], ids=["near-diagonal", "odd-rows"])
+def test_logdet_sparse_matches_dense(odd):
+    # a swap of two rows makes the pivoting permutation odd: Im picks up pi.
+    # Over these seeds SuperLU's row and its column permutation each come out
+    # odd for some matrix and even for another.
+    for seed in range(4):
+        A = _near_diagonal(12, seed)
+        if odd:
+            A[[0, 5]] = A[[5, 0]]
+        dense = bl.logdet(A)
+        sparse = bl.logdet(scipy.sparse.csc_matrix(A))
+        assert abs(sparse - dense) <= 1e-12 * abs(dense)
+        assert abs(dense.imag - (math.pi if odd else 0.0)) < 0.5
+
+
+def test_logdet_sparse_validation():
+    singular = scipy.sparse.csc_matrix(np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex))
+    with pytest.raises(bl.SingularMatrixError):
+        bl.logdet(singular)
+    A = _near_diagonal(4, seed=0)
+    A[1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        bl.logdet(scipy.sparse.csc_matrix(A))
 
 
 def test_phi_matrix_entries(small_M, small_Q, small_spec):

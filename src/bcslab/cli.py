@@ -4,14 +4,16 @@ Subcommands: lattice-info, gap, eval, verify-bound, expand, hessian-check,
 gaussian, scan, external.  Configuration comes from a plain key = value file
 (--config); unknown keys and non-finite numbers are rejected.  Exit codes:
 0 success, 1 verification failure, 2 configuration error (including a gap
-equation the solver cannot solve).  Numbers are printed with 17 significant
-digits so CSV output round-trips exactly.
+equation the solver cannot solve, and dense matrices that eval, verify-bound
+or hessian-check would build beyond physical memory).  Numbers are printed
+with 17 significant digits so CSV output round-trips exactly.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -146,16 +148,14 @@ def open_output(path: str | None):
 
 
 def emit_csv(path: str | None, header: list, rows: list):
+    """The header and a list of row tuples as CSV.  Each column holds one type,
+    so one %-format, floats as FMT and anything else as str, serves every row."""
     out, close = open_output(path)
     try:
         out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(
-                ",".join(
-                    FMT % v if isinstance(v, float) else str(v) for v in row
-                )
-                + "\n"
-            )
+        if rows:
+            line = ",".join(FMT if isinstance(v, float) else "%s" for v in rows[0])
+            out.writelines(map((line + "\n").__mod__, rows))
     finally:
         if close:
             out.close()
@@ -177,9 +177,40 @@ def _scaled_field(spec, M, Q, scale: float, seed: int) -> FieldConfig:
     return phi
 
 
-def q_label(Q, i: int) -> str:
-    """Transfer i of Q as (n0;m1;...)."""
-    return f"({Q.n0[i]};{';'.join(str(mi) for mi in Q.mvec[i])})"
+# bytes per (k, p) pair of M that a subcommand's dense matrices hold at once,
+# at least: eval's 2N x 2N complex block and LAPACK's copy of it (2 * 4 * 16),
+# and the reduced route's phi, its two scaled factors and their product
+# (4 * 16); at N = 1400 the runs peak 136 and 72-75 bytes per pair above import
+DENSE_BYTES = {"eval": 128, "verify-bound": 64, "hessian-check": 64}
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory: pages times page size."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def dense_preflight(command: str, M):
+    """Run before `command` builds dense N x N matrices: a ConfigError naming N
+    if they cannot fit in physical memory, else load scipy.linalg, which
+    factors them.  Loaded later, by the first logdet while the first matrices
+    are alive, it leaves glibc reusing the heap worse: verify-bound at d = 1
+    L = 16 then takes 431k page faults instead of 148k, and ~0.7 s longer."""
+    n = len(M)
+    need = DENSE_BYTES[command] * n * n
+    have = physical_memory()
+    if need > have:
+        raise ConfigError(
+            f"{command} on N = {n} momenta needs {need / 2**30:.3g} GiB of dense "
+            f"matrices, more than the {have / 2**30:.3g} GiB of physical memory"
+        )
+    import scipy.linalg  # noqa: F401
+
+
+def q_labels(Q) -> list:
+    """Every transfer of Q as (n0;m1;...), in Q's order: Q = freq_n0 x
+    spatial_m, so each frequency and each spatial vector is formatted once."""
+    spatial = [";".join(map(str, m)) for m in Q.spatial_m.tolist()]
+    return [f"({n0};{m})" for n0 in Q.freq_n0.tolist() for m in spatial]
 
 
 def cmd_lattice_info(args) -> int:
@@ -214,6 +245,7 @@ def cmd_gap(args) -> int:
 
 def cmd_eval(args) -> int:
     spec, M, _ = build_spec(parse_config(args.config))
+    dense_preflight("eval", M)
     Q = build_transfer_set(M)
     phi = _scaled_field(spec, M, Q, args.scale, args.seed)
     full = potential_full(spec, M, phi)
@@ -229,6 +261,7 @@ def cmd_eval(args) -> int:
 
 def cmd_verify_bound(args) -> int:
     spec, M, _ = build_spec(parse_config(args.config))
+    dense_preflight("verify-bound", M)
     Q = build_transfer_set(M)
     sol = solve_gap(spec, M)
     rows = []
@@ -257,11 +290,10 @@ def cmd_expand(args) -> int:
     qf = coefficients(spec, M, Q, sol.r0, 0.0)
     lhs = decomposition_lhs(spec, M, Q, sol.delta_sq)
     resid = np.abs(lhs - (qf.alpha + 1j * qf.gamma + qf.beta_coef))
-    rows = [
-        (q_label(Q, i), float(qf.alpha[i]), float(qf.beta_coef[i]), float(qf.gamma[i]),
-         float(resid[i]))
-        for i in range(len(Q))
-    ]
+    rows = list(zip(
+        q_labels(Q), qf.alpha.tolist(), qf.beta_coef.tolist(), qf.gamma.tolist(),
+        resid.tolist(),
+    ))
     emit_csv(args.output, ["q", "alpha", "beta", "gamma", "identity_residual"], rows)
     print(f"beta0 {FMT % qf.beta0}")
     print(f"v_min {FMT % qf.v_min}")
@@ -296,6 +328,7 @@ LAMBDA0_TOL = 1e-6
 
 def cmd_hessian_check(args) -> int:
     spec, M, _ = build_spec(parse_config(args.config))
+    dense_preflight("hessian-check", M)
     Q = build_transfer_set(M)
     n_orbits = (len(Q) - 1) // 2  # q = 0 is its own partner
     if args.orbits > n_orbits:
@@ -353,10 +386,12 @@ def cmd_gaussian(args) -> int:
     sol = solve_gap(spec, M)
     qf = coefficients(spec, M, Q, sol.r0, 0.0)
     rep = gaussian_report(spec, qf, include_zero_mode=args.include_zero_mode)
-    rows = [
-        (q_label(Q, i), float(v.real), float(v.imag))
-        for i, v in zip(nonzero(Q), rep.lambda2)
-    ]
+    labels = q_labels(Q)
+    rows = list(zip(
+        [labels[i] for i in nonzero(Q).tolist()],
+        rep.lambda2.real.tolist(),
+        rep.lambda2.imag.tolist(),
+    ))
     emit_csv(args.output, ["q", "re_lambda2", "im_lambda2"], rows)
     print(f"log_z2 {FMT % rep.log_z2}")
     print(f"eps_int2 {FMT % rep.eps_int2}")

@@ -52,19 +52,22 @@ def _pair_sum(M: MomentumSet, Q: TransferSet, weight) -> np.ndarray:
     """Per q, the sum of weight(k, p) over k, p in M with k - p = q.
 
     `weight` maps a column of momentum indices k and the row of all indices p
-    to their real weights.  diff_index is read one row block at a time, the
-    len(M.spatial_m) momenta k of one Matsubara frequency, so no N x N float
-    array is formed.
+    to their real weights.  The sum runs over the frequencies a of k, one
+    block of len(M.spatial_m) rows k at a time, so no N x N array is formed.
+    With p of frequency index b, k - p has frequency index Q.freq_diff[a, b],
+    distinct across b, and spatial index j from Q.spatial_diff.  So one
+    bincount over (b, j), whose index is the same for every a, sums a block,
+    and its row b belongs to Q's frequency index freq_diff[a, b].
     """
-    s = len(M.spatial_m)
+    sm, nf, sq = len(M.spatial_m), len(M.freq_n0), len(Q.spatial_m)
+    local = (np.arange(nf)[None, :, None] * sq + Q.spatial_diff[:, None, :]).ravel()
     p = np.arange(len(M))
-    out = np.zeros(len(Q))
-    for lo in range(0, len(M), s):
-        k = p[lo : lo + s, None]
-        out += np.bincount(
-            Q.diff_index[lo : lo + s].ravel(), weight(k, p).ravel(), minlength=len(Q)
-        )
-    return out
+    out = np.zeros((len(Q.freq_n0), sq))
+    for a in range(nf):
+        k = p[a * sm : (a + 1) * sm, None]
+        sums = np.bincount(local, weight(k, p).ravel(), minlength=nf * sq)
+        out[Q.freq_diff[a]] += sums.reshape(nf, sq)
+    return out.ravel()
 
 
 def _quadratic_form(spec, M, Q, r0: float, theta0: float, v_min: float, shift=0.0):

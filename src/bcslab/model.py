@@ -4,13 +4,15 @@ Fermionic momenta live on the odd Matsubara grid k0 = (pi/beta)(2 n0 + 1),
 bosonic transfer momenta on the even grid q0 = (2 pi/beta) n0.  Spatial
 components are k_i = 2 pi m_i / L with integer m_i.  The cutoff set keeps
 |e_k| <= energy_window and |k0| <= nu; it is always a product of a frequency
-range and a set of surviving spatial vectors.  Three pieces of code use that
-structure: the TransferSet build, autocorrelation_all, and the pair sums of
-the expansion, which read diff_index one frequency's block of rows at a time.
-A momentum or transfer is an integer index into its set's arrays.  M is
-ordered frequency-major; Q is sorted lexicographically by (n0, m), so
-negation reverses its index and the indices above zero_index are the
-{q, -q} orbit representatives (see TransferSet).
+range and a set of surviving spatial vectors, and so is the transfer set Q.
+TransferSet keeps the difference map k - p as two factor tables, one over
+frequencies and one over spatial vectors.  The pair sums of the expansion
+read the factors, one frequency of k at a time; only the determinant code,
+which builds N x N complex matrices anyway, reads the whole N x N
+diff_index.  A momentum or transfer is an integer index into its set's
+arrays.  M is ordered frequency-major; Q is sorted lexicographically by
+(n0, m), so negation reverses its index and the indices above zero_index are
+the {q, -q} orbit representatives (see TransferSet).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -134,11 +137,17 @@ def build_momentum_set(spec: ModelSpec) -> MomentumSet:
 class TransferSet:
     """Bosonic difference set Q = {k - p : k, p in M} with negation map.
 
-    Ordering contract: Q = dn x dm, the frequency differences times the
-    spatial differences, sorted lexicographically by (n0, m).  Both factors
-    are symmetric, so -q has index |Q| - 1 - i, zero_index is the middle, and
-    the indices above it (the lexicographically positive q) hold one
-    representative per {q, -q} orbit.  Transfer i is (n0[i], mvec[i]).
+    Ordering contract: Q = freq_n0 x spatial_m, the frequency differences
+    times the spatial differences, sorted lexicographically by (n0, m).  Both
+    factors are symmetric, so -q has index |Q| - 1 - i, zero_index is the
+    middle, and the indices above it (the lexicographically positive q) hold
+    one representative per {q, -q} orbit.  Transfer i is (n0[i], mvec[i]).
+
+    The map (k, p) -> index of k - p is kept as its factors: freq_diff[a, b]
+    indexes freq_n0 at M.freq_n0[a] - M.freq_n0[b], and spatial_diff[s, u]
+    indexes spatial_m at M.spatial_m[s] - M.spatial_m[u], so k - p has index
+    freq_diff[a, b] * len(spatial_m) + spatial_diff[s, u].  The whole N x N
+    `diff_index` is built from them on first access and kept.
     """
 
     def __init__(self, M: MomentumSet):
@@ -147,27 +156,32 @@ class TransferSet:
         freq = M.freq_n0
         spatial = M.spatial_m
         nf, ns = len(freq), len(spatial)
-        dn, fdiff = np.unique(freq[:, None] - freq[None, :], return_inverse=True)
-        dm, sdiff = np.unique(
+        self.freq_n0, fdiff = np.unique(freq[:, None] - freq[None, :], return_inverse=True)
+        self.spatial_m, sdiff = np.unique(
             (spatial[:, None, :] - spatial[None, :, :]).reshape(-1, spec.d),
             axis=0,
             return_inverse=True,
         )
-        nq = len(dn) * len(dm)
-        self.n0 = np.repeat(dn, len(dm))
-        self.mvec = np.tile(dm, (len(dn), 1))
+        self.freq_diff = fdiff.reshape(nf, nf)
+        self.spatial_diff = sdiff.reshape(ns, ns)
+        nq = len(self.freq_n0) * len(self.spatial_m)
+        self.n0 = np.repeat(self.freq_n0, len(self.spatial_m))
+        self.mvec = np.tile(self.spatial_m, (len(self.freq_n0), 1))
         self.q0 = (2.0 * math.pi / spec.beta) * self.n0
         self.qvec = 2.0 * math.pi * self.mvec / spec.L
         self.qnorm = np.sqrt(self.q0**2 + (self.qvec**2).sum(axis=1))
         self.zero_index = (nq - 1) // 2
         self.neg_index = nq - 1 - np.arange(nq)
-        # diff_index[k, p] = index of k - p in Q, for k, p in M
-        fdiff = fdiff.reshape(nf, 1, nf, 1) * len(dm)
-        sdiff = sdiff.reshape(1, ns, 1, ns)
-        self.diff_index = (fdiff + sdiff).reshape(len(M), len(M))
 
     def __len__(self) -> int:
         return len(self.n0)
+
+    @cached_property
+    def diff_index(self) -> np.ndarray:
+        """diff_index[k, p] = index of k - p in Q, for k, p in M (N x N)."""
+        fdiff, sdiff = self.freq_diff, self.spatial_diff
+        rows = fdiff[:, None, :, None] * len(self.spatial_m) + sdiff[None, :, None, :]
+        return rows.reshape(len(fdiff) * len(sdiff), -1)
 
 
 def build_transfer_set(M: MomentumSet) -> TransferSet:
@@ -182,7 +196,7 @@ def nondegeneracy_check(spec: ModelSpec, Q: TransferSet) -> bool:
     """
     grid = spatial_grid(spec)
     e = dispersion_array(spec, grid)
-    for q in np.unique(Q.mvec, axis=0):
+    for q in Q.spatial_m:
         if np.any(q != 0) and np.array_equal(dispersion_array(spec, grid + q), e):
             return False
     return True

@@ -13,9 +13,11 @@ route, and is the oracle in the checks.  Finite differencing goes through
 `DisplacedPotential`: its base carries only the zero mode, so a displaced
 field lives on at most three transfers and its reduced matrix has a few
 entries per row.  It is assembled in O(N) as a scipy.sparse matrix, and
-`logdet` factors it by sparse LU; dense matrices go to LAPACK.  The
-reduced-route U_r and the propagators serve only as test oracles and live
-with the tests.
+`logdet` factors it by sparse LU; dense matrices go to LAPACK.  scipy.linalg
+and scipy.sparse are imported inside `logdet`'s two branches, and the N x N
+`diff_index` is built on the first call that needs it, so a process that
+takes no determinant pays for neither.  The reduced-route U_r and the
+propagators serve only as test oracles and live with the tests.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import FieldConfig, ModelSpec, MomentumSet
 
@@ -82,6 +83,10 @@ def _parity(perm: np.ndarray) -> int:
 
 def _dense_pivots(matrix) -> tuple:
     """U's diagonal and the row-swap parity of LAPACK's partial-pivoting LU."""
+    # imported here, not at module level: it is most of the package's import
+    # time, and the subcommands that take no determinant need not pay for it
+    import scipy.linalg
+
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")

@@ -566,17 +566,40 @@ def test_hessian_check_lambda_zero_tol(free_config, monkeypatch, capsys, err, ar
 
 
 def test_import_skips_scipy_optimize(config_path):
-    # only solve_gap_external needs scipy.optimize and only finite differencing
-    # scipy.sparse; a CLI process that does not call them does not pay for the
-    # imports
+    # only solve_gap_external needs scipy.optimize, only finite differencing
+    # scipy.sparse and only a determinant scipy.linalg; a CLI process that
+    # does not call them does not pay for the imports
     script = (
-        "import os, sys, bcslab.cli\n"
-        "print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)\n"
+        "import contextlib, os, sys, bcslab.cli\n"
+        "def has(name): return name in sys.modules\n"
+        "print(has('scipy.optimize'), has('scipy.sparse'), has('scipy.linalg'))\n"
+        "with contextlib.redirect_stdout(open(os.devnull, 'w')):\n"
+        f"    bcslab.cli.main(['lattice-info', '--config', {config_path!r}])\n"
+        f"    bcslab.cli.main(['gaussian', '--config', {config_path!r}, '--output', os.devnull])\n"
+        "print(has('scipy.linalg'))\n"
         f"bcslab.cli.main(['verify-bound', '--config', {config_path!r}, '--count', '2',"
         " '--output', os.devnull])\n"
-        "print('scipy.sparse' in sys.modules)\n"
+        "print(has('scipy.sparse'))\n"
     )
     proc = run_child(["-c", script])
     assert proc.returncode == 0
     lines = proc.stdout.splitlines()
-    assert lines == ["False False", "configurations 3", "all_chains_ok True", "False"]
+    assert lines == [
+        "False False False", "False", "configurations 3", "all_chains_ok True", "False"
+    ]
+
+
+@pytest.mark.parametrize("command", ["eval", "verify-bound", "hessian-check"])
+def test_dense_preflight_exits_2(config_path, monkeypatch, capsys, command):
+    # the small lattice has N = 4 momenta: the estimate is DENSE_BYTES * 4^2
+    need = cli.DENSE_BYTES[command] * 16
+    monkeypatch.setattr(cli, "physical_memory", lambda: need - 1)
+    monkeypatch.setattr(cli, "build_transfer_set", None)  # no matrix gets built
+    code, out, err = run_cli([command, "--config", config_path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {command} on N = 4 momenta needs ")
+    assert err.count("\n") == 1
+    M = cli.build_spec(cli.parse_config(config_path))[1]
+    monkeypatch.setattr(cli, "physical_memory", lambda: need)
+    cli.dense_preflight(command, M)  # an estimate that fits passes

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import bcslab as bl
+from bcslab.expansion import _pair_sum as pair_sum
 from bcslab.model import dispersion_array, spatial_grid
 from oracles import autocorrelation, dispersion, index_of, labels, nondegenerate
 
@@ -242,6 +243,36 @@ def test_transfer_maps_match_oracle(lattice):
         got = getattr(Q, name)
         assert got.dtype == ref[name].dtype, name
         assert np.array_equal(got, ref[name]), name
+
+
+def test_pair_sum_bins_match_diff_index(lattice):
+    # the pair sums read only the factor tables; with integer weights every
+    # sum is exact, so each (k, p) must land in diff_index[k, p]'s bin
+    Q = bl.build_transfer_set(lattice)
+    W = np.random.default_rng(3).integers(0, 2**20, (len(lattice), len(lattice)))
+    got = pair_sum(lattice, Q, lambda k, p: W[k, p].astype(float))
+    assert "diff_index" not in vars(Q)
+    want = np.bincount(Q.diff_index.ravel(), W.ravel().astype(float), minlength=len(Q))
+    assert np.array_equal(got, want)
+
+
+def test_expansion_leaves_diff_index_unbuilt(monkeypatch):
+    # the expansion and the Gaussian report take no determinant
+    probe = bl.ModelSpec(d=2, L=4.0, beta=2.0, nu=4.0, lam=0.0)
+    lam_c = bl.critical_coupling(probe, bl.build_momentum_set(probe))
+    spec = bl.ModelSpec(d=2, L=4.0, beta=2.0, nu=4.0, lam=2.0 * lam_c)
+    M = bl.build_momentum_set(spec)
+    Q = bl.build_transfer_set(M)
+    sol = bl.solve_gap(spec, M)
+    assert not sol.trivial
+
+    def unbuilt(self):
+        raise AssertionError("diff_index read")
+
+    monkeypatch.setattr(bl.TransferSet, "diff_index", property(unbuilt))
+    qf = bl.coefficients(spec, M, Q, sol.r0, 0.0)
+    bl.gaussian_report(spec, qf)
+    bl.decomposition_lhs(spec, M, Q, sol.delta_sq)
 
 
 def test_autocorrelation_all_matches_oracle(lattice):

@@ -29,8 +29,6 @@ from .potential import (
     potential_reduced,
     reduced_matrix,
     tilted_field,
-    vbcs_cosh,
-    vbcs_sum,
 )
 from .gap import (
     GapConvergenceError,
@@ -39,7 +37,9 @@ from .gap import (
     gap_lhs,
     solve_gap,
     solve_gap_external,
+    vbcs_cosh,
     vbcs_r,
+    vbcs_sum,
 )
 from .bound import BoundReport, bound_report, hadamard_rhs
 from .expansion import (

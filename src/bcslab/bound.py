@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FieldConfig, ModelSpec, MomentumSet, autocorrelation_all, field_norm
-from .potential import potential_real, vbcs_sum
+from .gap import vbcs_sum
+from .potential import potential_real
 
 # floor on (1 - overlap) before the log; an exactly parallel column pair means
 # det = 0 and Re V = +inf, so the clamped bound stays valid
@@ -71,12 +72,9 @@ class BoundReport:
     slack: float
 
 
-def bound_report(
-    spec: ModelSpec, M: MomentumSet, phi: FieldConfig, slack: float | None = None
-) -> BoundReport:
-    """Evaluate Re V, the Hadamard bound and V_BCS(||phi||) and check the chain."""
-    if slack is None:
-        slack = 1e-9 * spec.kappa
+def bound_report(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> BoundReport:
+    """Re V, the Hadamard bound and V_BCS(||phi||), the chain checked to 1e-9 kappa."""
+    slack = 1e-9 * spec.kappa
     re_v = potential_real(spec, M, phi)
     rhs, t = hadamard_rhs(spec, M, phi)
     vb = vbcs_sum(spec, M, math.sqrt(field_norm(phi)))

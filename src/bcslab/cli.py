@@ -3,10 +3,11 @@
 Subcommands: lattice-info, gap, eval, verify-bound, expand, hessian-check,
 gaussian, scan, external.  Configuration comes from a plain key = value file
 (--config); unknown keys and non-finite numbers are rejected.  Exit codes:
-0 success, 1 verification failure, 2 configuration error (including a gap
-equation the solver cannot solve, and dense matrices that eval, verify-bound
-or hessian-check would build beyond physical memory).  Numbers are printed
-with 17 significant digits so CSV output round-trips exactly.
+0 success, 1 verification failure, 2 configuration error (including an
+--output path that cannot be opened, a gap equation the solver cannot solve,
+and dense matrices that eval, verify-bound or hessian-check would build
+beyond physical memory).  Numbers are printed with 17 significant digits so
+CSV output round-trips exactly.
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ from .model import (
     nondegeneracy_check,
     random_config,
 )
-from .potential import (
-    ExternalField,
-    potential_full,
-    potential_reduced,
+from .potential import ExternalField, potential_full, potential_reduced
+from .gap import (
+    GapConvergenceError,
+    critical_coupling,
+    solve_gap,
+    solve_gap_external,
     vbcs_sum,
 )
-from .gap import GapConvergenceError, critical_coupling, solve_gap, solve_gap_external
 from .bound import bound_report
 from .expansion import (
     analytic_hessian,
@@ -141,23 +143,27 @@ def parse_external(arg: str | None) -> ExternalField | None:
     return ExternalField(magnitude=mag, phase=phase)
 
 
-def open_output(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+def check_output(path: str | None):
+    """A ConfigError unless --output PATH (None or - for stdout) can be opened
+    for writing: append mode creates a missing file and keeps an existing one."""
+    try:
+        if path not in (None, "-"):
+            open(path, "a").close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write --output {path}: {exc.strerror or exc}") from None
 
 
 def emit_csv(path: str | None, header: list, rows: list):
     """The header and a list of row tuples as CSV.  Each column holds one type,
     so one %-format, floats as FMT and anything else as str, serves every row."""
-    out, close = open_output(path)
+    out = sys.stdout if path in (None, "-") else open(path, "w")
     try:
         out.write(",".join(header) + "\n")
         if rows:
             line = ",".join(FMT if isinstance(v, float) else "%s" for v in rows[0])
             out.writelines(map((line + "\n").__mod__, rows))
     finally:
-        if close:
+        if out is not sys.stdout:
             out.close()
 
 
@@ -405,6 +411,8 @@ def parse_sweep(arg: str):
         key, _, grid = arg.partition("=")
         start, stop, steps = grid.split(":")
         start, stop, steps = float(start), float(stop), int(steps)
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValueError
     except ValueError:
         raise ConfigError(f"bad --sweep value {arg!r}")
     if key not in ("lambda", "lambda_factor", "beta", "L"):
@@ -453,7 +461,7 @@ def cmd_scan(args) -> int:
 
 def cmd_external(args) -> int:
     spec, M, _ = build_spec(parse_config(args.config))
-    r = parse_external(args.external) or ExternalField(magnitude=1e-2)
+    r = parse_external(args.external)
     Q = build_transfer_set(M)
     sol = solve_gap_external(spec, M, r, tol=args.tol)
     try:
@@ -502,6 +510,9 @@ COMMANDS = {
 # subcommand -> option -> settings that replace those in OPTIONS there
 OVERRIDES = {
     "verify-bound": {"count": dict(default=200)},
+    "external": {
+        "external": dict(default="1e-2", help="pairing field (default %(default)s)")
+    },
     # finite differencing cannot resolve the Hessian below 1e-4
     "hessian-check": {
         "tol": dict(
@@ -545,6 +556,8 @@ def main(argv=None) -> int:
             print(f"error: --{opt} must be {must}", file=sys.stderr)
             return 2
     try:
+        # before any lattice work, so a bad path costs nothing
+        check_output(getattr(args, "output", None))
         return COMMANDS[args.command][0](args)
     except (ConfigError, GapConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

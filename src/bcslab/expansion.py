@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FieldConfig, ModelSpec, MomentumSet, TransferSet, bcs_config
-from .gap import vbcs_r
-from .potential import DisplacedPotential, ExternalField, potential_reduced, vbcs_sum
+from .gap import vbcs_r, vbcs_sum
+from .potential import DisplacedPotential, ExternalField, potential_reduced
 
 
 @dataclass
@@ -132,21 +132,26 @@ def decomposition_lhs(
     return 1.0 - (spec.lam / spec.kappa) * (part(np.real) + 1j * part(np.imag))
 
 
-def v2(spec: ModelSpec, qf: QuadraticForm, phi: FieldConfig) -> complex:
-    """Second-order approximation of V at the field configuration."""
+def _second_order(qf: QuadraticForm, phi: FieldConfig, rad, phase: float, sign: float):
+    """v_min + the condensate term `rad` + the q != 0 terms, added in that order:
+    sum (alpha_q + i gamma_q)|phi_q|^2, then (1/2) sum beta_q |w_q|^2 with
+    w_q = e^{-i phase} phi_q + sign e^{i phase} conj(phi_{-q})."""
     Q = qf.transfer
-    sk = math.sqrt(spec.kappa)
-    z0 = phi.values[Q.zero_index]
-    rho0 = abs(z0)
     mask = np.ones(len(Q), dtype=bool)
     mask[Q.zero_index] = False
     vals = phi.values
-    rad = 2.0 * qf.beta0 * (rho0 - sk * qf.r0) ** 2
     diag = np.sum((qf.alpha[mask] + 1j * qf.gamma[mask]) * np.abs(vals[mask]) ** 2)
-    ph = np.exp(-1j * qf.theta0)
-    w = ph * vals + np.conj(ph) * np.conj(vals[Q.neg_index])
+    ph = np.exp(-1j * phase)
+    w = ph * vals + (sign * np.conj(ph)) * np.conj(vals[Q.neg_index])
     anom = 0.5 * np.sum(qf.beta_coef[mask] * np.abs(w[mask]) ** 2)
-    return complex(qf.v_min + rad + diag + anom)
+    return qf.v_min + rad + diag + anom
+
+
+def v2(spec: ModelSpec, qf: QuadraticForm, phi: FieldConfig) -> complex:
+    """Second-order approximation of V at the field configuration."""
+    rho0 = abs(phi.values[qf.transfer.zero_index])
+    rad = 2.0 * qf.beta0 * (rho0 - math.sqrt(spec.kappa) * qf.r0) ** 2
+    return complex(_second_order(qf, phi, rad, qf.theta0, 1.0))
 
 
 def u2_external(
@@ -154,20 +159,11 @@ def u2_external(
 ) -> complex:
     """Second-order approximation of U_r around phi_0 = i sqrt(kappa) y0."""
     Q = qf.transfer
-    sk = math.sqrt(spec.kappa)
     z0 = phi.values[Q.zero_index]
-    u0, v0 = z0.real, z0.imag
-    mask = np.ones(len(Q), dtype=bool)
-    mask[Q.zero_index] = False
-    vals = phi.values
-    dv = v0 - sk * qf.r0
-    rad = 2.0 * qf.beta0 * dv**2
-    diag = np.sum((qf.alpha[mask] + 1j * qf.gamma[mask]) * np.abs(vals[mask]) ** 2)
-    ph = np.exp(-1j * r.phase)
-    w = ph * vals - np.conj(ph) * np.conj(vals[Q.neg_index])
-    anom = 0.5 * np.sum(qf.beta_coef[mask] * np.abs(w[mask]) ** 2)
-    lift = qf.shift * (u0**2 + dv**2 + float(np.sum(np.abs(vals[mask]) ** 2)))
-    return complex(qf.v_min + rad + diag + anom + lift)
+    dv = z0.imag - math.sqrt(spec.kappa) * qf.r0
+    total = _second_order(qf, phi, 2.0 * qf.beta0 * dv**2, r.phase, -1.0)
+    rest = float(np.sum(np.abs(np.delete(phi.values, Q.zero_index)) ** 2))
+    return complex(total + qf.shift * (z0.real**2 + dv**2 + rest))
 
 
 def _coordinates(Q: TransferSet, coords) -> np.ndarray:

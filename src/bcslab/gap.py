@@ -1,9 +1,12 @@
-"""BCS gap equation and its external-field variant.
+"""Mean-field BCS potential, the gap equation and its external-field variant.
 
-The gap equation (lambda/kappa) sum_k 1/(k0^2 + e_k^2 + Delta^2) = 1 is
-solved by bisection in Delta^2, where the left-hand side is smooth and
-strictly decreasing.  With an external field the minimizer y0 < 0 of
-V_BCS,r is found from the stationarity condition by bracketing and brentq.
+V_BCS has two closed forms, the cutoff Matsubara sum and the full-frequency
+log-cosh product, each with one body that takes the field as the shift
+|r|/g of the amplitude term (0 without a field).  The gap equation
+(lambda/kappa) sum_k 1/(k0^2 + e_k^2 + Delta^2) = 1 is solved by bisection
+in Delta^2, where the left-hand side is smooth and strictly decreasing.
+With an external field the minimizer y0 < 0 of V_BCS,r is found from the
+stationarity condition by bracketing and brentq.
 """
 
 from __future__ import annotations
@@ -14,7 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelSpec, MomentumSet
-from .potential import ExternalField, _log_cosh_sum, vbcs_cosh, vbcs_sum
+from .potential import ExternalField
+
+# bisection steps, bracket doublings included, before solve_gap gives up
+MAX_ITER = 400
 
 
 class GapConvergenceError(RuntimeError):
@@ -35,6 +41,49 @@ class GapSolution:
     y0: float | None = None
 
 
+def _sum_form(spec: ModelSpec, M: MomentumSet, y: float, ratio: float) -> float:
+    """kappa (y + ratio)^2 - sum_k log(1 + lam y^2/(k0^2 + e_k^2)); ratio = |r|/g."""
+    absa2 = M.k0**2 + M.e**2
+    return float(
+        spec.kappa * (y + ratio) ** 2 - np.sum(np.log1p(spec.lam * y**2 / absa2))
+    )
+
+
+def _log_cosh(x: np.ndarray) -> np.ndarray:
+    """log cosh(x) without overflow: |x| + log1p(e^{-2|x|}) - log 2."""
+    ax = np.abs(x)
+    return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
+
+
+def _cosh_form(spec: ModelSpec, M: MomentumSet, y: float, ratio: float) -> float:
+    """kappa (y + ratio)^2 minus, over the spatial momenta of M, the log of the
+    full frequency product cosh^2(beta E/2)/cosh^2(beta e/2), E^2 = e^2 + lam y^2."""
+    e = M.spatial_e
+    arg_gap = 0.5 * spec.beta * np.sqrt(e**2 + spec.lam * y**2)
+    arg_free = 0.5 * spec.beta * np.abs(e)
+    log_cosh_sum = np.sum(_log_cosh(arg_gap) - _log_cosh(arg_free))
+    return float(spec.kappa * (y + ratio) ** 2 - 2.0 * log_cosh_sum)
+
+
+def vbcs_sum(spec: ModelSpec, M: MomentumSet, rho: float) -> float:
+    """Cutoff BCS potential: kappa rho^2 - sum_k log[1 + lam rho^2/(k0^2+e_k^2)]."""
+    if rho < 0:
+        raise ValueError("rho must be nonnegative")
+    return _sum_form(spec, M, rho, 0.0)
+
+
+def vbcs_cosh(spec: ModelSpec, M: MomentumSet, rho: float) -> float:
+    """Closed-form (full Matsubara sum) BCS potential over the spatial momenta of M."""
+    if rho < 0:
+        raise ValueError("rho must be nonnegative")
+    return _cosh_form(spec, M, rho, 0.0)
+
+
+def vbcs_r(spec: ModelSpec, M: MomentumSet, y: float, r: ExternalField) -> float:
+    """kappa[(y + |r|/g)^2 - (1/kappa) sum_k log(1 + lam y^2/(k0^2+e_k^2))]."""
+    return _sum_form(spec, M, y, r.magnitude / spec.g if r.magnitude > 0 else 0.0)
+
+
 def gap_lhs(spec: ModelSpec, M: MomentumSet, delta_sq: float) -> float:
     """(lambda/kappa) sum_k 1/(k0^2 + e_k^2 + Delta^2); decreasing in Delta^2."""
     if delta_sq < 0:
@@ -48,72 +97,53 @@ def critical_coupling(spec: ModelSpec, M: MomentumSet) -> float:
     return float(spec.kappa / np.sum(1.0 / (M.k0**2 + M.e**2)))
 
 
-def solve_gap(
-    spec: ModelSpec, M: MomentumSet, tol: float = 1e-12, max_iter: int = 400
-) -> GapSolution:
+def _bracket(inside, end: float, what: str) -> tuple:
+    """Double `end` while inside(end) holds; returns it and the doublings taken."""
+    it = 0
+    while inside(end):
+        end *= 2.0
+        it += 1
+        if it > 200:
+            raise GapConvergenceError(f"could not bracket {what}")
+    return end, it
+
+
+def solve_gap(spec: ModelSpec, M: MomentumSet, tol: float = 1e-12) -> GapSolution:
     """Bisection on Delta^2; trivial solution r0 = 0 when lambda <= lambda_c."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     f0 = gap_lhs(spec, M, 0.0)
-    if f0 < 1.0:
-        return GapSolution(
-            r0=0.0,
-            delta_sq=0.0,
-            residual=abs(f0 - 1.0),
-            v_min_sum=vbcs_sum(spec, M, 0.0),
-            v_min_cosh=vbcs_cosh(spec, M, 0.0),
-            iterations=0,
-            trivial=True,
-        )
-    lo, hi = 0.0, 1.0
-    it = 0
-    while gap_lhs(spec, M, hi) >= 1.0:
-        hi *= 2.0
-        it += 1
-        if it > 200:
-            raise GapConvergenceError("could not bracket the gap equation")
-    res = math.inf
-    mid = 0.5 * (lo + hi)
-    while it < max_iter:
-        mid = 0.5 * (lo + hi)
-        val = gap_lhs(spec, M, mid)
-        res = abs(val - 1.0)
-        if res <= tol:
-            break
-        if val > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        it += 1
+    trivial = f0 < 1.0
+    if trivial:
+        r0, res, it = 0.0, abs(f0 - 1.0), 0
     else:
-        raise GapConvergenceError(
-            f"gap bisection did not converge: residual {res:.3e} after {it} iterations"
-        )
-    delta_sq = mid
-    r0 = math.sqrt(delta_sq / spec.lam)
-    delta_sq = spec.lam * r0**2  # exact identity with the returned r0
+        lo = 0.0
+        hi, it = _bracket(lambda d: gap_lhs(spec, M, d) >= 1.0, 1.0, "the gap equation")
+        while it < MAX_ITER:  # runs: the bracket takes at most 201 of the steps
+            mid = 0.5 * (lo + hi)
+            val = gap_lhs(spec, M, mid)
+            res = abs(val - 1.0)
+            if res <= tol:
+                break
+            if val > 1.0:
+                lo = mid
+            else:
+                hi = mid
+            it += 1
+        else:
+            raise GapConvergenceError(
+                f"gap bisection did not converge: residual {res:.3e} after {it} iterations"
+            )
+        r0 = math.sqrt(mid / spec.lam)
     return GapSolution(
         r0=r0,
-        delta_sq=delta_sq,
+        delta_sq=spec.lam * r0**2,  # exact identity with the returned r0
         residual=res,
         v_min_sum=vbcs_sum(spec, M, r0),
         v_min_cosh=vbcs_cosh(spec, M, r0),
         iterations=it,
+        trivial=trivial,
     )
-
-
-def vbcs_r(spec: ModelSpec, M: MomentumSet, y: float, r: ExternalField) -> float:
-    """kappa[(y + |r|/g)^2 - (1/kappa) sum_k log(1 + lam y^2/(k0^2+e_k^2))]."""
-    ratio = r.magnitude / spec.g if r.magnitude > 0 else 0.0
-    absa2 = M.k0**2 + M.e**2
-    return float(
-        spec.kappa * (y + ratio) ** 2 - np.sum(np.log1p(spec.lam * y**2 / absa2))
-    )
-
-
-def _stationarity(spec: ModelSpec, M: MomentumSet, y: float, ratio: float) -> float:
-    """(y + |r|/g) - y (lambda/kappa) sum 1/E^2; zero at the minimizer."""
-    return (y + ratio) - y * gap_lhs(spec, M, spec.lam * y**2)
 
 
 def solve_gap_external(
@@ -131,19 +161,17 @@ def solve_gap_external(
     from scipy.optimize import brentq
 
     ratio = r.magnitude / spec.g
-    # stationarity is positive at y -> 0^- and negative for large |y|
-    hi = -1e-14
-    lo = -max(1.0, ratio)
-    it = 0
+
+    def stationarity(y):
+        """(y + |r|/g) - y (lambda/kappa) sum 1/E^2: zero at the minimizer,
+        positive at y -> 0^- and negative for large |y|."""
+        return (y + ratio) - y * gap_lhs(spec, M, spec.lam * y**2)
+
     try:
-        while _stationarity(spec, M, lo, ratio) >= 0.0:
-            lo *= 2.0
-            it += 1
-            if it > 200:
-                raise GapConvergenceError("could not bracket external-field minimizer")
-        y0 = brentq(
-            lambda y: _stationarity(spec, M, y, ratio), lo, hi, xtol=1e-15, rtol=8.9e-16
+        lo, it = _bracket(
+            lambda y: stationarity(y) >= 0.0, -max(1.0, ratio), "external-field minimizer"
         )
+        y0 = brentq(stationarity, lo, -1e-14, xtol=1e-15, rtol=8.9e-16)
     except OverflowError:  # y^2 left the float range
         raise GapConvergenceError(f"external field {r.magnitude:g} too large") from None
     residual = abs(gap_lhs(spec, M, spec.lam * y0**2) - 1.0 + ratio / abs(y0))
@@ -151,13 +179,12 @@ def solve_gap_external(
         raise GapConvergenceError(
             f"external gap residual {residual:.3e} exceeds tol {tol:.3e}"
         )
-    v_cosh = float(spec.kappa * (y0 + ratio) ** 2 - 2.0 * _log_cosh_sum(spec, M, y0))
     return GapSolution(
         r0=abs(y0),
         delta_sq=spec.lam * y0**2,
         residual=residual,
-        v_min_sum=vbcs_r(spec, M, y0, r),
-        v_min_cosh=v_cosh,
+        v_min_sum=_sum_form(spec, M, y0, ratio),
+        v_min_cosh=_cosh_form(spec, M, y0, ratio),
         iterations=it,
         y0=float(y0),
     )

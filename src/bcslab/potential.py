@@ -1,15 +1,17 @@
-"""Effective potential: block matrices, log-determinants, BCS closed forms.
+"""Effective potential: block matrices and their log-determinants.
 
 The full potential is V = sum_q |phi_q|^2 - log det of the 2N x 2N block
-matrix [[Id, C((ig/sqrt(kappa)) phi* - rbar Id)],
-        [Cbar((ig/sqrt(kappa)) phi + r Id), Id]]
-with (phi)_{k,p} = phi_{k-p} and C = diag(1/a_k), a_k = i k0 - e_k.  At r = 0
-its N x N Schur complement Id + (lambda/kappa) Cbar phi C phi* has the same
+matrix [[Id, C (ig/sqrt(kappa)) phi*], [Cbar (ig/sqrt(kappa)) phi, Id]]
+with (phi)_{k,p} = phi_{k-p} and C = diag(1/a_k), a_k = i k0 - e_k.  Its
+N x N Schur complement Id + (lambda/kappa) Cbar phi C phi* has the same
 determinant: the routes agree in the real part, and their per-pivot imaginary
-parts may differ by 2 pi k.  The reduced route serves Re V, the bound chain,
-the cubic remainder probe and finite differencing, where its imaginary part
-is smooth near the minimum; the full route serves eval and the external-field
-route, and is the oracle in the checks.  Finite differencing goes through
+parts may differ by 2 pi k.  An external field r enters U_r only as a shift
+of the zero mode and a tilt by r's phase (`potential_external`); the
+mean-field closed forms V_BCS live in `gap`.  The reduced
+route serves Re V, the bound chain, the cubic remainder probe and finite
+differencing, where its imaginary part is smooth near the minimum; the full
+route serves eval and the external-field route, and is the oracle in the
+checks.  Finite differencing goes through
 `DisplacedPotential`: its base carries only the zero mode, so a displaced
 field lives on at most three transfers and its reduced matrix has a few
 entries per row.  It is assembled in O(N) as a scipy.sparse matrix, and
@@ -145,26 +147,19 @@ def phi_matrix(M: MomentumSet, phi: FieldConfig) -> np.ndarray:
     return phi.values[phi.transfer.diff_index]
 
 
-def assemble_block(
-    spec: ModelSpec,
-    M: MomentumSet,
-    phi: FieldConfig,
-    r: ExternalField | None = None,
-) -> np.ndarray:
-    """2N x 2N block matrix of the quadratic fermion form (r = 0 gives V)."""
+def assemble_block(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> np.ndarray:
+    """2N x 2N block matrix of the quadratic fermion form at r = 0; a field
+    enters only as `potential_external`'s zero-mode shift and tilt."""
     n = len(M)
-    rval = 0.0 + 0.0j if r is None else r.value
     pref = 1j * spec.g / math.sqrt(spec.kappa)
     Phi = phi_matrix(M, phi)
-    upper = pref * Phi.conj().T - np.conj(rval) * np.eye(n)
-    lower = pref * Phi + rval * np.eye(n)
     C = 1.0 / M.a
     Cbar = 1.0 / np.conj(M.a)
     block = np.empty((2 * n, 2 * n), dtype=complex)
     block[:n, :n] = np.eye(n)
     block[n:, n:] = np.eye(n)
-    block[:n, n:] = C[:, None] * upper
-    block[n:, :n] = Cbar[:, None] * lower
+    block[:n, n:] = C[:, None] * (pref * Phi.conj().T)
+    block[n:, :n] = Cbar[:, None] * (pref * Phi)
     return block
 
 
@@ -296,37 +291,6 @@ def potential_real(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> float:
         return potential_reduced(spec, M, phi).total.real
     except SingularMatrixError:
         return math.inf
-
-
-def vbcs_sum(spec: ModelSpec, M: MomentumSet, rho: float) -> float:
-    """Cutoff BCS potential: kappa rho^2 - sum_k log[1 + lam rho^2/(k0^2+e_k^2)]."""
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    absa2 = M.k0**2 + M.e**2
-    return float(spec.kappa * rho**2 - np.sum(np.log1p(spec.lam * rho**2 / absa2)))
-
-
-def _log_cosh(x: np.ndarray) -> np.ndarray:
-    """log cosh(x) without overflow: |x| + log1p(e^{-2|x|}) - log 2."""
-    ax = np.abs(x)
-    return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
-
-
-def _log_cosh_sum(spec: ModelSpec, M: MomentumSet, y: float) -> float:
-    """sum over the spatial momenta of M of log cosh(beta E/2) - log cosh(beta |e|/2),
-    with E^2 = e^2 + lam y^2."""
-    e = M.spatial_e
-    arg_gap = 0.5 * spec.beta * np.sqrt(e**2 + spec.lam * y**2)
-    arg_free = 0.5 * spec.beta * np.abs(e)
-    return np.sum(_log_cosh(arg_gap) - _log_cosh(arg_free))
-
-
-def vbcs_cosh(spec: ModelSpec, M: MomentumSet, rho: float) -> float:
-    """Closed-form (full Matsubara sum) BCS potential over the spatial momenta of M."""
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    # full frequency product per spatial momentum: cosh^2(beta E/2)/cosh^2(beta e/2)
-    return float(spec.kappa * rho**2 - 2.0 * _log_cosh_sum(spec, M, rho))
 
 
 def tilted_field(phi: FieldConfig, r: ExternalField) -> FieldConfig:

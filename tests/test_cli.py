@@ -6,6 +6,7 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,63 @@ def test_scan_requires_sweep(config_path, capsys):
     code, _, err = run_cli(["scan", "--config", config_path], capsys)
     assert code == 2
     assert "sweep" in err
+
+
+BAD_SWEEP = [
+    ("lambda=1:2", "bad --sweep value"),
+    ("mu=0:1:2", "cannot sweep key"),
+    ("lambda=1:2:0", "sweep grid is empty"),
+    # non-finite endpoints, which the config file rejects too
+    ("beta=inf:inf:1", "bad --sweep value"),
+    ("lambda=nan:1:2", "bad --sweep value"),
+    ("L=4:-inf:3", "bad --sweep value"),
+]
+
+
+@pytest.mark.parametrize("sweep, message", BAD_SWEEP, ids=[s for s, _ in BAD_SWEEP])
+def test_bad_sweep(config_path, capsys, sweep, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning may leak either
+        code, out, err = run_cli(["scan", "--config", config_path, "--sweep", sweep], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+# the subcommands that write a CSV, with what else each needs to run
+CSV_COMMANDS = {
+    "verify-bound": ["--count", "1"],
+    "expand": [],
+    "gaussian": [],
+    "scan": ["--sweep", "lambda_factor=2:2:1"],
+}
+
+
+@pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", list(CSV_COMMANDS))
+def test_unwritable_output_exits_2(config_path, tmp_path, monkeypatch, capsys, command, kind):
+    path = tmp_path / "missing" / "out.csv" if kind == "missing-directory" else tmp_path
+    monkeypatch.setattr(cli, "build_spec", None)  # refused before any lattice work
+    argv = [command, "--config", config_path, "--output", str(path)]
+    code, out, err = run_cli(argv + CSV_COMMANDS[command], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write --output {path}: ")
+    assert err.count("\n") == 1
+
+
+def test_external_default(config_path, capsys):
+    # the default field is declared, so --help shows it, and it is the one used
+    with pytest.raises(SystemExit):
+        cli.main(["external", "--help"])
+    assert "(default 1e-2)" in capsys.readouterr().out
+    runs = [
+        run_cli(["external", "--config", config_path] + extra, capsys)
+        for extra in ([], ["--external", "1e-2"])
+    ]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
 
 
 def test_external(config_path, capsys):

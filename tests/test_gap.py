@@ -116,3 +116,30 @@ def test_vbcs_r_reduces_to_vbcs_sum(desk_spec, desk_M):
     assert bl.vbcs_r(desk_spec, desk_M, y, r0) == pytest.approx(
         bl.vbcs_sum(desk_spec, desk_M, abs(y)), rel=1e-12
     )
+
+
+def cosh_form_oracle(spec, M, y, ratio):
+    """kappa (y + ratio)^2 - sum over the spatial momenta of
+    log[cosh^2(beta E/2)/cosh^2(beta |e|/2)], E^2 = e^2 + lam y^2, by scalar math."""
+    acc = 0.0
+    for e in M.spatial_e:
+        E = math.sqrt(e**2 + spec.lam * y**2)
+        num = math.cosh(0.5 * spec.beta * E) ** 2
+        den = math.cosh(0.5 * spec.beta * abs(e)) ** 2
+        acc += math.log(num / den)
+    return spec.kappa * (y + ratio) ** 2 - acc
+
+
+@pytest.mark.parametrize("case", ["nontrivial", "trivial", "external"])
+def test_v_min_cosh(desk_spec, desk_M, desk_lambda_c, case):
+    if case == "external":
+        r = bl.ExternalField(1e-2, 0.4)
+        sol = bl.solve_gap_external(desk_spec, desk_M, r)
+        expected = cosh_form_oracle(desk_spec, desk_M, sol.y0, r.magnitude / desk_spec.g)
+    else:
+        factor = 2.0 if case == "nontrivial" else 0.5
+        spec = bl.ModelSpec(d=1, L=16.0, beta=8.0, nu=20.0, lam=factor * desk_lambda_c)
+        sol = bl.solve_gap(spec, desk_M)
+        assert sol.trivial == (case == "trivial")
+        expected = cosh_form_oracle(spec, desk_M, sol.r0, 0.0)
+    assert sol.v_min_cosh == pytest.approx(expected, rel=1e-12)

@@ -5,6 +5,7 @@ gaussian, scan, external.  Configuration comes from a plain key = value file
 (--config); unknown keys and non-finite numbers are rejected.  Exit codes:
 0 success, 1 verification failure, 2 configuration error (including an
 --output path that cannot be opened, a gap equation the solver cannot solve,
+an external field at lambda = 0, gaussian or hessian-check with a trivial gap,
 and dense matrices that eval, verify-bound or hessian-check would build
 beyond physical memory).  Numbers are printed with 17 significant digits so
 CSV output round-trips exactly.
@@ -127,7 +128,7 @@ def build_spec(cfg: dict):
     return spec, M, lam_c
 
 
-def parse_external(arg: str | None) -> ExternalField | None:
+def parse_external(arg: str | None, lam: float) -> ExternalField | None:
     if arg is None:
         return None
     parts = arg.split(",")
@@ -140,6 +141,8 @@ def parse_external(arg: str | None) -> ExternalField | None:
         raise ConfigError("--external magnitude must be positive and finite")
     if not math.isfinite(phase):
         raise ConfigError("--external phase must be finite")
+    if lam == 0.0:
+        raise ConfigError("--external needs lambda > 0: the field term is |r|/sqrt(lambda)")
     return ExternalField(magnitude=mag, phase=phase)
 
 
@@ -233,7 +236,7 @@ def cmd_lattice_info(args) -> int:
 
 def cmd_gap(args) -> int:
     spec, M, lam_c = build_spec(parse_config(args.config))
-    r = parse_external(args.external)
+    r = parse_external(args.external, spec.lam)
     if r is not None:
         sol = solve_gap_external(spec, M, r, tol=args.tol)
         print(f"y0 {FMT % sol.y0}")
@@ -332,8 +335,16 @@ def _hessian_coords(Q, max_orbits: int):
 LAMBDA0_TOL = 1e-6
 
 
+def ordered_gap(spec, M, lam_c: float, why: str):
+    """solve_gap, or a ConfigError naming lambda/lambda_c if r0 = 0 (lambda < lambda_c)."""
+    sol = solve_gap(spec, M)
+    if sol.trivial:
+        raise ConfigError(f"lambda/lambda_c = {spec.lam / lam_c:.6g} < 1, so r0 = 0: {why}")
+    return sol
+
+
 def cmd_hessian_check(args) -> int:
-    spec, M, _ = build_spec(parse_config(args.config))
+    spec, M, lam_c = build_spec(parse_config(args.config))
     dense_preflight("hessian-check", M)
     Q = build_transfer_set(M)
     n_orbits = (len(Q) - 1) // 2  # q = 0 is its own partner
@@ -350,7 +361,7 @@ def cmd_hessian_check(args) -> int:
         )
         print(f"lambda0_identity_error {FMT % float(err)}")
         return 0 if err <= min(args.tol, LAMBDA0_TOL) else 1
-    sol = solve_gap(spec, M)
+    sol = ordered_gap(spec, M, lam_c, "the Hessian and remainder expand about r0 > 0")
     qf = coefficients(spec, M, Q, sol.r0, 0.0)
     are, aim = analytic_hessian(spec, qf, coords=coords)
     h = default_fd_step(spec, sol.r0)
@@ -382,14 +393,9 @@ def cmd_hessian_check(args) -> int:
 
 
 def cmd_gaussian(args) -> int:
-    cfg = parse_config(args.config)
-    spec, M, _ = build_spec(cfg)
-    if spec.lam == 0.0:
-        print("lambda = 0: the pair correlation is the free bubble; "
-              "use a nonzero coupling", file=sys.stderr)
-        return 2
+    spec, M, lam_c = build_spec(parse_config(args.config))
+    sol = ordered_gap(spec, M, lam_c, "the pair correlation is the free bubble")
     Q = build_transfer_set(M)
-    sol = solve_gap(spec, M)
     qf = coefficients(spec, M, Q, sol.r0, 0.0)
     rep = gaussian_report(spec, qf, include_zero_mode=args.include_zero_mode)
     labels = q_labels(Q)
@@ -436,7 +442,7 @@ def cmd_scan(args) -> int:
         spec, M, _ = build_spec(here)
         Q = build_transfer_set(M)
         sol = solve_gap(spec, M)
-        if sol.trivial or spec.lam == 0.0:
+        if sol.trivial:
             rows.append((float(val), sol.r0, 0.0, 0.0))
             continue
         qf = coefficients(spec, M, Q, sol.r0, 0.0)
@@ -461,7 +467,7 @@ def cmd_scan(args) -> int:
 
 def cmd_external(args) -> int:
     spec, M, _ = build_spec(parse_config(args.config))
-    r = parse_external(args.external)
+    r = parse_external(args.external, spec.lam)
     Q = build_transfer_set(M)
     sol = solve_gap_external(spec, M, r, tol=args.tol)
     try:

@@ -3,10 +3,12 @@
 V_BCS has two closed forms, the cutoff Matsubara sum and the full-frequency
 log-cosh product, each with one body that takes the field as the shift
 |r|/g of the amplitude term (0 without a field).  The gap equation
-(lambda/kappa) sum_k 1/(k0^2 + e_k^2 + Delta^2) = 1 is solved by bisection
-in Delta^2, where the left-hand side is smooth and strictly decreasing.
-With an external field the minimizer y0 < 0 of V_BCS,r is found from the
-stationarity condition by bracketing and brentq.
+(lambda/kappa) sum_k 1/(k0^2 + e_k^2 + Delta^2) = 1 is solved in Delta^2,
+where the left-hand side is smooth and strictly decreasing.  With an external
+field the minimizer y0 < 0 of V_BCS,r solves the equation of state
+(lambda/kappa) sum_k 1/E_k^2 = 1 - |r|/(g|y|), E_k^2 = k0^2 + e_k^2 + lam y^2,
+whose two sides differ monotonically in |y|.  Both are solved by one
+bracket-and-bisect loop.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .model import ModelSpec, MomentumSet
 from .potential import ExternalField
 
-# bisection steps, bracket doublings included, before solve_gap gives up
+# bisection steps, bracket doublings included, before a solver gives up
 MAX_ITER = 400
 
 
@@ -97,15 +99,29 @@ def critical_coupling(spec: ModelSpec, M: MomentumSet) -> float:
     return float(spec.kappa / np.sum(1.0 / (M.k0**2 + M.e**2)))
 
 
-def _bracket(inside, end: float, what: str) -> tuple:
-    """Double `end` while inside(end) holds; returns it and the doublings taken."""
+def _bisect(f, inner: float, outer: float, tol: float, what: str) -> tuple:
+    """Root of f, which is >= 0 at `inner` and decreases away from it: double
+    `outer` while f(outer) >= 0, then bisect until |f| <= tol.  Returns the
+    root, |f| there and the steps taken, doublings included."""
     it = 0
-    while inside(end):
-        end *= 2.0
+    while f(outer) >= 0.0:
+        outer *= 2.0
         it += 1
         if it > 200:
             raise GapConvergenceError(f"could not bracket {what}")
-    return end, it
+    while it < MAX_ITER:  # runs: the bracket takes at most 201 of the steps
+        mid = 0.5 * (inner + outer)
+        val = f(mid)
+        if abs(val) <= tol:
+            return mid, abs(val), it
+        if val > 0.0:
+            inner = mid
+        else:
+            outer = mid
+        it += 1
+    raise GapConvergenceError(
+        f"gap bisection did not converge: residual {abs(val):.3e} after {it} iterations"
+    )
 
 
 def solve_gap(spec: ModelSpec, M: MomentumSet, tol: float = 1e-12) -> GapSolution:
@@ -117,24 +133,10 @@ def solve_gap(spec: ModelSpec, M: MomentumSet, tol: float = 1e-12) -> GapSolutio
     if trivial:
         r0, res, it = 0.0, abs(f0 - 1.0), 0
     else:
-        lo = 0.0
-        hi, it = _bracket(lambda d: gap_lhs(spec, M, d) >= 1.0, 1.0, "the gap equation")
-        while it < MAX_ITER:  # runs: the bracket takes at most 201 of the steps
-            mid = 0.5 * (lo + hi)
-            val = gap_lhs(spec, M, mid)
-            res = abs(val - 1.0)
-            if res <= tol:
-                break
-            if val > 1.0:
-                lo = mid
-            else:
-                hi = mid
-            it += 1
-        else:
-            raise GapConvergenceError(
-                f"gap bisection did not converge: residual {res:.3e} after {it} iterations"
-            )
-        r0 = math.sqrt(mid / spec.lam)
+        delta_sq, res, it = _bisect(
+            lambda d: gap_lhs(spec, M, d) - 1.0, 0.0, 1.0, tol, "the gap equation"
+        )
+        r0 = math.sqrt(delta_sq / spec.lam)
     return GapSolution(
         r0=r0,
         delta_sq=spec.lam * r0**2,  # exact identity with the returned r0
@@ -149,36 +151,23 @@ def solve_gap(spec: ModelSpec, M: MomentumSet, tol: float = 1e-12) -> GapSolutio
 def solve_gap_external(
     spec: ModelSpec, M: MomentumSet, r: ExternalField, tol: float = 1e-12
 ) -> GapSolution:
-    """Unique global minimizer y0 < 0 of vbcs_r, with Eq-of-state residual check."""
+    """Unique global minimizer y0 < 0 of vbcs_r: the root of the equation of state."""
     if r.magnitude <= 0:
         raise ValueError("external field magnitude must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if spec.lam == 0.0:
         raise ValueError("external field solve requires lambda > 0")
-    # imported here, not at module level: scipy.optimize takes about a third
-    # of the package's import time, and only this solver needs it
-    from scipy.optimize import brentq
-
     ratio = r.magnitude / spec.g
-
-    def stationarity(y):
-        """(y + |r|/g) - y (lambda/kappa) sum 1/E^2: zero at the minimizer,
-        positive at y -> 0^- and negative for large |y|."""
-        return (y + ratio) - y * gap_lhs(spec, M, spec.lam * y**2)
-
+    # the equation of state strictly decreases in |y| and at y = -|r|/g equals
+    # gap_lhs > 0: the root has |y0| > |r|/g
     try:
-        lo, it = _bracket(
-            lambda y: stationarity(y) >= 0.0, -max(1.0, ratio), "external-field minimizer"
+        y0, residual, it = _bisect(
+            lambda y: gap_lhs(spec, M, spec.lam * y**2) - 1.0 + ratio / abs(y),
+            -ratio, -2.0 * ratio, tol, "the external-field minimizer",
         )
-        y0 = brentq(stationarity, lo, -1e-14, xtol=1e-15, rtol=8.9e-16)
     except OverflowError:  # y^2 left the float range
         raise GapConvergenceError(f"external field {r.magnitude:g} too large") from None
-    residual = abs(gap_lhs(spec, M, spec.lam * y0**2) - 1.0 + ratio / abs(y0))
-    if residual > tol:
-        raise GapConvergenceError(
-            f"external gap residual {residual:.3e} exceeds tol {tol:.3e}"
-        )
     return GapSolution(
         r0=abs(y0),
         delta_sq=spec.lam * y0**2,
@@ -186,5 +175,5 @@ def solve_gap_external(
         v_min_sum=_sum_form(spec, M, y0, ratio),
         v_min_cosh=_cosh_form(spec, M, y0, ratio),
         iterations=it,
-        y0=float(y0),
+        y0=y0,
     )

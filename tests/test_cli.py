@@ -192,6 +192,19 @@ def test_hessian_check_lambda_zero(tmp_path, capsys):
     assert float(kv["lambda0_identity_error"]) <= 1e-6
 
 
+@pytest.mark.parametrize("command", ["gaussian", "hessian-check"])
+def test_trivial_phase_exits_2(tmp_path, capsys, command):
+    # 0 < lambda < lambda_c: r0 = 0, where the Gaussian radial mode is flat
+    # and the analytic Hessian's zero-mode block does not hold
+    path = tmp_path / "trivial.cfg"
+    path.write_text(SMALL_CONFIG + "lambda_factor = 0.5\n")
+    code, out, err = run_cli([command, "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: lambda/lambda_c = 0.5 < 1, so r0 = 0: ")
+    assert err.count("\n") == 1
+
+
 def test_gaussian(config_path, tmp_path, capsys):
     out_csv = str(tmp_path / "gauss.csv")
     code, out, _ = run_cli(
@@ -306,6 +319,15 @@ def test_external(config_path, capsys):
     kv = parse_kv(out)
     assert float(kv["shift"]) > 0
     assert float(kv["y0"]) < 0
+
+
+@pytest.mark.parametrize("argv", [["gap", "--external", "1e-2"], ["external"]], ids="".join)
+def test_external_lambda_zero_exits_2(free_config, monkeypatch, capsys, argv):
+    monkeypatch.setattr(cli, "solve_gap_external", None)  # refused before any solve
+    code, out, err = run_cli(argv + ["--config", free_config], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --external needs lambda > 0") and err.count("\n") == 1
 
 
 def test_external_overflow_exits_2(config_path):
@@ -624,9 +646,9 @@ def test_hessian_check_lambda_zero_tol(free_config, monkeypatch, capsys, err, ar
 
 
 def test_import_skips_scipy_optimize(config_path):
-    # only solve_gap_external needs scipy.optimize, only finite differencing
-    # scipy.sparse and only a determinant scipy.linalg; a CLI process that
-    # does not call them does not pay for the imports
+    # nothing needs scipy.optimize, only finite differencing scipy.sparse and
+    # only a determinant scipy.linalg; a CLI process that does not call them
+    # does not pay for the imports
     script = (
         "import contextlib, os, sys, bcslab.cli\n"
         "def has(name): return name in sys.modules\n"
@@ -638,12 +660,17 @@ def test_import_skips_scipy_optimize(config_path):
         f"bcslab.cli.main(['verify-bound', '--config', {config_path!r}, '--count', '2',"
         " '--output', os.devnull])\n"
         "print(has('scipy.sparse'))\n"
+        "with contextlib.redirect_stdout(open(os.devnull, 'w')):\n"
+        f"    ext = bcslab.cli.main(['external', '--config', {config_path!r}])\n"
+        f"    gap = bcslab.cli.main(['gap', '--config', {config_path!r}, '--external', '1e-2'])\n"
+        "print(ext, gap, has('scipy.optimize'))\n"
     )
     proc = run_child(["-c", script])
     assert proc.returncode == 0
     lines = proc.stdout.splitlines()
     assert lines == [
-        "False False False", "False", "configurations 3", "all_chains_ok True", "False"
+        "False False False", "False", "configurations 3", "all_chains_ok True", "False",
+        "0 0 False",
     ]
 
 

@@ -86,6 +86,23 @@ def test_external_minimizer(desk_spec, desk_M):
         assert bl.vbcs_r(desk_spec, desk_M, sol.y0 + dy, r) > vmin
 
 
+@pytest.mark.parametrize("mag", [1e-20, 1e-2, 1e3])
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_external_minimizer_both_phases(small_spec, small_M, factor, mag):
+    # the bracket starts at y = -|r|/g, so a root far inside any fixed bracket
+    # end, such as y0 ~ -1e-20 in the trivial phase, is found too
+    spec = bl.ModelSpec(d=1, L=4.0, beta=2.0, nu=4.0, lam=factor * small_spec.lam / 2.0)
+    r = bl.ExternalField(mag)
+    sol = bl.solve_gap_external(spec, small_M, r)
+    ratio = mag / spec.g
+    assert sol.y0 < -ratio
+    residual = bl.gap_lhs(spec, small_M, spec.lam * sol.y0**2) - 1.0 + ratio / abs(sol.y0)
+    assert sol.residual <= 1e-12 and abs(residual) <= 1e-12
+    vmin = bl.vbcs_r(spec, small_M, sol.y0, r)
+    for dy in (-1e-3 * sol.y0, 1e-3 * sol.y0):
+        assert bl.vbcs_r(spec, small_M, sol.y0 + dy, r) > vmin
+
+
 def test_external_equation_of_state(desk_spec, desk_M):
     r = bl.ExternalField(1e-3)
     sol = bl.solve_gap_external(desk_spec, desk_M, r)

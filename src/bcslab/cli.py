@@ -188,9 +188,10 @@ def _scaled_field(spec, M, Q, scale: float, seed: int) -> FieldConfig:
 
 # bytes per (k, p) pair of M that a subcommand's dense matrices hold at once,
 # at least: eval's 2N x 2N complex block and LAPACK's copy of it (2 * 4 * 16),
-# and the reduced route's phi, its two scaled factors and their product
-# (4 * 16); at N = 1400 the runs peak 136 and 72-75 bytes per pair above import
-DENSE_BYTES = {"eval": 128, "verify-bound": 64, "hessian-check": 64}
+# and the reduced route's three scratch buffers (3 * 16, model.TransferSet.scratch)
+# with the transfer index (8); at N = 1400 eval peaks 145 bytes per pair above
+# import, verify-bound --count 3 71 and hessian-check 67
+DENSE_BYTES = {"eval": 128, "verify-bound": 56, "hessian-check": 56}
 
 
 def physical_memory() -> int:
@@ -202,8 +203,9 @@ def dense_preflight(command: str, M):
     """Run before `command` builds dense N x N matrices: a ConfigError naming N
     if they cannot fit in physical memory, else load scipy.linalg, which
     factors them.  Loaded later, by the first logdet while the first matrices
-    are alive, it leaves glibc reusing the heap worse: verify-bound at d = 1
-    L = 16 then takes 431k page faults instead of 148k, and ~0.7 s longer."""
+    are alive, it leaves glibc reusing the heap a little worse: verify-bound
+    at d = 1 L = 16 then takes 11.8k page faults instead of 10.9k, and ~0.03 s
+    longer (one BLAS thread)."""
     n = len(M)
     need = DENSE_BYTES[command] * n * n
     have = physical_memory()
@@ -275,12 +277,14 @@ def cmd_verify_bound(args) -> int:
     sol = solve_gap(spec, M)
     rows = []
     ok_all = True
-    configs = [("bcs", bcs_config(spec, Q, sol.r0, 0.0))]
-    configs += [
-        (str(s), _scaled_field(spec, M, Q, args.scale, s))
-        for s in range(args.seed, args.seed + args.count)
-    ]
-    for label, phi in configs:
+
+    def configs():
+        """Each field drawn when it is evaluated: one |Q| vector alive at a time."""
+        yield "bcs", bcs_config(spec, Q, sol.r0, 0.0)
+        for s in range(args.seed, args.seed + args.count):
+            yield str(s), _scaled_field(spec, M, Q, args.scale, s)
+
+    for label, phi in configs():
         rep = bound_report(spec, M, phi)
         ok_all &= rep.chain_ok
         rows.append(

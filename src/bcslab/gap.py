@@ -160,11 +160,14 @@ def solve_gap_external(
         raise ValueError("external field solve requires lambda > 0")
     ratio = r.magnitude / spec.g
     # the equation of state strictly decreases in |y| and at y = -|r|/g equals
-    # gap_lhs > 0: the root has |y0| > |r|/g
+    # gap_lhs > 0: the root has |y0| > |r|/g.  In the ordered phase it is
+    # also positive at |y| = r0, the zero-field gap, so |y0| > r0: the outer
+    # end starts at 2 max(|r|/g, r0), near the root however small the field
+    r0 = solve_gap(spec, M).r0
     try:
         y0, residual, it = _bisect(
             lambda y: gap_lhs(spec, M, spec.lam * y**2) - 1.0 + ratio / abs(y),
-            -ratio, -2.0 * ratio, tol, "the external-field minimizer",
+            -ratio, -2.0 * max(ratio, r0), tol, "the external-field minimizer",
         )
     except OverflowError:  # y^2 left the float range
         raise GapConvergenceError(f"external field {r.magnitude:g} too large") from None

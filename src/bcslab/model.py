@@ -183,6 +183,14 @@ class TransferSet:
         rows = fdiff[:, None, :, None] * len(self.spatial_m) + sdiff[None, :, None, :]
         return rows.reshape(len(fdiff) * len(sdiff), -1)
 
+    @cached_property
+    def scratch(self) -> np.ndarray:
+        """Three N x N complex buffers that the determinant code reuses from
+        field to field (potential.reduced_matrix, bound.hadamard_rhs); built
+        on first access and kept, like diff_index."""
+        n = len(self.freq_diff) * len(self.spatial_diff)
+        return np.empty((3, n, n), dtype=complex)
+
 
 def build_transfer_set(M: MomentumSet) -> TransferSet:
     return TransferSet(M)

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 
 import bcslab as bl
-from bcslab.bound import _denominators
+from bcslab.bound import _denominators, _overlap_blocks
 from bcslab.gaussian import FlatGaussianMode
 from bcslab.potential import _potential, _shifted_field_sum
 
@@ -75,6 +75,17 @@ def overlap_prime_sq(spec, M, phi, k: int, t: int) -> float:
     num = spec.lam / spec.kappa * abs(phi_tk) ** 2 * abs(M.a[t] - M.a[k]) ** 2
     den = _denominators(spec, M, bl.field_norm(phi))
     return float(num / (den[k] * den[t]))
+
+
+def overlap_matrices(spec, M, phi):
+    """O1[k, t] = |(e_k, e_t)|^2 and O2[k, t] = |(e'_k, e_t)|^2 for all index
+    pairs, copied out of the row blocks that hadamard_rhs reduces in place."""
+    n = len(M)
+    o1, o2 = np.empty((n, n)), np.empty((n, n))
+    for k0, b1, b2 in _overlap_blocks(spec, M, phi):
+        o1[k0 : k0 + len(b1)] = b1
+        o2[k0 : k0 + len(b2)] = b2
+    return o1, o2
 
 
 def potential_external_reduced(spec, M, phi, r):

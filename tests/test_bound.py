@@ -1,13 +1,14 @@
 """Hadamard lower bound on Re V and the bound chain."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import bcslab as bl
-from bcslab.bound import _denominators, _overlap_matrices
-from oracles import index_of, labels, overlap_prime_sq, overlap_sq
+from bcslab.bound import _denominators
+from oracles import index_of, labels, overlap_matrices, overlap_prime_sq, overlap_sq
 
 
 def brute_autocorrelation(phi, q):
@@ -52,7 +53,7 @@ def test_overlap_prime_sq_oracle(small_spec, small_M, small_Q):
 
 def test_overlap_matrices_match_scalars(small_spec, small_M, small_Q):
     phi = bl.random_config(small_spec, small_Q, 1.0, seed=7)
-    o1, o2 = _overlap_matrices(small_spec, small_M, phi)
+    o1, o2 = overlap_matrices(small_spec, small_M, phi)
     for ik in range(len(small_M)):
         for it in range(len(small_M)):
             assert o1[ik, it] == pytest.approx(
@@ -67,7 +68,7 @@ def test_overlap_matrices_match_scalars(small_spec, small_M, small_Q):
 
 def test_overlaps_in_unit_interval(desk_spec, desk_M, desk_Q):
     phi = bl.random_config(desk_spec, desk_Q, 2.0, seed=1)
-    o1, o2 = _overlap_matrices(desk_spec, desk_M, phi)
+    o1, o2 = overlap_matrices(desk_spec, desk_M, phi)
     for o in (o1, o2):
         assert np.all(o >= 0.0)
         assert np.all(o <= 1.0)
@@ -114,3 +115,48 @@ def test_zero_field_chain(desk_spec, desk_M, desk_Q):
     assert rep.chain_ok
     assert rep.re_v == 0.0
     assert rep.rhs26 == pytest.approx(0.0, abs=1e-12)
+
+
+def _bound_fields(spec, Q, r0):
+    """The zero field, the BCS field, a clamped scale-10 field and random ones."""
+    return [
+        bl.FieldConfig(Q, np.zeros(len(Q), dtype=complex)),
+        bl.bcs_config(spec, Q, r0, 0.4),
+        bl.random_config(spec, Q, 10.0, seed=3),
+    ] + [bl.random_config(spec, Q, scale, seed) for seed, scale in ((0, 1.0), (1, 0.3), (2, 3.0))]
+
+
+@pytest.mark.parametrize("lattice", ["small", "desk"])
+def test_reused_scratch_matches_fresh_lattice(request, lattice):
+    # one lattice's scratch buffers, reused across fields in interleaved
+    # order and by the full route in between, give the report of a lattice
+    # built afresh for each field
+    spec = request.getfixturevalue(f"{lattice}_spec")
+    M = request.getfixturevalue(f"{lattice}_M")
+    Q = request.getfixturevalue(f"{lattice}_Q")
+    r0 = request.getfixturevalue(f"{lattice}_sol").r0
+    fields = _bound_fields(spec, Q, r0)
+    fresh = []
+    for phi in fields:
+        Q1 = bl.build_transfer_set(M)
+        fresh.append(bl.bound_report(spec, M, bl.FieldConfig(Q1, phi.values)))
+    for i in (2, 0, 5, 1, 4, 3, 2, 5, 0):
+        bl.potential_full(spec, M, fields[(i + 1) % len(fields)])
+        assert bl.bound_report(spec, M, fields[i]) == fresh[i]
+
+
+def test_bound_report_allocates_no_dense_matrix(desk_spec, desk_M, desk_Q, desk_sol):
+    # after the first field has built the scratch buffers, a field's traced
+    # allocations peak below one N x N float array (N^2 8 bytes)
+    fields = _bound_fields(desk_spec, desk_Q, desk_sol.r0)
+    bl.bound_report(desk_spec, desk_M, fields[-1])
+    limit = len(desk_M) ** 2 * 8
+    tracemalloc.start()
+    try:
+        for phi in fields:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            bl.bound_report(desk_spec, desk_M, phi)
+            assert tracemalloc.get_traced_memory()[1] - before < limit
+    finally:
+        tracemalloc.stop()

@@ -103,6 +103,17 @@ def test_external_minimizer_both_phases(small_spec, small_M, factor, mag):
         assert bl.vbcs_r(spec, small_M, sol.y0 + dy, r) > vmin
 
 
+@pytest.mark.parametrize("mag", [2e-61, 1e-300])
+def test_external_tiny_field(desk_spec, desk_M, desk_sol, mag):
+    # r0 g/|r| is far beyond 2^200 bracket doublings from -2|r|/g: the outer
+    # end starts at -2 r0 instead, and y0 is the zero-field gap to within tol
+    sol = bl.solve_gap_external(desk_spec, desk_M, bl.ExternalField(mag))
+    ratio = mag / desk_spec.g
+    residual = bl.gap_lhs(desk_spec, desk_M, desk_spec.lam * sol.y0**2) - 1.0 + ratio / abs(sol.y0)
+    assert sol.residual <= 1e-12 and abs(residual) <= 1e-12
+    assert sol.y0 == pytest.approx(-desk_sol.r0, rel=1e-9)
+
+
 def test_external_equation_of_state(desk_spec, desk_M):
     r = bl.ExternalField(1e-3)
     sol = bl.solve_gap_external(desk_spec, desk_M, r)

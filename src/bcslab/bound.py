@@ -9,9 +9,11 @@ log factor is <= 1 the chain Re V >= rhs >= V_BCS(||phi||) follows.
 bound_report runs once per field on its lattice's scratch buffers
 (`TransferSet.scratch`): Re V takes one gemm and one in-place LU there, and
 the overlaps are built, clamped, logged and summed in row blocks that reuse
-the same memory, so no N x N array is allocated per field.  With one BLAS
-thread the Hadamard side takes ~1.75 ms of a ~5.8 ms field at d = 1 L = 16
-(autocorrelation_all 0.6 ms of it) and ~46 of ~350 ms at d = 2 L = 8.
+the same memory, so no N x N array is allocated per field.  Measured with
+one BLAS thread on a 2-vCPU host (whose speed drifts by up to 2x from one
+minute to the next), the Hadamard side takes ~2.5 ms of a ~11.5 ms field
+at d = 1 L = 16 (autocorrelation_all 0.5 ms of it) and ~64 of ~700 ms at
+d = 2 L = 8 (autocorrelation_all ~29 ms).
 """
 
 from __future__ import annotations
@@ -34,9 +36,8 @@ def _denominators(spec: ModelSpec, M: MomentumSet, norm_sq: float) -> np.ndarray
     return M.k0**2 + M.e**2 + spec.lam * norm_sq
 
 
-# entries per row block of the overlap arrays.  The size hardly matters: at
-# d = 2 L = 8 a field's Hadamard side takes 43 ms with this one and 48 ms with
-# the largest blocks, 4N/5 rows, that let its five arrays share two buffers
+# entries per row block of the overlap arrays, rounded down to whole
+# frequencies of k (one frequency at least)
 BLOCK_ENTRIES = 1 << 15
 
 
@@ -46,37 +47,43 @@ def _overlap_blocks(spec: ModelSpec, M: MomentumSet, phi: FieldConfig):
 
     Entry (k, t) reads the transfer t - k, whose index is |Q| - 1 -
     diff_index[k, t], so the per-transfer numerators are reversed once and
-    gathered through contiguous rows of diff_index.  The blocks live in the
-    first two of the lattice's scratch buffers and are overwritten by the
-    next block; so is |a_k - a_t|^2, rebuilt per block rather than kept as
-    an N x N table.
+    gathered through contiguous rows of diff_index.  Both are multiplied by
+    one outer product of the inverse denominators.  A block holds whole
+    Matsubara frequencies of k, so |a_k - a_t|^2 = (k0_k - k0_t)^2 + (e_k -
+    e_t)^2 is one broadcast sum of a frequency table and a spatial table.
+    The blocks live in the first two of the lattice's scratch buffers and
+    are overwritten by the next block.
     """
     Q = phi.transfer
-    n = len(M)
-    den = _denominators(spec, M, field_norm(phi))
+    n, nf, ns = len(M), len(M.freq_n0), len(M.spatial_m)
+    inv = 1.0 / _denominators(spec, M, field_norm(phi))
     ratio = spec.lam / spec.kappa
     num1 = (np.abs(ratio * autocorrelation_all(phi)) ** 2)[::-1]
     num2 = (ratio * np.abs(phi.values) ** 2)[::-1]
-    w = max(1, min(4 * n // 5, BLOCK_ENTRIES // n))  # 5 w n floats fit in 2 n^2 complex
+    # |a_k - a_t|^2 at k = (a, s), t = (b, u) is dk0_sq[a, t] + de_sq[s, t]
+    freq, e = M.k0[::ns], M.e[:ns]
+    dk0_sq = np.repeat((freq[:, None] - freq[None, :]) ** 2, ns, axis=1)
+    de_sq = np.tile((e[:, None] - e[None, :]) ** 2, nf)
+    wf = max(1, min(nf, BLOCK_ENTRIES // (ns * n)))  # frequencies per block
+    size = wf * ns * n  # 3 blocks fit in 2 n^2 complex
     flat = Q.scratch[:2].reshape(-1).view(np.float64)
-    o1, o2, dd, gathered = (flat[i * w * n : (i + 1) * w * n].reshape(w, n) for i in range(4))
-    da = flat[3 * w * n : 5 * w * n].view(complex).reshape(w, n)  # gathered aliases it
-    for k0 in range(0, n, w):
-        rows = slice(k0, min(k0 + w, n))
-        h = rows.stop - k0
+    o1, o2, buf = (flat[i * size : (i + 1) * size] for i in range(3))
+    for f0 in range(0, nf, wf):
+        f1 = min(f0 + wf, nf)
+        rows = slice(f0 * ns, f1 * ns)
+        x, y, z = (b[: (f1 - f0) * ns * n].reshape(-1, n) for b in (o1, o2, buf))
         idx = Q.diff_index[rows]
-        np.multiply(den[rows, None], den[None, :], out=dd[:h])
-        x = np.take(num1, idx, out=o1[:h], mode="clip")
-        np.divide(x, dd[:h], out=x)
-        np.clip(x, 0.0, 1.0, out=x)
-        y = o2[:h]
-        np.subtract(M.a[None, :], M.a[rows, None], out=da[:h])
-        np.abs(da[:h], out=y)
-        np.square(y, out=y)
-        np.multiply(np.take(num2, idx, out=gathered[:h], mode="clip"), y, out=y)
-        np.divide(y, dd[:h], out=y)
-        np.clip(y, 0.0, 1.0, out=y)
-        yield k0, x, y
+        np.multiply(inv[rows, None], inv[None, :], out=z)
+        np.take(num1, idx, out=x, mode="clip")
+        x *= z
+        np.take(num2, idx, out=y, mode="clip")
+        y *= z
+        np.add(dk0_sq[f0:f1, None, :], de_sq[None, :, :], out=z.reshape(f1 - f0, ns, n))
+        y *= z
+        # both are products of nonnegative factors
+        np.minimum(x, 1.0, out=x)
+        np.minimum(y, 1.0, out=y)
+        yield rows.start, x, y
 
 
 def hadamard_rhs(spec: ModelSpec, M: MomentumSet, phi: FieldConfig):
@@ -95,9 +102,9 @@ def hadamard_rhs(spec: ModelSpec, M: MomentumSet, phi: FieldConfig):
             np.maximum(o, EPS_CLAMP, out=o)
             np.log(o, out=o)
         o1 += o2
-        o1 *= 0.5
         o1.reshape(-1)[k0 :: n + 1] = 0.0  # q = 0 excluded: entries k = t
         deficits += o1.sum(axis=0)
+    deficits *= 0.5
     best = int(np.argmin(deficits))  # most negative deficit gives the largest bound
     rhs = vbcs_sum(spec, M, math.sqrt(field_norm(phi))) - float(deficits[best])
     return rhs, best

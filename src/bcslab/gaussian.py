@@ -40,8 +40,9 @@ class GaussianReport:
 
 def pair_denominator(alpha, beta_coef, gamma):
     """alpha^2 + gamma^2 + 2 alpha beta, elementwise; FlatGaussianMode unless
-    every value is positive."""
-    den = alpha**2 + gamma**2 + 2.0 * alpha * beta_coef
+    every value is positive.  The squares are products: on a numpy scalar
+    ** 2 calls libm pow, which need not round as an array's square does."""
+    den = alpha * alpha + gamma * gamma + 2.0 * alpha * beta_coef
     if np.any(den <= 0.0):
         raise FlatGaussianMode("flat Gaussian mode")
     return den

@@ -184,6 +184,20 @@ class TransferSet:
         return rows.reshape(len(fdiff) * len(sdiff), -1)
 
     @cached_property
+    def fft_box(self):
+        """(padded, scatter, gather) for autocorrelation_all: the (n0, m)
+        bounding box of Q, each axis zero-padded to fft_length(2 n - 1) so the
+        cyclic correlation does not wrap; transfer i sits at flat position
+        scatter[i] of the padded box, and the correlation at lag q is read
+        from flat position gather[i].  Built on first access and kept."""
+        coords = np.column_stack((self.n0, self.mvec))
+        lo = coords.min(axis=0)
+        padded = tuple(fft_length(2 * int(n) - 1) for n in coords.max(axis=0) - lo + 1)
+        scatter = np.ravel_multi_index(tuple((coords - lo).T), padded)
+        gather = np.ravel_multi_index(tuple((coords % padded).T), padded)
+        return padded, scatter, gather
+
+    @cached_property
     def scratch(self) -> np.ndarray:
         """Three N x N complex buffers that the determinant code reuses from
         field to field (potential.reduced_matrix, bound.hadamard_rhs); built
@@ -259,17 +273,32 @@ def random_config(
     return FieldConfig(Q, values)
 
 
+def fft_length(n: int) -> int:
+    """Smallest length >= n whose prime factors are all in {2, 3, 5, 7, 11},
+    the radices pocketfft runs without Bluestein's algorithm."""
+    m = n
+    while True:
+        r = m
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
 def autocorrelation_all(phi: FieldConfig) -> np.ndarray:
     """A(q) = sum_p phi_p conj(phi_{p+q}) for every q in Q, via zero-padded FFT."""
-    Q = phi.transfer
-    coords = np.column_stack((Q.n0, Q.mvec))
-    lo = coords.min(axis=0)
-    shape = coords.max(axis=0) - lo + 1
-    dense = np.zeros(shape, dtype=complex)
-    dense[tuple((coords - lo).T)] = phi.values
-    padded = tuple((2 * shape - 1).tolist())
-    axes = tuple(range(len(shape)))
-    f = np.fft.fftn(dense, s=padded, axes=axes)
+    padded, scatter, gather = phi.transfer.fft_box
+    f = np.zeros(padded, dtype=complex)
+    f.reshape(-1)[scatter] = phi.values
+    f = np.fft.fftn(f)
+    # |f|^2 in place, by real products: a complex f * conj(f) leaves an
+    # imaginary residue whose rounding depends on numpy's multiply kernel
+    re, im = f.real, f.imag
+    re *= re
+    im *= im
+    re += im
+    im[...] = 0.0
     # B[dq] = sum_p phi_{p+dq} conj(phi_p); A(q) = conj(B[q])
-    B = np.fft.ifftn(f * np.conj(f), axes=axes)
-    return np.conj(B[tuple((coords % padded).T)])
+    return np.conj(np.fft.ifftn(f).reshape(-1)[gather])

@@ -13,15 +13,15 @@ differencing, where its imaginary part is smooth near the minimum; the full
 route serves eval and the external-field route, and is the oracle in the
 checks.  The routes build the reduced matrix in their lattice's scratch
 buffers (`TransferSet.scratch`): per field two gathers, one gemm with out=
-and one LU in place, and no N x N allocation.  With one BLAS thread a
-verify-bound field takes ~5.8 ms at d = 1 L = 16 (N = 300), 3.7 of them in
-the gemm and the LU, and ~350 ms at d = 2 L = 8 (N = 1400), 310 of them
-there; the rest is the Hadamard bound.  verify-bound at d = 1 L = 16 with
-200 fields takes ~1.4 s and 10.7k minor page faults, where N x N
-temporaries allocated per field took ~1.75 s and 148k.  Finite
-differencing goes through `DisplacedPotential`: its base carries only the
-zero mode, so a displaced field lives on at most three transfers and its
-reduced matrix has a few entries per row.  It is assembled in O(N) as a
+and one LU in place, and no N x N allocation.  With one BLAS thread on a
+2-vCPU host a verify-bound field takes ~11.5 ms at d = 1 L = 16 (N = 300),
+9 of them in the gathers, the gemm and the LU, and ~700 ms at d = 2 L = 8
+(N = 1400), ~640 of them there; the rest is mostly the Hadamard bound.
+verify-bound at d = 1 L = 16 with 200 fields takes ~16.9k minor page
+faults, as many as with one field.  Finite differencing goes through
+`DisplacedPotential`: its base carries only the zero mode, so a displaced
+field lives on at most three transfers and its reduced matrix has a few
+entries per row.  It is assembled in O(N) as a
 scipy.sparse matrix, and `logdet` factors it by sparse LU; dense matrices
 go to LAPACK.  scipy.linalg and scipy.sparse are imported inside
 `logdet`'s two branches, and the N x N `diff_index` is built on the first

@@ -66,6 +66,45 @@ def test_overlap_matrices_match_scalars(small_spec, small_M, small_Q):
             )
 
 
+def _d2_lattice():
+    probe = bl.ModelSpec(d=2, L=4.0, beta=2.0, nu=4.0, lam=0.0)
+    lam_c = bl.critical_coupling(probe, bl.build_momentum_set(probe))
+    spec = bl.ModelSpec(d=2, L=4.0, beta=2.0, nu=4.0, lam=2.0 * lam_c)
+    M = bl.build_momentum_set(spec)
+    return spec, M, bl.build_transfer_set(M)
+
+
+@pytest.mark.parametrize("lattice", ["small-d1", "d2-L4"])
+def test_hadamard_rhs_matches_dense_deficits(request, monkeypatch, lattice):
+    # deficits summed entry by entry from the scalar overlaps, under the
+    # package's clamp and under a clamp of 0.99 that binds on many entries
+    # (no Gram overlap exceeds 1, so 1e-300 binds only where rounding
+    # carries one to 1: on these fields, scale 10 included, it never does)
+    if lattice == "small-d1":
+        spec, M, Q = (request.getfixturevalue(f"small_{x}") for x in ("spec", "M", "Q"))
+    else:
+        spec, M, Q = _d2_lattice()
+    n = len(M)
+    pairs = [(k, t) for t in range(n) for k in range(n) if k != t]
+    for phi in (bl.random_config(spec, Q, 1.0, seed=0), bl.random_config(spec, Q, 10.0, seed=3)):
+        overlaps = [
+            (t, o)
+            for k, t in pairs
+            for o in (overlap_sq(spec, M, phi, k, t), overlap_prime_sq(spec, M, phi, k, t))
+        ]
+        vb = bl.vbcs_sum(spec, M, math.sqrt(bl.field_norm(phi)))
+        for clamp in (bl.bound.EPS_CLAMP, 0.99):
+            monkeypatch.setattr(bl.bound, "EPS_CLAMP", clamp)
+            deficits = np.zeros(n)
+            for t, o in overlaps:
+                deficits[t] += 0.5 * math.log(max(1.0 - o, clamp))
+            binding = sum(1.0 - o < clamp for _, o in overlaps)
+            assert binding > 0 if clamp == 0.99 else binding == 0
+            rhs, best = bl.hadamard_rhs(spec, M, phi)
+            assert best == int(np.argmin(deficits))
+            assert rhs == pytest.approx(vb - deficits.min(), rel=1e-10, abs=1e-12)
+
+
 def test_overlaps_in_unit_interval(desk_spec, desk_M, desk_Q):
     phi = bl.random_config(desk_spec, desk_Q, 2.0, seed=1)
     o1, o2 = overlap_matrices(desk_spec, desk_M, phi)

@@ -205,9 +205,26 @@ def test_lambda2_array_matches_scalar_formula(desk_spec, desk_qf):
     ref = []
     for i in nz:
         a, b, g = desk_qf.alpha[i], desk_qf.beta_coef[i], desk_qf.gamma[i]
-        den = a**2 + g**2 + 2.0 * a * b
+        den = a * a + g * g + 2.0 * a * b
         ref.append((complex(a + b, g) / den - 1.0) / desk_spec.lam)
     assert np.array_equal(got, np.array(ref))
+
+
+def test_index_and_array_paths_agree_d2():
+    # one transfer index and an index array give the same bits: at d=2 L=8 a
+    # scalar alpha**2 (libm pow) missed the array square by one ulp
+    probe = bl.ModelSpec(d=2, L=8.0, beta=8.0, nu=20.0, lam=0.0)
+    lam_c = bl.critical_coupling(probe, bl.build_momentum_set(probe))
+    spec = bl.ModelSpec(d=2, L=8.0, beta=8.0, nu=20.0, lam=2.0 * lam_c)
+    M = bl.build_momentum_set(spec)
+    Q = bl.build_transfer_set(M)
+    qf = bl.coefficients(spec, M, Q, bl.solve_gap(spec, M).r0, 0.0)
+    nz = nonzero(Q)
+    factors = bl.pair_factor(qf, nz)
+    lam2 = bl.lambda2(spec, qf, nz)
+    for j, i in enumerate(nz.tolist()):
+        assert bl.pair_factor(qf, i) == factors[j], i
+        assert bl.lambda2(spec, qf, i) == lam2[j], i
 
 
 def test_sums_match_sequential_loops(desk_spec, desk_qf):

@@ -187,7 +187,8 @@ def transfer_set_oracle(M):
 
 
 def autocorrelation_all_oracle(phi):
-    """The zero-padded FFT autocorrelation with per-transfer scatter and gather."""
+    """The zero-padded FFT autocorrelation with per-transfer scatter and gather;
+    each axis is padded to the package's FFT length for 2 n - 1."""
     Q = phi.transfer
     n_lo = int(Q.n0.min())
     m_lo = Q.mvec.min(axis=0)
@@ -198,10 +199,10 @@ def autocorrelation_all_oracle(phi):
     for i, (n0, m) in enumerate(labels(Q)):
         idx = (n0 - n_lo,) + tuple(int(mi - l) for mi, l in zip(m, m_lo))
         dense[idx] = phi.values[i]
-    padded = [2 * s - 1 for s in shape]
+    padded = [bl.model.fft_length(2 * s - 1) for s in shape]
     axes = tuple(range(len(shape)))
     f = np.fft.fftn(dense, s=padded, axes=axes)
-    B = np.fft.ifftn(f * np.conj(f), axes=axes)
+    B = np.fft.ifftn(f.real**2 + f.imag**2, axes=axes)
     out = np.empty(len(Q), dtype=complex)
     for i, (n0, m) in enumerate(labels(Q)):
         idx = tuple(int(s) % p for s, p in zip((n0,) + m, padded))
@@ -273,6 +274,18 @@ def test_expansion_leaves_diff_index_unbuilt(monkeypatch):
     qf = bl.coefficients(spec, M, Q, sol.r0, 0.0)
     bl.gaussian_report(spec, qf)
     bl.decomposition_lhs(spec, M, Q, sol.delta_sq)
+
+
+@pytest.mark.parametrize("lattice", ["small-d2", "d3-L4", "gapped"], indirect=True)
+def test_autocorrelation_all_matches_pointwise_d2_d3(lattice):
+    # mixed padded axis lengths, (5, 18, 18, 18) on d3-L4, against the direct sum
+    Q = bl.build_transfer_set(lattice)
+    phi = bl.random_config(lattice.spec, Q, 1.0, seed=11)
+    allvals = bl.autocorrelation_all(phi)
+    for i in np.random.default_rng(0).choice(len(Q), size=min(25, len(Q)), replace=False):
+        assert allvals[int(i)] == pytest.approx(
+            autocorrelation(phi, int(i)), rel=1e-10, abs=1e-10
+        )
 
 
 def test_autocorrelation_all_matches_oracle(lattice):

@@ -3,6 +3,7 @@ attractive-delta many-electron system."""
 
 from .model import (
     DispersionSpec,
+    ExternalField,
     FieldConfig,
     ModelSpec,
     MomentumSet,
@@ -17,7 +18,6 @@ from .model import (
 )
 from .potential import (
     DisplacedPotential,
-    ExternalField,
     PotentialValue,
     SingularMatrixError,
     assemble_block,

@@ -22,6 +22,7 @@ import numpy as np
 
 from .model import (
     DispersionSpec,
+    ExternalField,
     FieldConfig,
     ModelSpec,
     bcs_config,
@@ -31,7 +32,7 @@ from .model import (
     nondegeneracy_check,
     random_config,
 )
-from .potential import ExternalField, potential_full, potential_reduced
+from .potential import potential_full, potential_reduced
 from .gap import (
     GapConvergenceError,
     critical_coupling,
@@ -102,18 +103,12 @@ def parse_config(path: str | None) -> dict:
 
 
 def build_spec(cfg: dict):
-    """ModelSpec from config values; lambda defaults to lambda_factor * lambda_c."""
-    disp = DispersionSpec(kind=cfg.get("dispersion", "tight_binding"), t=cfg.get("t", 1.0))
-    base = dict(
-        d=cfg.get("d", 1),
-        L=cfg.get("L", 16.0),
-        beta=cfg.get("beta", 8.0),
-        nu=cfg.get("nu", 20.0),
-        mu=cfg.get("mu", 0.0),
-        dispersion=disp,
-        energy_window=cfg.get("energy_window", 1.0),
-    )
+    """ModelSpec from the keys the config sets, the rest at ModelSpec's and
+    DispersionSpec's defaults; lambda defaults to lambda_factor * lambda_c."""
+    disp = {f: cfg[k] for k, f in (("dispersion", "kind"), ("t", "t")) if k in cfg}
+    base = {k: cfg[k] for k in ("d", "L", "beta", "nu", "mu", "energy_window") if k in cfg}
     try:
+        base["dispersion"] = DispersionSpec(**disp)
         probe = ModelSpec(lam=0.0, **base)
         M0 = build_momentum_set(probe)
         lam_c = critical_coupling(probe, M0)
@@ -128,7 +123,7 @@ def build_spec(cfg: dict):
     return spec, M, lam_c
 
 
-def parse_external(arg: str | None, lam: float) -> ExternalField | None:
+def parse_external(arg: str | None, spec) -> ExternalField | None:
     if arg is None:
         return None
     parts = arg.split(",")
@@ -141,9 +136,12 @@ def parse_external(arg: str | None, lam: float) -> ExternalField | None:
         raise ConfigError("--external magnitude must be positive and finite")
     if not math.isfinite(phase):
         raise ConfigError("--external phase must be finite")
-    if lam == 0.0:
-        raise ConfigError("--external needs lambda > 0: the field term is |r|/sqrt(lambda)")
-    return ExternalField(magnitude=mag, phase=phase)
+    r = ExternalField(magnitude=mag, phase=phase)
+    try:
+        r.ratio(spec)  # the field's own lambda rule
+    except ValueError as exc:
+        raise ConfigError(f"--external {exc}") from None
+    return r
 
 
 def check_output(path: str | None):
@@ -187,10 +185,12 @@ def _scaled_field(spec, M, Q, scale: float, seed: int) -> FieldConfig:
 
 
 # bytes per (k, p) pair of M that a subcommand's dense matrices hold at once,
-# at least: eval's 2N x 2N complex block and LAPACK's copy of it (2 * 4 * 16),
-# and the reduced route's three scratch buffers (3 * 16, model.TransferSet.scratch)
-# with the transfer index (8); at N = 1400 eval peaks 145 bytes per pair above
-# import, verify-bound --count 3 71 and hessian-check 67
+# at least: eval's 2N x 2N complex block (4 * 16), factored in place, with the
+# transfer index (8) and, while the block is filled, phi's matrix and two
+# products of it (3 * 16), 120 in all; and the reduced route's three scratch
+# buffers (3 * 16, model.TransferSet.scratch) with the transfer index (8).  At
+# N = 1400 eval peaks 129 bytes per pair above import (145 while LAPACK copied
+# a C-ordered block; 128 is kept), verify-bound --count 3 71 and hessian-check 67
 DENSE_BYTES = {"eval": 128, "verify-bound": 56, "hessian-check": 56}
 
 
@@ -238,7 +238,7 @@ def cmd_lattice_info(args) -> int:
 
 def cmd_gap(args) -> int:
     spec, M, lam_c = build_spec(parse_config(args.config))
-    r = parse_external(args.external, spec.lam)
+    r = parse_external(args.external, spec)
     if r is not None:
         sol = solve_gap_external(spec, M, r, tol=args.tol)
         print(f"y0 {FMT % sol.y0}")
@@ -471,7 +471,7 @@ def cmd_scan(args) -> int:
 
 def cmd_external(args) -> int:
     spec, M, _ = build_spec(parse_config(args.config))
-    r = parse_external(args.external, spec.lam)
+    r = parse_external(args.external, spec)
     Q = build_transfer_set(M)
     sol = solve_gap_external(spec, M, r, tol=args.tol)
     try:

@@ -17,6 +17,10 @@ gap residual.  The decomposition
 
 then holds exactly per k and is exposed for verification.  As lam -> 0,
 beta_q -> 0 and alpha_q + i gamma_q -> 1, matching V = sum |phi_q|^2.
+
+A QuadraticForm records its expansion point: r0, theta0 and the field, None
+from `coefficients` and r from `coefficients_external` (theta0 = r's phase),
+which `analytic_hessian` and `u2_external` read from it.
 """
 
 from __future__ import annotations
@@ -27,14 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FieldConfig, ModelSpec, MomentumSet, TransferSet, bcs_config
+from .model import (
+    ExternalField, FieldConfig, ModelSpec, MomentumSet, TransferSet, bcs_config
+)
 from .gap import vbcs_r, vbcs_sum
-from .potential import DisplacedPotential, ExternalField, potential_reduced
+from .potential import DisplacedPotential, potential_reduced
 
 
 @dataclass
 class QuadraticForm:
-    """Expansion coefficients aligned to the transfer-set ordering."""
+    """Expansion coefficients aligned to Q, and the field expanded with (or None)."""
 
     transfer: TransferSet
     alpha: np.ndarray
@@ -44,8 +50,8 @@ class QuadraticForm:
     r0: float
     theta0: float
     v_min: float
-    e_sq: np.ndarray
     shift: float = 0.0
+    field: ExternalField | None = None
 
 
 def _pair_sum(M: MomentumSet, Q: TransferSet, weight) -> np.ndarray:
@@ -70,7 +76,7 @@ def _pair_sum(M: MomentumSet, Q: TransferSet, weight) -> np.ndarray:
     return out.ravel()
 
 
-def _quadratic_form(spec, M, Q, r0: float, theta0: float, v_min: float, shift=0.0):
+def _quadratic_form(spec, M, Q, r0, theta0, v_min, shift=0.0, field=None):
     """Coefficients with E_k^2 = k0^2 + e_k^2 + lam r0^2 and stiffness `shift`."""
     delta_sq = spec.lam * r0**2
     ratio = spec.lam / spec.kappa
@@ -93,7 +99,7 @@ def _quadratic_form(spec, M, Q, r0: float, theta0: float, v_min: float, shift=0.
     return QuadraticForm(
         transfer=Q, alpha=alpha, beta_coef=beta_coef, gamma=ratio * gamma_num,
         beta0=float(beta_coef[Q.zero_index]), r0=r0, theta0=theta0, v_min=v_min,
-        e_sq=e_sq, shift=shift,
+        shift=shift, field=field,
     )
 
 
@@ -107,12 +113,12 @@ def coefficients(
 def coefficients_external(
     spec: ModelSpec, M: MomentumSet, Q: TransferSet, y0: float, r: ExternalField
 ) -> QuadraticForm:
-    """Same coefficients with E_k^2 = k0^2 + e_k^2 + lam y0^2 and the
-    field-induced extra stiffness shift = |r|/(g |y0|)."""
-    if y0 == 0.0:
-        raise ValueError("y0 = 0: external-field stiffness undefined")
-    shift = r.magnitude / (spec.g * abs(y0))
-    return _quadratic_form(spec, M, Q, y0, r.phase, vbcs_r(spec, M, y0, r), shift)
+    """Same coefficients with E_k^2 = k0^2 + e_k^2 + lam y0^2, the
+    field-induced extra stiffness shift = |r|/(g |y0|) and theta0 = r's phase."""
+    if y0 == 0.0 or not r:  # the zero field is no field: use `coefficients`
+        raise ValueError("external-field stiffness needs y0 != 0 and a nonzero field")
+    shift = r.ratio(spec, y=abs(y0))
+    return _quadratic_form(spec, M, Q, y0, r.phase, vbcs_r(spec, M, y0, r), shift, r)
 
 
 def decomposition_lhs(
@@ -154,14 +160,14 @@ def v2(spec: ModelSpec, qf: QuadraticForm, phi: FieldConfig) -> complex:
     return complex(_second_order(qf, phi, rad, qf.theta0, 1.0))
 
 
-def u2_external(
-    spec: ModelSpec, qf: QuadraticForm, phi: FieldConfig, r: ExternalField
-) -> complex:
+def u2_external(spec: ModelSpec, qf: QuadraticForm, phi: FieldConfig) -> complex:
     """Second-order approximation of U_r around phi_0 = i sqrt(kappa) y0."""
+    if qf.field is None:
+        raise ValueError("u2_external needs a form from coefficients_external")
     Q = qf.transfer
     z0 = phi.values[Q.zero_index]
     dv = z0.imag - math.sqrt(spec.kappa) * qf.r0
-    total = _second_order(qf, phi, 2.0 * qf.beta0 * dv**2, r.phase, -1.0)
+    total = _second_order(qf, phi, 2.0 * qf.beta0 * dv**2, qf.theta0, -1.0)
     rest = float(np.sum(np.abs(np.delete(phi.values, Q.zero_index)) ** 2))
     return complex(total + qf.shift * (z0.real**2 + dv**2 + rest))
 
@@ -177,9 +183,7 @@ def _coordinates(Q: TransferSet, coords) -> np.ndarray:
     return c
 
 
-def analytic_hessian(
-    spec: ModelSpec, qf: QuadraticForm, r: ExternalField | None = None, coords=None
-):
+def analytic_hessian(spec: ModelSpec, qf: QuadraticForm, coords=None):
     """Hessian of the quadratic form in the real coordinates (u_q, v_q).
 
     Coordinate 2 i is u of transfer index i, coordinate 2 i + 1 is v; `coords`
@@ -187,23 +191,23 @@ def analytic_hessian(
     submatrix is built.  Returns (real part, imaginary part).  Transfer i
     couples with itself only on the diagonal, 2 alpha + 2 beta (+ 2 shift) and
     2 gamma, and with -i = `Q.neg_index[i]` through 2 beta cos 2 theta (u u),
-    -2 beta cos 2 theta (v v) and 2 beta sin 2 theta (u v), signs flipped with
-    a field and beta read at the orbit's lower index.  With an external field
-    the condensate block is 2*shift on u_0 and 4*beta0 + 2*shift on v_0;
-    without it the block is 4*beta0 along e^{i theta0} and flat tangentially.
+    -2 beta cos 2 theta (v v) and 2 beta sin 2 theta (u v), theta = theta0,
+    signs flipped with a field and beta read at the orbit's lower index.  With
+    the form's external field the condensate block is 2*shift on u_0 and
+    4*beta0 + 2*shift on v_0; without it the block is 4*beta0 along
+    e^{i theta0} and flat tangentially.
     """
     Q = qf.transfer
     z = Q.zero_index
     c = _coordinates(Q, coords)
     t, p = c // 2, c % 2  # transfer index; 0 for u, 1 for v
     lo = np.minimum(t, Q.neg_index[t])
-    if r is not None:
-        block = np.diag([2.0 * qf.shift, 4.0 * qf.beta0 + 2.0 * qf.shift])
-        two_phase, sign, two_shift = 2.0 * r.phase, -1.0, 2.0 * qf.shift
+    two_phase, two_shift = 2.0 * qf.theta0, 2.0 * qf.shift  # shift is 0 without a field
+    if qf.field is not None:
+        block, sign = np.diag([two_shift, 4.0 * qf.beta0 + two_shift]), -1.0
     else:
         er = np.array([math.cos(qf.theta0), math.sin(qf.theta0)])
-        block = 4.0 * qf.beta0 * np.outer(er, er)
-        two_phase, sign, two_shift = 2.0 * qf.theta0, 1.0, 0.0
+        block, sign = 4.0 * qf.beta0 * np.outer(er, er), 1.0
     c2, s2 = sign * math.cos(two_phase), sign * math.sin(two_phase)
     two_a, two_b = 2.0 * qf.alpha[t], 2.0 * qf.beta_coef[lo]
     # summed as the reference loop in the tests sums them (an orbit's lower
@@ -233,15 +237,12 @@ def fd_hessian(
 
     `coords` restricts to a coordinate subset (indices into the 2|Q| real
     coordinates, u before v per transfer index); the result is the exact
-    Hessian submatrix.  Returns (real part, imaginary part), symmetrized.
-    Every displaced value comes from one `DisplacedPotential` on `base`: the
-    reduced route, whose pivots stay near the positive axis around the
-    minimum, so the per-pivot imaginary part differences smoothly.  `base`
-    must carry only the zero mode, as the mean-field minimum does; a base
-    with any other nonzero transfer raises ValueError.  A displaced field
-    then lives on at most three transfers, and its reduced matrix, with at
-    most nine entries per row, is assembled in O(N) and factored by sparse
-    LU.
+    Hessian submatrix.  Returns (real part, imaginary part), each exactly
+    symmetric: one mixed difference fills both (a, b) and (b, a).  Every
+    displaced value comes from one `DisplacedPotential` on `base`, which must
+    carry only the zero mode, as the mean-field minimum does: the reduced
+    route, whose pivots stay near the positive axis around the minimum, so
+    the per-pivot imaginary part differences smoothly.
     """
     if not (h > 0 and math.isfinite(h)):
         raise ValueError("h must be positive and finite")
@@ -266,7 +267,6 @@ def fd_hessian(
             val = (fpp + fmm - fpm - fmp) / (4.0 * h**2)
             out[a, b] = val
             out[b, a] = val
-    out = 0.5 * (out + out.T)
     return out.real.copy(), out.imag.copy()
 
 

@@ -8,7 +8,8 @@ where the left-hand side is smooth and strictly decreasing.  With an external
 field the minimizer y0 < 0 of V_BCS,r solves the equation of state
 (lambda/kappa) sum_k 1/E_k^2 = 1 - |r|/(g|y|), E_k^2 = k0^2 + e_k^2 + lam y^2,
 whose two sides differ monotonically in |y|.  Both are solved by one
-bracket-and-bisect loop.
+bracket-and-bisect loop.  The field's |r|/g is `model.ExternalField.ratio`:
+0 for the zero field, refused at lambda = 0.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, MomentumSet
-from .potential import ExternalField
+from .model import ExternalField, ModelSpec, MomentumSet
 
 # bisection steps, bracket doublings included, before a solver gives up
 MAX_ITER = 400
@@ -83,7 +83,7 @@ def vbcs_cosh(spec: ModelSpec, M: MomentumSet, rho: float) -> float:
 
 def vbcs_r(spec: ModelSpec, M: MomentumSet, y: float, r: ExternalField) -> float:
     """kappa[(y + |r|/g)^2 - (1/kappa) sum_k log(1 + lam y^2/(k0^2+e_k^2))]."""
-    return _sum_form(spec, M, y, r.magnitude / spec.g if r.magnitude > 0 else 0.0)
+    return _sum_form(spec, M, y, r.ratio(spec))
 
 
 def gap_lhs(spec: ModelSpec, M: MomentumSet, delta_sq: float) -> float:
@@ -152,13 +152,11 @@ def solve_gap_external(
     spec: ModelSpec, M: MomentumSet, r: ExternalField, tol: float = 1e-12
 ) -> GapSolution:
     """Unique global minimizer y0 < 0 of vbcs_r: the root of the equation of state."""
-    if r.magnitude <= 0:
+    if not r:
         raise ValueError("external field magnitude must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if spec.lam == 0.0:
-        raise ValueError("external field solve requires lambda > 0")
-    ratio = r.magnitude / spec.g
+    ratio = r.ratio(spec)
     # the equation of state strictly decreases in |y| and at y = -|r|/g equals
     # gap_lhs > 0: the root has |y0| > |r|/g.  In the ordered phase it is
     # also positive at |y| = r0, the zero-field gap, so |y0| > r0: the outer

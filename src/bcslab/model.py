@@ -1,4 +1,4 @@
-"""Lattice momenta, dispersions and auxiliary-field configurations.
+"""Lattice momenta, dispersions, auxiliary fields and the external field.
 
 Fermionic momenta live on the odd Matsubara grid k0 = (pi/beta)(2 n0 + 1),
 bosonic transfer momenta on the even grid q0 = (2 pi/beta) n0.  Spatial
@@ -17,6 +17,7 @@ the {q, -q} orbit representatives (see TransferSet).
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -244,6 +245,42 @@ class FieldConfig:
 
     def copy(self) -> "FieldConfig":
         return FieldConfig(self.transfer, self.values.copy())
+
+
+@dataclass(frozen=True)
+class ExternalField:
+    """U(1)-breaking pairing field r = magnitude * e^{i phase}, with its rules:
+    both numbers finite, the magnitude nonnegative.  The zero field (any phase)
+    is no field: false, with `ratio` 0 and `tilt` 1, so U_r is V.  Any other
+    field enters as |r|/g, g = sqrt(lambda): `ratio` refuses it at lambda = 0."""
+
+    magnitude: float = 0.0
+    phase: float = 0.0
+
+    def __post_init__(self):
+        if not (0.0 <= self.magnitude < math.inf and math.isfinite(self.phase)):
+            raise ValueError("external field needs finite magnitude >= 0 and phase")
+
+    def __bool__(self) -> bool:
+        return self.magnitude != 0.0
+
+    @property
+    def value(self) -> complex:
+        return self.magnitude * cmath.exp(1j * self.phase)
+
+    @property
+    def tilt(self) -> complex:
+        """e^{i phase}, by which U_r rotates the zero mode."""
+        return cmath.exp(1j * self.phase) if self else 1.0
+
+    def ratio(self, spec: ModelSpec, scale: float = 1.0, y: float = 1.0) -> float:
+        """scale |r| / (g y), in that order: |r|/g, sqrt(kappa)|r|/g (U_r's
+        zero-mode shift) or |r|/(g |y0|) (the expansion's stiffness)."""
+        if not self:
+            return 0.0
+        if spec.lam == 0.0:
+            raise ValueError("needs lambda > 0: the field term is |r|/sqrt(lambda)")
+        return scale * self.magnitude / (spec.g * y)
 
 
 def bcs_config(spec: ModelSpec, Q: TransferSet, r0: float, theta: float) -> FieldConfig:

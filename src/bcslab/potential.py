@@ -5,34 +5,28 @@ matrix [[Id, C (ig/sqrt(kappa)) phi*], [Cbar (ig/sqrt(kappa)) phi, Id]]
 with (phi)_{k,p} = phi_{k-p} and C = diag(1/a_k), a_k = i k0 - e_k.  Its
 N x N Schur complement Id + (lambda/kappa) Cbar phi C phi* has the same
 determinant: the routes agree in the real part, and their per-pivot imaginary
-parts may differ by 2 pi k.  An external field r enters U_r only as a shift
-of the zero mode and a tilt by r's phase (`potential_external`); the
-mean-field closed forms V_BCS live in `gap`.  The reduced
-route serves Re V, the bound chain, the cubic remainder probe and finite
-differencing, where its imaginary part is smooth near the minimum; the full
-route serves eval and the external-field route, and is the oracle in the
-checks.  The routes build the reduced matrix in their lattice's scratch
-buffers (`TransferSet.scratch`): per field two gathers, one gemm with out=
-and one LU in place, and no N x N allocation.  With one BLAS thread on a
-2-vCPU host a verify-bound field takes ~11.5 ms at d = 1 L = 16 (N = 300),
-9 of them in the gathers, the gemm and the LU, and ~700 ms at d = 2 L = 8
-(N = 1400), ~640 of them there; the rest is mostly the Hadamard bound.
-verify-bound at d = 1 L = 16 with 200 fields takes ~16.9k minor page
-faults, as many as with one field.  Finite differencing goes through
-`DisplacedPotential`: its base carries only the zero mode, so a displaced
-field lives on at most three transfers and its reduced matrix has a few
-entries per row.  It is assembled in O(N) as a
-scipy.sparse matrix, and `logdet` factors it by sparse LU; dense matrices
-go to LAPACK.  scipy.linalg and scipy.sparse are imported inside
-`logdet`'s two branches, and the N x N `diff_index` is built on the first
-call that needs it, so a process that takes no determinant pays for
-neither.  The reduced-route U_r and the propagators serve only as test
-oracles and live with the tests.
+parts may differ by 2 pi k.  An external field r (`model.ExternalField`)
+enters U_r only through its `ratio`, which shifts the zero mode's imaginary
+part in the sum term, and its `tilt`, which rotates the zero mode in the
+determinant; the zero field gives V.  The mean-field closed forms V_BCS live
+in `gap`; the reduced-route U_r and the propagators, test oracles only, live
+with the tests.
+
+The reduced route serves Re V, the bound chain, the cubic remainder probe and
+finite differencing, where its imaginary part is smooth near the minimum; the
+full route serves eval and the external-field route, and is the oracle in the
+checks.  Both are factored in place: the full route's block is built
+Fortran-ordered, and the reduced matrix in the lattice's scratch buffers
+(`TransferSet.scratch`) by two gathers and one gemm with out=, so a bound
+field allocates no N x N array.  Finite differencing goes through
+`DisplacedPotential`, whose sparse reduced matrices `logdet` factors by
+sparse LU.  scipy.linalg and scipy.sparse are imported inside `logdet`'s two
+branches, and the N x N `diff_index` is built on the first call that needs
+it, so a process that takes no determinant pays for neither.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 import warnings
@@ -40,27 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FieldConfig, ModelSpec, MomentumSet
+from .model import ExternalField, FieldConfig, ModelSpec, MomentumSet
 
 
 class SingularMatrixError(ValueError):
     """Raised when the block matrix is exactly singular (Re V = +inf)."""
-
-
-@dataclass(frozen=True)
-class ExternalField:
-    """U(1)-breaking pairing field r = magnitude * e^{i phase}."""
-
-    magnitude: float = 0.0
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.magnitude < 0:
-            raise ValueError("external field magnitude must be nonnegative")
-
-    @property
-    def value(self) -> complex:
-        return self.magnitude * cmath.exp(1j * self.phase)
 
 
 @dataclass
@@ -161,13 +139,14 @@ def phi_matrix(M: MomentumSet, phi: FieldConfig) -> np.ndarray:
 
 def assemble_block(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> np.ndarray:
     """2N x 2N block matrix of the quadratic fermion form at r = 0; a field
-    enters only as `potential_external`'s zero-mode shift and tilt."""
+    enters only as `potential_external`'s zero-mode shift and tilt.
+    Fortran-ordered, so `logdet(overwrite=True)` factors it in place."""
     n = len(M)
     pref = 1j * spec.g / math.sqrt(spec.kappa)
     Phi = phi_matrix(M, phi)
     C = 1.0 / M.a
     Cbar = 1.0 / np.conj(M.a)
-    block = np.empty((2 * n, 2 * n), dtype=complex)
+    block = np.empty((2 * n, 2 * n), dtype=complex, order="F")
     block[:n, :n] = np.eye(n)
     block[n:, n:] = np.eye(n)
     block[:n, n:] = C[:, None] * (pref * Phi.conj().T)
@@ -175,17 +154,15 @@ def assemble_block(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> np.ndar
     return block
 
 
-def _field_sum(phi: FieldConfig) -> float:
-    return float(np.sum(np.abs(phi.values) ** 2))
-
-
-def _shifted_field_sum(spec: ModelSpec, phi: FieldConfig, r: ExternalField) -> float:
-    """Sum term of U_r: the zero mode's imaginary part shifted by sqrt(kappa)|r|/g."""
-    if spec.lam == 0.0:
-        raise ValueError("external field requires lambda > 0")
+def _field_sum(phi: FieldConfig, spec=None, r=None) -> float:
+    """sum_q |phi_q|^2; with a field, U_r's sum term, where the zero mode's
+    imaginary part is shifted by sqrt(kappa)|r|/g."""
+    total = float(np.sum(np.abs(phi.values) ** 2))
+    if not r:  # None or the zero field
+        return total
     z0 = phi.values[phi.transfer.zero_index]
-    shift = math.sqrt(spec.kappa) * r.magnitude / spec.g
-    return z0.real**2 + (z0.imag + shift) ** 2 + (_field_sum(phi) - abs(z0) ** 2)
+    shift = r.ratio(spec, math.sqrt(spec.kappa))
+    return z0.real**2 + (z0.imag + shift) ** 2 + (total - abs(z0) ** 2)
 
 
 def _potential(sum_term: float, matrix) -> PotentialValue:
@@ -244,24 +221,17 @@ class DisplacedPotential:
 
     With one or two stepped transfers that is at most nine entries per row,
     assembled in O(N) as a sparse matrix that `logdet` factors by sparse LU.
-    With a field the sum term is U_r's.  A base with any other nonzero
-    transfer raises ValueError.
+    With a field the sum term is U_r's; the zero field is no field.  A base
+    with any other nonzero transfer raises ValueError.
     """
 
-    def __init__(
-        self,
-        spec: ModelSpec,
-        M: MomentumSet,
-        base: FieldConfig,
-        r: ExternalField | None = None,
-    ):
+    def __init__(self, spec: ModelSpec, M: MomentumSet, base: FieldConfig, r=None):
         Q = base.transfer
         if np.any(np.flatnonzero(base.values) != Q.zero_index):
             raise ValueError("base field must carry only the zero mode")
         self.spec = spec
         self.base = base
-        self.r = None if r is None or r.magnitude == 0.0 else r
-        self.tilt = 1.0 if self.r is None else cmath.exp(1j * self.r.phase)
+        self.r = r or ExternalField()  # None is the zero field: no field
         self.diff = Q.diff_index
         self.rc = (spec.lam / spec.kappa) / np.conj(M.a)
         self.C = 1.0 / M.a
@@ -287,14 +257,10 @@ class DisplacedPotential:
         values = self.base.values.copy()
         for t, delta in steps:
             values[int(t)] += delta
-        field = FieldConfig(Q, values)
-        if self.r is None:
-            sum_term = _field_sum(field)
-        else:
-            sum_term = _shifted_field_sum(self.spec, field, self.r)
+        sum_term = _field_sum(FieldConfig(Q, values), self.spec, self.r)
         z = Q.zero_index
         phi = {int(t): values[t] for t, _ in steps}
-        phi[z] = values[z] * self.tilt
+        phi[z] = values[z] * self.r.tilt
         n = len(self.diff)
         rows, cols, entries = [np.arange(n)], [np.arange(n)], [np.ones(n, dtype=complex)]
         for t, phi_t in phi.items():
@@ -322,19 +288,17 @@ def potential_real(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> float:
 
 
 def tilted_field(phi: FieldConfig, r: ExternalField) -> FieldConfig:
-    """phi with the zero mode rotated by the external-field phase."""
+    """phi with the zero mode rotated by the field's `tilt`."""
     out = phi.copy()
-    out.values[phi.transfer.zero_index] *= cmath.exp(1j * r.phase)
+    out.values[phi.transfer.zero_index] *= r.tilt
     return out
 
 
 def potential_external(
     spec: ModelSpec, M: MomentumSet, phi: FieldConfig, r: ExternalField
 ) -> PotentialValue:
-    """U_r after the shift/rotation of the zero mode; reduces to V at r = 0."""
-    if r.magnitude == 0.0:
-        return potential_full(spec, M, phi)
+    """U_r after the shift/rotation of the zero mode; V for the zero field."""
     # r is absorbed into the zero-mode shift; the determinant sees the tilted field
     return _potential(
-        _shifted_field_sum(spec, phi, r), assemble_block(spec, M, tilted_field(phi, r))
+        _field_sum(phi, spec, r), assemble_block(spec, M, tilted_field(phi, r))
     )

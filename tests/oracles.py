@@ -14,7 +14,7 @@ import scipy.linalg
 import bcslab as bl
 from bcslab.bound import _denominators, _overlap_blocks
 from bcslab.gaussian import FlatGaussianMode
-from bcslab.potential import _potential, _shifted_field_sum
+from bcslab.potential import _field_sum, _potential
 
 
 class QuadratureError(RuntimeError):
@@ -89,12 +89,10 @@ def overlap_matrices(spec, M, phi):
 
 
 def potential_external_reduced(spec, M, phi, r):
-    """U_r via the N x N reduced determinant of the tilted field."""
-    if r.magnitude == 0.0:
-        return bl.potential_reduced(spec, M, phi)
+    """U_r via the N x N reduced determinant of the tilted field; V for the
+    zero field."""
     return _potential(
-        _shifted_field_sum(spec, phi, r),
-        bl.reduced_matrix(spec, M, bl.tilted_field(phi, r)),
+        _field_sum(phi, spec, r), bl.reduced_matrix(spec, M, bl.tilted_field(phi, r))
     )
 
 

@@ -321,6 +321,34 @@ def test_external(config_path, capsys):
     assert float(kv["y0"]) < 0
 
 
+# stdout of both external-field commands on the small lattice, to 17 digits:
+# a change in the order of any |r|/g formula shows here
+EXTERNAL_STDOUT = {
+    "gap": """y0 -0.50317309403053601
+r0 0.50317309403053601
+delta_sq 2.4988176554470116
+residual 8.2143146451496563e-13
+v_min_sum -0.79805334275130013
+v_min_cosh -1.7165037990854892
+trivial False
+lambda_over_lambda_c 2
+""",
+    "external": """y0 -0.50317309403053601
+delta_sq 2.4988176554470116
+residual 8.2143146451496563e-13
+v_min -0.79805334275130013
+beta0 0.49997999053676273
+shift 0.0063260514117329464
+""",
+}
+
+
+@pytest.mark.parametrize("command", ["gap", "external"])
+def test_external_stdout_pinned(config_path, capsys, command):
+    argv = [command, "--config", config_path, "--external", "1e-2,0.4"]
+    assert run_cli(argv, capsys) == (0, EXTERNAL_STDOUT[command], "")
+
+
 @pytest.mark.parametrize("argv", [["gap", "--external", "1e-2"], ["external"]], ids="".join)
 def test_external_lambda_zero_exits_2(free_config, monkeypatch, capsys, argv):
     monkeypatch.setattr(cli, "solve_gap_external", None)  # refused before any solve
@@ -361,6 +389,7 @@ BAD_CONFIG_LINES = [
     ("beta = nan", "bad value for 'beta'"),
     ("mu = nan", "bad value for 'mu'"),
     ("t = nan", "bad value for 't'"),
+    ("dispersion = cubic", "unknown dispersion kind 'cubic'"),
     # finite but too strong: the gap solver cannot bracket the root
     ("lambda = 1e300", "could not bracket the gap equation"),
     ("lambda_factor = 1e200", "could not bracket the gap equation"),

@@ -415,10 +415,10 @@ def test_analytic_hessian_matches_loop_oracle(hessian_case, block):
     ref_re, ref_im = loop_analytic_hessian(spec, qf, r=r)
     if block:
         coords = _hessian_coords(qf.transfer, 3)
-        got_re, got_im = bl.analytic_hessian(spec, qf, r=r, coords=coords)
+        got_re, got_im = bl.analytic_hessian(spec, qf, coords=coords)
         ref_re, ref_im = ref_re[np.ix_(coords, coords)], ref_im[np.ix_(coords, coords)]
     else:
-        got_re, got_im = bl.analytic_hessian(spec, qf, r=r)
+        got_re, got_im = bl.analytic_hessian(spec, qf)
     assert np.array_equal(got_re, ref_re)
     assert np.array_equal(got_im, ref_im)
 
@@ -495,11 +495,33 @@ def test_external_coefficients(desk_spec, desk_M, desk_Q):
         bl.coefficients_external(desk_spec, desk_M, desk_Q, 0.0, r)
 
 
+def test_coefficients_external_needs_lambda(desk_spec, desk_M, desk_Q):
+    spec0 = dataclasses.replace(desk_spec, lam=0.0)
+    with pytest.raises(ValueError, match="lambda > 0"):
+        bl.coefficients_external(spec0, desk_M, desk_Q, -0.3, bl.ExternalField(1e-2, 0.4))
+
+
+def test_coefficients_external_needs_a_field(desk_spec, desk_M, desk_Q, desk_sol):
+    # the zero field neither shifts nor tilts the potential, so an external
+    # form at theta0 = its phase would rotate the Hessian's pair blocks
+    with pytest.raises(ValueError, match="nonzero field"):
+        r = bl.ExternalField(0.0, 0.7)
+        bl.coefficients_external(desk_spec, desk_M, desk_Q, -desk_sol.r0, r)
+
+
+def test_u2_external_needs_external_form(desk_spec, desk_Q, desk_qf):
+    # a form from `coefficients` carries no field, so it is refused, not
+    # expanded with the wrong condensate block
+    phi = bl.FieldConfig(desk_Q, np.zeros(len(desk_Q), dtype=complex))
+    with pytest.raises(ValueError, match="coefficients_external"):
+        bl.u2_external(desk_spec, desk_qf, phi)
+
+
 def test_external_hessian_zero_mode_lift(desk_spec, desk_M, desk_Q):
     r = bl.ExternalField(1e-2)
     sol = bl.solve_gap_external(desk_spec, desk_M, r)
     qf = bl.coefficients_external(desk_spec, desk_M, desk_Q, sol.y0, r)
-    are, _ = bl.analytic_hessian(desk_spec, qf, r=r)
+    are, _ = bl.analytic_hessian(desk_spec, qf)
     z = desk_Q.zero_index
     assert are[2 * z, 2 * z] == pytest.approx(2.0 * qf.shift)
     assert are[2 * z + 1, 2 * z + 1] == pytest.approx(4.0 * qf.beta0 + 2.0 * qf.shift)
@@ -517,7 +539,7 @@ def test_u2_matches_fd_at_minimum(desk_spec, desk_M, desk_Q):
     )
     cfg = bl.FieldConfig(desk_Q, base.values + pert.values)
     exact = potential_external_reduced(desk_spec, desk_M, cfg, r).total
-    approx = bl.u2_external(desk_spec, qf, cfg, r)
+    approx = bl.u2_external(desk_spec, qf, cfg)
     assert abs(exact - approx) < 1e-5 * max(1.0, abs(exact))
 
 

@@ -138,6 +138,14 @@ def test_external_validation(desk_spec, desk_M):
         bl.solve_gap_external(spec0, desk_M, bl.ExternalField(1e-2))
 
 
+def test_vbcs_r_needs_lambda(desk_M):
+    spec0 = bl.ModelSpec(lam=0.0)
+    with pytest.raises(ValueError, match="lambda > 0"):
+        bl.vbcs_r(spec0, desk_M, -0.4, bl.ExternalField(1e-2, 0.4))
+    # the zero field is no field: V_BCS itself
+    assert bl.vbcs_r(spec0, desk_M, -0.4, bl.ExternalField()) == bl.vbcs_sum(spec0, desk_M, 0.4)
+
+
 def test_vbcs_r_reduces_to_vbcs_sum(desk_spec, desk_M):
     y = -0.4
     r0 = bl.ExternalField(0.0)

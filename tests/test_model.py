@@ -331,3 +331,23 @@ def test_dispersion_array_matches_scalar_oracle():
         assert verdict == nondegenerate(spec, Q), spec
         verdicts.append(verdict)
     assert False in verdicts and True in verdicts
+
+
+@pytest.mark.parametrize(
+    "magnitude, phase",
+    [(math.nan, 0.0), (math.inf, 0.0), (-1.0, 0.0), (1e-2, math.nan), (1e-2, -math.inf)],
+)
+def test_external_field_rejects_bad_numbers(magnitude, phase):
+    with pytest.raises(ValueError, match="external field"):
+        bl.ExternalField(magnitude, phase)
+
+
+def test_zero_external_field_is_no_field(desk_spec):
+    # whatever its phase, and at lambda = 0 too, where any other field is refused
+    free = bl.ModelSpec(lam=0.0)
+    r = bl.ExternalField(0.0, 0.7)
+    assert not r and r.tilt == 1.0 and r.ratio(free) == 0.0
+    field = bl.ExternalField(1e-2, 0.7)
+    assert field and field.ratio(desk_spec) == 1e-2 / desk_spec.g
+    with pytest.raises(ValueError, match="lambda > 0"):
+        field.ratio(free)

@@ -257,6 +257,14 @@ def test_external_reduces_at_zero(desk_spec, desk_M, desk_Q):
     assert ext == plain
 
 
+def test_external_zero_field_ignores_phase(desk_spec, desk_M, desk_Q):
+    phi = bl.random_config(desk_spec, desk_Q, 0.5, seed=21)
+    r0 = bl.ExternalField(0.0, 0.7)
+    assert np.array_equal(bl.tilted_field(phi, r0).values, phi.values)
+    plain = bl.potential_full(desk_spec, desk_M, phi).total
+    assert bl.potential_external(desk_spec, desk_M, phi, r0).total == plain
+
+
 def test_external_routes_agree(desk_spec, desk_M, desk_Q, desk_sol):
     r = bl.ExternalField(1e-2)
     sol = bl.solve_gap_external(desk_spec, desk_M, r)

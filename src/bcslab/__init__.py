@@ -17,6 +17,7 @@ from .model import (
     random_config,
 )
 from .potential import (
+    Banded,
     DisplacedPotential,
     PotentialValue,
     SingularMatrixError,

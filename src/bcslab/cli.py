@@ -186,12 +186,12 @@ def _scaled_field(spec, M, Q, scale: float, seed: int) -> FieldConfig:
 
 # bytes per (k, p) pair of M that a subcommand's dense matrices hold at once,
 # at least: eval's 2N x 2N complex block (4 * 16), factored in place, with the
-# transfer index (8) and, while the block is filled, phi's matrix and two
-# products of it (3 * 16), 120 in all; and the reduced route's three scratch
-# buffers (3 * 16, model.TransferSet.scratch) with the transfer index (8).  At
-# N = 1400 eval peaks 129 bytes per pair above import (145 while LAPACK copied
-# a C-ordered block; 128 is kept), verify-bound --count 3 71 and hessian-check 67
-DENSE_BYTES = {"eval": 128, "verify-bound": 56, "hessian-check": 56}
+# transfer index (8) and, while the block is filled, phi's matrix (16), 88 in
+# all; and the reduced route's three scratch buffers (3 * 16,
+# model.TransferSet.scratch) with the transfer index (8).  At N = 1400 eval
+# peaks 89.7 bytes per pair above import (90 is kept), verify-bound --count 3
+# 71 and hessian-check 67
+DENSE_BYTES = {"eval": 90, "verify-bound": 56, "hessian-check": 56}
 
 
 def physical_memory() -> int:

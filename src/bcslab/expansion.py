@@ -242,7 +242,8 @@ def fd_hessian(
     displaced value comes from one `DisplacedPotential` on `base`, which must
     carry only the zero mode, as the mean-field minimum does: the reduced
     route, whose pivots stay near the positive axis around the minimum, so
-    the per-pivot imaginary part differences smoothly.
+    the per-pivot imaginary part differences smoothly.  Each value is one
+    banded LU in O(N bw^2), bw < (max |n0_t - n0_s| + 1) S (`DisplacedPotential`).
     """
     if not (h > 0 and math.isfinite(h)):
         raise ValueError("h must be positive and finite")

@@ -19,16 +19,16 @@ checks.  Both are factored in place: the full route's block is built
 Fortran-ordered, and the reduced matrix in the lattice's scratch buffers
 (`TransferSet.scratch`) by two gathers and one gemm with out=, so a bound
 field allocates no N x N array.  Finite differencing goes through
-`DisplacedPotential`, whose sparse reduced matrices `logdet` factors by
-sparse LU.  scipy.linalg and scipy.sparse are imported inside `logdet`'s two
-branches, and the N x N `diff_index` is built on the first call that needs
-it, so a process that takes no determinant pays for neither.
+`DisplacedPotential`, which writes its reduced matrices in LAPACK band storage
+(`Banded`, kl, ku < (max |n0_t - n0_s| + 1) S over the step set, S spatial
+vectors) for a banded LU in O(N kl (kl + ku)).  scipy.linalg is imported
+inside `logdet`, and the N x N `diff_index` is built on the first call that
+needs it, so a process that takes no determinant pays for neither.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -55,23 +55,20 @@ class PotentialValue:
     logdet_term: complex
 
 
-def _parity(perm: np.ndarray) -> int:
-    """Parity of a permutation, (n - its number of cycles) mod 2.
+@dataclass
+class Banded:
+    """A square complex matrix in LAPACK band storage: its kl sub- and ku
+    superdiagonals, A[i, j] at ab[kl + ku + i - j, j] of a Fortran-ordered
+    (2 kl + ku + 1) x N array whose first kl rows are the LU's fill-in space."""
 
-    Pointer doubling labels each index with the smallest index on its cycle:
-    after step i, low[k] is the minimum over perm^j(k), j < 2^i.
-    """
-    n = len(perm)
-    low, jump = np.arange(n), np.asarray(perm)
-    for _ in range(n.bit_length()):
-        low = np.minimum(low, low[jump])
-        jump = jump[jump]
-    return (n - int(np.count_nonzero(low == np.arange(n)))) % 2
+    ab: np.ndarray
+    kl: int
+    ku: int
 
 
 def _dense_pivots(matrix, overwrite: bool) -> tuple:
-    """U's diagonal and the row-swap parity of LAPACK's partial-pivoting LU;
-    with `overwrite` a Fortran-ordered complex matrix is factored in place."""
+    """U's diagonal and the row swaps of LAPACK's partial-pivoting LU; with
+    `overwrite` a Fortran-ordered complex matrix is factored in place."""
     # imported here, not at module level: it is most of the package's import
     # time, and the subcommands that take no determinant need not pay for it
     import scipy.linalg
@@ -85,48 +82,41 @@ def _dense_pivots(matrix, overwrite: bool) -> tuple:
         # an exactly zero pivot is handled by the caller's check
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(matrix, overwrite_a=overwrite, check_finite=False)
-    return np.diag(lu), int(np.sum(piv != np.arange(len(piv)))) % 2
+    return np.diag(lu), piv
 
 
-def _sparse_pivots(matrix) -> tuple:
-    """U's diagonal and the parity of the row and column permutations of
-    SuperLU's Pr A Pc = L U (L has a unit diagonal)."""
-    # imported here, not at module level: only finite differencing builds
-    # sparse matrices, and the other subcommands need not pay for the import
-    import scipy.sparse.linalg
+def _band_pivots(band: Banded, overwrite: bool) -> tuple:
+    """U's diagonal and the row swaps of LAPACK's banded partial-pivoting LU
+    (gbtrf), which picks the dense LU's pivots; with `overwrite` a
+    Fortran-ordered complex `ab` is factored in place."""
+    from scipy.linalg.lapack import zgbtrf  # here, as in _dense_pivots
 
-    matrix = matrix.tocsc().astype(complex, copy=False)
-    if matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(matrix.data)):
+    ab = np.asarray(band.ab, dtype=complex)
+    if ab.ndim != 2 or len(ab) != 2 * band.kl + band.ku + 1 or min(band.kl, band.ku) < 0:
+        raise ValueError("band storage must have 2 kl + ku + 1 rows")
+    if not np.all(np.isfinite(ab)):
         raise ValueError("matrix must be finite")
-    try:
-        lu = scipy.sparse.linalg.splu(matrix)
-    except RuntimeError as exc:  # SuperLU's report of an exactly zero pivot
-        if "singular" not in str(exc):
-            raise
-        raise SingularMatrixError("singular") from None
-    return lu.U.diagonal(), (_parity(lu.perm_r) + _parity(lu.perm_c)) % 2
+    lu, piv, _ = zgbtrf(ab, band.kl, band.ku, overwrite_ab=overwrite)
+    return lu[band.kl + band.ku], piv
 
 
 def logdet(matrix, overwrite: bool = False) -> complex:
     """log det with exact real part and per-pivot principal-branch imaginary part.
 
-    A dense array is factored by LAPACK, a scipy.sparse matrix by SuperLU.
-    Either way the real part is sum log|U_ii| and the imaginary part is
-    sum arg U_ii, plus pi when the pivoting permutations are odd.  The
-    caller's matrix is left intact unless `overwrite` is set: then a dense
-    Fortran-ordered complex matrix is factored in place and holds its LU
-    factors afterwards.
+    A dense array is factored by LAPACK's LU, a `Banded` matrix by its banded
+    LU; both pivot by rows within each column, so they pick the same pivots.
+    The real part is sum log|U_ii| and the imaginary part is sum arg U_ii,
+    plus pi when the row swaps are odd.  The caller's matrix is left intact
+    unless `overwrite` is set: then a Fortran-ordered complex matrix (or band
+    array) is factored in place and holds its LU factors afterwards.
     """
-    # a sparse matrix exists only once scipy.sparse is loaded
-    sparse = sys.modules.get("scipy.sparse")
-    if sparse is not None and sparse.issparse(matrix):
-        diag, odd = _sparse_pivots(matrix)
+    if isinstance(matrix, Banded):
+        diag, piv = _band_pivots(matrix, overwrite)
     else:
-        diag, odd = _dense_pivots(matrix, overwrite)
+        diag, piv = _dense_pivots(matrix, overwrite)
     if np.any(diag == 0):
         raise SingularMatrixError("singular")
+    odd = np.count_nonzero(piv != np.arange(len(piv))) % 2
     re = float(np.sum(np.log(np.abs(diag))))
     im = float(np.sum(np.angle(diag))) + (math.pi if odd else 0.0)
     return complex(re, im)
@@ -143,14 +133,16 @@ def assemble_block(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> np.ndar
     Fortran-ordered, so `logdet(overwrite=True)` factors it in place."""
     n = len(M)
     pref = 1j * spec.g / math.sqrt(spec.kappa)
+    block = np.zeros((2 * n, 2 * n), dtype=complex, order="F")
+    np.fill_diagonal(block, 1.0)
     Phi = phi_matrix(M, phi)
-    C = 1.0 / M.a
-    Cbar = 1.0 / np.conj(M.a)
-    block = np.empty((2 * n, 2 * n), dtype=complex, order="F")
-    block[:n, :n] = np.eye(n)
-    block[n:, n:] = np.eye(n)
-    block[:n, n:] = C[:, None] * (pref * Phi.conj().T)
-    block[n:, :n] = Cbar[:, None] * (pref * Phi)
+    upper, lower = block[:n, n:], block[n:, :n]
+    # the left operand first: numpy's complex multiply is not bitwise symmetric
+    np.conjugate(Phi.T, out=upper)
+    np.multiply(pref, upper, out=upper)
+    np.multiply((1.0 / M.a)[:, None], upper, out=upper)
+    np.multiply(pref, Phi, out=lower)
+    np.multiply((1.0 / np.conj(M.a))[:, None], lower, out=lower)
     return block
 
 
@@ -220,9 +212,12 @@ class DisplacedPotential:
         (lam/kappa) Cbar_k phi_t conj(phi_s) C_{k-t}   at (k, k - t + s).
 
     With one or two stepped transfers that is at most nine entries per row,
-    assembled in O(N) as a sparse matrix that `logdet` factors by sparse LU.
-    With a field the sum term is U_r's; the zero field is no field.  A base
-    with any other nonzero transfer raises ValueError.
+    written in O(N) into LAPACK band storage (`Banded`) that `logdet` factors
+    by banded LU in O(N kl (kl + ku)).  M is frequency-major with S spatial
+    vectors per frequency, so an entry's row and column differ by less than
+    (|n0_t - n0_s| + 1) S: kl, ku < (max |n0_t - n0_s| + 1) S over the step
+    set and the zero mode.  With a field the sum term is U_r's; the zero field
+    is no field.  A base with any other nonzero transfer raises ValueError.
     """
 
     def __init__(self, spec: ModelSpec, M: MomentumSet, base: FieldConfig, r=None):
@@ -251,8 +246,6 @@ class DisplacedPotential:
     def __call__(self, steps=()) -> PotentialValue:
         """V at base + delta on each (transfer, complex delta) pair of `steps`;
         u and v steps on one transfer are merged."""
-        import scipy.sparse  # here, not at module level, as in logdet
-
         Q = self.base.transfer
         values = self.base.values.copy()
         for t, delta in steps:
@@ -261,22 +254,23 @@ class DisplacedPotential:
         z = Q.zero_index
         phi = {int(t): values[t] for t, _ in steps}
         phi[z] = values[z] * self.r.tilt
-        n = len(self.diff)
-        rows, cols, entries = [np.arange(n)], [np.arange(n)], [np.ones(n, dtype=complex)]
+        pairs, kl, ku = [], 0, 0
         for t, phi_t in phi.items():
             k, j, weight = self._map(t)[:3]
             for s, phi_s in phi.items():
                 l = self._map(s)[3][j]
                 keep = l >= 0
-                rows.append(k[keep])
-                cols.append(l[keep])
-                entries.append((phi_t * np.conj(phi_s)) * weight[keep])
-        # duplicate (k, l) pairs, as on the diagonal where t = s, are summed
-        R = scipy.sparse.csc_matrix(
-            (np.concatenate(entries), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        )
-        return _potential(sum_term, R)
+                cols = l[keep]
+                below = k[keep] - cols  # row minus column
+                pairs.append((below, cols, (phi_t * np.conj(phi_s)) * weight[keep]))
+                kl, ku = max(kl, below.max(initial=0)), max(ku, -below.min(initial=0))
+        ab = np.zeros((2 * kl + ku + 1, len(self.diff)), dtype=complex, order="F")
+        ab[kl + ku] = 1.0
+        for below, cols, entries in pairs:
+            # one pair's rows are distinct; entries that pairs share, as the
+            # diagonal where t = s, are summed
+            ab[kl + ku + below, cols] += entries
+        return _potential(sum_term, Banded(ab, kl, ku))
 
 
 def potential_real(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> float:

@@ -675,9 +675,9 @@ def test_hessian_check_lambda_zero_tol(free_config, monkeypatch, capsys, err, ar
 
 
 def test_import_skips_scipy_optimize(config_path):
-    # nothing needs scipy.optimize, only finite differencing scipy.sparse and
-    # only a determinant scipy.linalg; a CLI process that does not call them
-    # does not pay for the imports
+    # nothing needs scipy.optimize or scipy.sparse, and only a determinant
+    # needs scipy.linalg; a CLI process that takes none does not pay for it.
+    # hessian-check's finite differences factor band matrices by LAPACK
     script = (
         "import contextlib, os, sys, bcslab.cli\n"
         "def has(name): return name in sys.modules\n"
@@ -688,7 +688,9 @@ def test_import_skips_scipy_optimize(config_path):
         "print(has('scipy.linalg'))\n"
         f"bcslab.cli.main(['verify-bound', '--config', {config_path!r}, '--count', '2',"
         " '--output', os.devnull])\n"
-        "print(has('scipy.sparse'))\n"
+        "with contextlib.redirect_stdout(open(os.devnull, 'w')):\n"
+        f"    hessian = bcslab.cli.main(['hessian-check', '--config', {config_path!r}])\n"
+        "print(hessian, has('scipy.sparse'))\n"
         "with contextlib.redirect_stdout(open(os.devnull, 'w')):\n"
         f"    ext = bcslab.cli.main(['external', '--config', {config_path!r}])\n"
         f"    gap = bcslab.cli.main(['gap', '--config', {config_path!r}, '--external', '1e-2'])\n"
@@ -698,7 +700,7 @@ def test_import_skips_scipy_optimize(config_path):
     assert proc.returncode == 0
     lines = proc.stdout.splitlines()
     assert lines == [
-        "False False False", "False", "configurations 3", "all_chains_ok True", "False",
+        "False False False", "False", "configurations 3", "all_chains_ok True", "0 False",
         "0 0 False",
     ]
 

@@ -242,6 +242,9 @@ def _step_cases(Q, h):
         "zero v": [(z, -1j * h)],
         "zero u+v": [(z, h), (z, 1j * h)],
         "zero,q": [(z, 1j * h), (q, -h)],
+        # index 0 has the largest |n0|: its band spans almost all of M
+        "far u": [(0, h)],
+        "far,q": [(0, -1j * h), (q, h)],
     }
 
 

@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 import bcslab as bl
 from oracles import potential_external_reduced, propagators
@@ -49,29 +48,40 @@ def _near_diagonal(n, seed):
     return A
 
 
+def _banded(A):
+    """A in LAPACK band storage, kl and ku read off its nonzeros."""
+    i, j = np.nonzero(A)
+    kl, ku = int(max(np.max(i - j), 0)), int(max(np.max(j - i), 0))
+    ab = np.zeros((2 * kl + ku + 1, len(A)), dtype=complex, order="F")
+    ab[kl + ku + i - j, j] = A[i, j]
+    return bl.Banded(ab, kl, ku)
+
+
 @pytest.mark.parametrize("odd", [False, True], ids=["near-diagonal", "odd-rows"])
-def test_logdet_sparse_matches_dense(odd):
+def test_logdet_band_matches_dense(odd):
     # a swap of two rows makes the pivoting permutation odd: Im picks up pi.
-    # Over these seeds SuperLU's row and its column permutation each come out
-    # odd for some matrix and even for another.
+    # The random entries spread the bands over most of the matrix, and the
+    # swap moves the first row's diagonal entry five below it
     for seed in range(4):
         A = _near_diagonal(12, seed)
         if odd:
             A[[0, 5]] = A[[5, 0]]
         dense = bl.logdet(A)
-        sparse = bl.logdet(scipy.sparse.csc_matrix(A))
-        assert abs(sparse - dense) <= 1e-12 * abs(dense)
+        band = bl.logdet(_banded(A))
+        assert abs(band - dense) <= 1e-12 * abs(dense)
         assert abs(dense.imag - (math.pi if odd else 0.0)) < 0.5
 
 
-def test_logdet_sparse_validation():
-    singular = scipy.sparse.csc_matrix(np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex))
+def test_logdet_band_validation():
+    singular = _banded(np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex))
     with pytest.raises(bl.SingularMatrixError):
         bl.logdet(singular)
     A = _near_diagonal(4, seed=0)
     A[1, 2] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        bl.logdet(scipy.sparse.csc_matrix(A))
+        bl.logdet(_banded(A))
+    with pytest.raises(ValueError, match="rows"):
+        bl.logdet(bl.Banded(np.eye(3, dtype=complex)[:, :2], 1, 1))
 
 
 def test_phi_matrix_entries(small_M, small_Q, small_spec):

@@ -24,12 +24,10 @@ from .potential import (
     assemble_block,
     logdet,
     phi_matrix,
-    potential_external,
     potential_full,
     potential_real,
     potential_reduced,
     reduced_matrix,
-    tilted_field,
 )
 from .gap import (
     GapConvergenceError,

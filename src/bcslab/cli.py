@@ -126,11 +126,11 @@ def build_spec(cfg: dict):
 def parse_external(arg: str | None, spec) -> ExternalField | None:
     if arg is None:
         return None
-    parts = arg.split(",")
+    mag, comma, phase = arg.partition(",")  # all after the first comma is the phase
     try:
-        mag = float(parts[0])
-        phase = float(parts[1]) if len(parts) > 1 else 0.0
-    except (ValueError, IndexError):
+        mag = float(mag)
+        phase = float(phase) if comma else 0.0
+    except ValueError:
         raise ConfigError(f"bad --external value {arg!r}")
     if not 0 < mag < math.inf:
         raise ConfigError("--external magnitude must be positive and finite")
@@ -451,11 +451,12 @@ def cmd_scan(args) -> int:
             continue
         qf = coefficients(spec, M, Q, sol.r0, 0.0)
         # reference transfer: smallest nonzero spatial one (the infrared
-        # direction); fall back to the overall smallest if none exists
-        nz = [i for i in range(len(Q)) if i != Q.zero_index and Q.n0[i] == 0]
-        if not nz:
-            nz = [i for i in range(len(Q)) if i != Q.zero_index]
-        iq = min(nz, key=lambda i: Q.qnorm[i])
+        # direction); fall back to the overall smallest if none exists.
+        # argmin takes the first minimum, so ties go to the lower index
+        nz = nonzero(Q)
+        if np.any(Q.n0[nz] == 0):
+            nz = nz[Q.n0[nz] == 0]
+        iq = int(nz[np.argmin(Q.qnorm[nz])])
         rows.append(
             (
                 float(val),

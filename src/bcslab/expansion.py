@@ -225,15 +225,8 @@ def analytic_hessian(spec: ModelSpec, qf: QuadraticForm, coords=None):
     return hre, him
 
 
-def fd_hessian(
-    spec: ModelSpec,
-    M: MomentumSet,
-    base: FieldConfig,
-    h: float,
-    r: ExternalField | None = None,
-    coords=None,
-):
-    """Central-difference Hessian of the potential in real field coordinates.
+def fd_hessian(spec: ModelSpec, M: MomentumSet, base: FieldConfig, h: float, coords=None):
+    """Central-difference Hessian of V in real field coordinates.
 
     `coords` restricts to a coordinate subset (indices into the 2|Q| real
     coordinates, u before v per transfer index); the result is the exact
@@ -244,13 +237,14 @@ def fd_hessian(
     route, whose pivots stay near the positive axis around the minimum, so
     the per-pivot imaginary part differences smoothly.  Each value is one
     banded LU in O(N bw^2), bw < (max |n0_t - n0_s| + 1) S (`DisplacedPotential`).
+    It differences V only; U_r's FD Hessian is a test oracle.
     """
     if not (h > 0 and math.isfinite(h)):
         raise ValueError("h must be positive and finite")
     coords = _coordinates(base.transfer, coords)
     t = coords // 2
     step = np.where(coords % 2 == 0, h, 1j * h)  # u or v step as a shift of phi_t
-    V = DisplacedPotential(spec, M, base, r)
+    V = DisplacedPotential(spec, M, base)
     f0 = V().total
     m = len(coords)
     out = np.zeros((m, m), dtype=complex)

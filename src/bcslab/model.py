@@ -273,14 +273,14 @@ class ExternalField:
         """e^{i phase}, by which U_r rotates the zero mode."""
         return cmath.exp(1j * self.phase) if self else 1.0
 
-    def ratio(self, spec: ModelSpec, scale: float = 1.0, y: float = 1.0) -> float:
-        """scale |r| / (g y), in that order: |r|/g, sqrt(kappa)|r|/g (U_r's
-        zero-mode shift) or |r|/(g |y0|) (the expansion's stiffness)."""
+    def ratio(self, spec: ModelSpec, y: float = 1.0) -> float:
+        """|r| / (g y): |r|/g, the mean-field shift, or |r|/(g |y0|), the
+        expansion's stiffness."""
         if not self:
             return 0.0
         if spec.lam == 0.0:
             raise ValueError("needs lambda > 0: the field term is |r|/sqrt(lambda)")
-        return scale * self.magnitude / (spec.g * y)
+        return self.magnitude / (spec.g * y)
 
 
 def bcs_config(spec: ModelSpec, Q: TransferSet, r0: float, theta: float) -> FieldConfig:

@@ -5,25 +5,23 @@ matrix [[Id, C (ig/sqrt(kappa)) phi*], [Cbar (ig/sqrt(kappa)) phi, Id]]
 with (phi)_{k,p} = phi_{k-p} and C = diag(1/a_k), a_k = i k0 - e_k.  Its
 N x N Schur complement Id + (lambda/kappa) Cbar phi C phi* has the same
 determinant: the routes agree in the real part, and their per-pivot imaginary
-parts may differ by 2 pi k.  An external field r (`model.ExternalField`)
-enters U_r only through its `ratio`, which shifts the zero mode's imaginary
-part in the sum term, and its `tilt`, which rotates the zero mode in the
-determinant; the zero field gives V.  The mean-field closed forms V_BCS live
-in `gap`; the reduced-route U_r and the propagators, test oracles only, live
-with the tests.
+parts may differ by 2 pi k.  This module computes V only.  The mean-field
+closed forms V_BCS live in `gap`; U_r, V with an external pairing field (its
+zero-mode shift and tilt, `model.ExternalField`), and the propagators are
+test oracles and live with the tests.
 
 The reduced route serves Re V, the bound chain, the cubic remainder probe and
 finite differencing, where its imaginary part is smooth near the minimum; the
-full route serves eval and the external-field route, and is the oracle in the
-checks.  Both are factored in place: the full route's block is built
-Fortran-ordered, and the reduced matrix in the lattice's scratch buffers
-(`TransferSet.scratch`) by two gathers and one gemm with out=, so a bound
-field allocates no N x N array.  Finite differencing goes through
-`DisplacedPotential`, which writes its reduced matrices in LAPACK band storage
-(`Banded`, kl, ku < (max |n0_t - n0_s| + 1) S over the step set, S spatial
-vectors) for a banded LU in O(N kl (kl + ku)).  scipy.linalg is imported
-inside `logdet`, and the N x N `diff_index` is built on the first call that
-needs it, so a process that takes no determinant pays for neither.
+full route serves eval and is the oracle in the checks.  Both are factored in
+place: the full route's block is built Fortran-ordered, and the reduced
+matrix in the lattice's scratch buffers (`TransferSet.scratch`) by two
+gathers and one gemm with out=, so a bound field allocates no N x N array.
+Finite differencing goes through `DisplacedPotential`, which writes its
+reduced matrices in LAPACK band storage (`Banded`, kl, ku < (max |n0_t -
+n0_s| + 1) S over the step set, S spatial vectors) for a banded LU in
+O(N kl (kl + ku)).  scipy.linalg is imported inside `logdet`, and the N x N
+`diff_index` is built on the first call that needs it, so a process that
+takes no determinant pays for neither.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ExternalField, FieldConfig, ModelSpec, MomentumSet
+from .model import FieldConfig, ModelSpec, MomentumSet
 
 
 class SingularMatrixError(ValueError):
@@ -128,9 +126,8 @@ def phi_matrix(M: MomentumSet, phi: FieldConfig) -> np.ndarray:
 
 
 def assemble_block(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> np.ndarray:
-    """2N x 2N block matrix of the quadratic fermion form at r = 0; a field
-    enters only as `potential_external`'s zero-mode shift and tilt.
-    Fortran-ordered, so `logdet(overwrite=True)` factors it in place."""
+    """2N x 2N block matrix of the quadratic fermion form, Fortran-ordered,
+    so `logdet(overwrite=True)` factors it in place."""
     n = len(M)
     pref = 1j * spec.g / math.sqrt(spec.kappa)
     block = np.zeros((2 * n, 2 * n), dtype=complex, order="F")
@@ -146,15 +143,9 @@ def assemble_block(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> np.ndar
     return block
 
 
-def _field_sum(phi: FieldConfig, spec=None, r=None) -> float:
-    """sum_q |phi_q|^2; with a field, U_r's sum term, where the zero mode's
-    imaginary part is shifted by sqrt(kappa)|r|/g."""
-    total = float(np.sum(np.abs(phi.values) ** 2))
-    if not r:  # None or the zero field
-        return total
-    z0 = phi.values[phi.transfer.zero_index]
-    shift = r.ratio(spec, math.sqrt(spec.kappa))
-    return z0.real**2 + (z0.imag + shift) ** 2 + (total - abs(z0) ** 2)
+def _field_sum(phi: FieldConfig) -> float:
+    """sum_q |phi_q|^2."""
+    return float(np.sum(np.abs(phi.values) ** 2))
 
 
 def _potential(sum_term: float, matrix) -> PotentialValue:
@@ -200,14 +191,14 @@ def potential_reduced(
 
 
 class DisplacedPotential:
-    """Reduced-route V (U_r with a field) at base + steps, for finite differencing.
+    """Reduced-route V at base + steps, for finite differencing.
 
     The base carries only the zero mode, as the mean-field minimum does, so a
-    displaced field is phi = sum_t phi_t E_t over the zero mode z and the
-    stepped transfers, where E_t is the 0/1 matrix of diff_index == t and
-    phi_z is the zero mode tilted by the field phase.  Row k of E_t has its one
-    entry in column k - t (none if k - t is not in M), so the reduced matrix
-    Id + (lam/kappa) Cbar phi C phi^H has, for each pair t, s, the entry
+    displaced field is phi = sum_t phi_t E_t over the zero mode and the
+    stepped transfers, where E_t is the 0/1 matrix of diff_index == t.  Row k
+    of E_t has its one entry in column k - t (none if k - t is not in M), so
+    the reduced matrix Id + (lam/kappa) Cbar phi C phi^H has, for each pair
+    t, s, the entry
 
         (lam/kappa) Cbar_k phi_t conj(phi_s) C_{k-t}   at (k, k - t + s).
 
@@ -216,17 +207,16 @@ class DisplacedPotential:
     by banded LU in O(N kl (kl + ku)).  M is frequency-major with S spatial
     vectors per frequency, so an entry's row and column differ by less than
     (|n0_t - n0_s| + 1) S: kl, ku < (max |n0_t - n0_s| + 1) S over the step
-    set and the zero mode.  With a field the sum term is U_r's; the zero field
-    is no field.  A base with any other nonzero transfer raises ValueError.
+    set and the zero mode.  A base with any other nonzero transfer raises
+    ValueError.
     """
 
-    def __init__(self, spec: ModelSpec, M: MomentumSet, base: FieldConfig, r=None):
+    def __init__(self, spec: ModelSpec, M: MomentumSet, base: FieldConfig):
         Q = base.transfer
         if np.any(np.flatnonzero(base.values) != Q.zero_index):
             raise ValueError("base field must carry only the zero mode")
         self.spec = spec
         self.base = base
-        self.r = r or ExternalField()  # None is the zero field: no field
         self.diff = Q.diff_index
         self.rc = (spec.lam / spec.kappa) / np.conj(M.a)
         self.C = 1.0 / M.a
@@ -250,10 +240,10 @@ class DisplacedPotential:
         values = self.base.values.copy()
         for t, delta in steps:
             values[int(t)] += delta
-        sum_term = _field_sum(FieldConfig(Q, values), self.spec, self.r)
-        z = Q.zero_index
+        sum_term = _field_sum(FieldConfig(Q, values))  # refuses a non-finite field
+        # the stepped transfers, then the zero mode: the band's summation order
         phi = {int(t): values[t] for t, _ in steps}
-        phi[z] = values[z] * self.r.tilt
+        phi[Q.zero_index] = values[Q.zero_index]
         pairs, kl, ku = [], 0, 0
         for t, phi_t in phi.items():
             k, j, weight = self._map(t)[:3]
@@ -279,20 +269,3 @@ def potential_real(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> float:
         return potential_reduced(spec, M, phi).total.real
     except SingularMatrixError:
         return math.inf
-
-
-def tilted_field(phi: FieldConfig, r: ExternalField) -> FieldConfig:
-    """phi with the zero mode rotated by the field's `tilt`."""
-    out = phi.copy()
-    out.values[phi.transfer.zero_index] *= r.tilt
-    return out
-
-
-def potential_external(
-    spec: ModelSpec, M: MomentumSet, phi: FieldConfig, r: ExternalField
-) -> PotentialValue:
-    """U_r after the shift/rotation of the zero mode; V for the zero field."""
-    # r is absorbed into the zero-mode shift; the determinant sees the tilted field
-    return _potential(
-        _field_sum(phi, spec, r), assemble_block(spec, M, tilted_field(phi, r))
-    )

@@ -14,7 +14,7 @@ import scipy.linalg
 import bcslab as bl
 from bcslab.bound import _denominators, _overlap_blocks
 from bcslab.gaussian import FlatGaussianMode
-from bcslab.potential import _field_sum, _potential
+from bcslab.potential import _potential
 
 
 class QuadratureError(RuntimeError):
@@ -88,12 +88,75 @@ def overlap_matrices(spec, M, phi):
     return o1, o2
 
 
+def tilted_field(phi, r):
+    """phi with the zero mode rotated by the field's `tilt`."""
+    out = phi.copy()
+    out.values[phi.transfer.zero_index] *= r.tilt
+    return out
+
+
+def external_sum(spec, phi, r) -> float:
+    """U_r's sum term: sum_q |phi_q|^2 with the zero mode's imaginary part
+    shifted by sqrt(kappa)|r|/g; the plain sum for the zero field."""
+    total = float(np.sum(np.abs(phi.values) ** 2))
+    if not r:
+        return total
+    z0 = phi.values[phi.transfer.zero_index]
+    shift = math.sqrt(spec.kappa) * r.ratio(spec)
+    return z0.real**2 + (z0.imag + shift) ** 2 + (total - abs(z0) ** 2)
+
+
+def potential_external(spec, M, phi, r):
+    """U_r via the full 2N x 2N block of the tilted field; V for the zero
+    field: the field's shift enters the sum term, its tilt the determinant."""
+    return _potential(
+        external_sum(spec, phi, r), bl.assemble_block(spec, M, tilted_field(phi, r))
+    )
+
+
 def potential_external_reduced(spec, M, phi, r):
     """U_r via the N x N reduced determinant of the tilted field; V for the
     zero field."""
     return _potential(
-        _field_sum(phi, spec, r), bl.reduced_matrix(spec, M, bl.tilted_field(phi, r))
+        external_sum(spec, phi, r), bl.reduced_matrix(spec, M, tilted_field(phi, r))
     )
+
+
+def loop_fd_hessian(spec, M, base, h, r=None, coords=None):
+    """Central differences with a fresh FieldConfig and a fresh reduced-route
+    potential per displaced field, U_r's with a field: the reference for
+    `fd_hessian`, and the FD Hessian of U_r."""
+    Q = base.transfer
+    coords = np.arange(2 * len(Q)) if coords is None else np.asarray(coords, dtype=int)
+
+    def evaluate(values):
+        cfg = bl.FieldConfig(Q, values)
+        if r is None or r.magnitude == 0.0:
+            return bl.potential_reduced(spec, M, cfg).total
+        return potential_external_reduced(spec, M, cfg, r).total
+
+    def displaced(steps):
+        vals = base.values.copy()
+        for c, s in steps:
+            vals[c // 2] += s * h if c % 2 == 0 else 1j * s * h
+        return evaluate(vals)
+
+    f0 = evaluate(base.values.copy())
+    m = len(coords)
+    out = np.zeros((m, m), dtype=complex)
+    for a in range(m):
+        ca = int(coords[a])
+        out[a, a] = (displaced([(ca, +1)]) + displaced([(ca, -1)]) - 2.0 * f0) / h**2
+        for b in range(a + 1, m):
+            cb = int(coords[b])
+            val = (
+                displaced([(ca, +1), (cb, +1)]) + displaced([(ca, -1), (cb, -1)])
+                - displaced([(ca, +1), (cb, -1)]) - displaced([(ca, -1), (cb, +1)])
+            ) / (4.0 * h**2)
+            out[a, b] = val
+            out[b, a] = val
+    out = 0.5 * (out + out.T)
+    return out.real, out.imag
 
 
 def propagators(spec, M, phi, r=None) -> dict:
@@ -124,64 +187,82 @@ def propagators(spec, M, phi, r=None) -> dict:
     return {i: (complex(cols[i, i]), complex(cols[n + i, i])) for i in range(n)}
 
 
-def _gauss_block(B: np.ndarray, order: int) -> complex:
-    """(1/pi) * integral of exp(-x^T B x) over R^2, complex symmetric B.
+# quadrature nodes per chunk of a stack of pair blocks: a chunk's complex
+# grids stay near 16 MB (one desk lattice at order 128 would be ~390 MB)
+GRID_CHUNK = 2**20
+
+
+def _gauss_block(B: np.ndarray, order: int):
+    """(1/pi) * integral of exp(-x^T B x) over R^2 for a complex symmetric 2 x 2
+    B, or for each B of a stack along the leading axes.
 
     Whitened by the (positive definite) real part, then tensorized
-    Gauss-Hermite on the residual oscillatory factor.
+    Gauss-Hermite on the residual oscillatory factor, a chunk of the stack
+    at a time.
     """
-    BR = B.real
-    evals, Qrot = np.linalg.eigh(BR)
+    B = np.asarray(B)
+    evals, Qrot = np.linalg.eigh(B.real)
     if np.min(evals) <= 0.0:
         raise FlatGaussianMode("pair form has non-positive-definite real part")
-    W = Qrot / np.sqrt(evals)[None, :]
-    S = W.T @ B.imag @ W
+    W = Qrot / np.sqrt(evals)[..., None, :]
+    S = (np.swapaxes(W, -1, -2) @ B.imag @ W).reshape(-1, 2, 2, 1, 1)
     t, w = np.polynomial.hermite.hermgauss(order)
-    phase = np.exp(
-        -1j
-        * (
-            S[0, 0] * t[:, None] ** 2
-            + 2.0 * S[0, 1] * t[:, None] * t[None, :]
-            + S[1, 1] * t[None, :] ** 2
+    ww = w[:, None] * w[None, :]
+    total = np.empty(len(S), dtype=complex)
+    step = max(1, GRID_CHUNK // order**2)
+    for lo in range(0, len(S), step):
+        s = S[lo : lo + step]
+        phase = np.exp(
+            -1j
+            * (
+                s[:, 0, 0] * t[:, None] ** 2
+                + 2.0 * s[:, 0, 1] * t[:, None] * t[None, :]
+                + s[:, 1, 1] * t[None, :] ** 2
+            )
         )
-    )
-    total = (w[:, None] * w[None, :] * phase).sum()
-    return complex(total / (math.pi * math.sqrt(np.prod(evals))))
+        total[lo : lo + step] = (ww * phase).sum(axis=(1, 2))
+    return total.reshape(B.shape[:-2]) / (math.pi * np.sqrt(np.prod(evals, axis=-1)))
 
 
 def pair_oracle(
-    alpha: float,
-    beta_coef: float,
-    gamma: float,
+    alpha,
+    beta_coef,
+    gamma,
     theta0: float = 0.0,
     order: int = 64,
     check_tol: float = 1e-8,
-) -> float:
+):
     """Quadrature value of the pair Gaussian integral over its 4 real coordinates.
 
     The rotation (x2, y2) -> (cos 2theta x2 + sin 2theta y2, ...) absorbs the
     condensate phase exactly and splits the integral into two 2-d blocks,
     which are evaluated by Gauss-Hermite quadrature; the order is doubled as
-    a convergence check.
+    a convergence check.  The coefficients may be arrays of one shape, and the
+    values come back as an array of that shape; scalars give a float.
     """
     del theta0  # absorbed by an orthogonal rotation, Jacobian 1
-    a_plus = complex(alpha + beta_coef, gamma)
-    a_minus = complex(alpha + beta_coef, -gamma)
-    bx = np.array([[a_plus, beta_coef], [beta_coef, a_minus]])
-    by = np.array([[a_plus, -beta_coef], [-beta_coef, a_minus]])
+    alpha, beta_coef, gamma = np.broadcast_arrays(alpha, beta_coef, gamma)
+    a = alpha + beta_coef
+    bx = np.empty(a.shape + (2, 2), dtype=complex)
+    bx[..., 0, 0] = a + 1j * gamma
+    bx[..., 1, 1] = a - 1j * gamma
+    bx[..., 0, 1] = bx[..., 1, 0] = beta_coef
+    by = bx.copy()
+    by[..., 0, 1] = by[..., 1, 0] = -beta_coef
 
-    def value(n: int) -> complex:
+    def value(n: int):
         return _gauss_block(bx, n) * _gauss_block(by, n)
 
     v1 = value(order)
     v2_ = value(2 * order)
-    if abs(v1 - v2_) > check_tol * max(1.0, abs(v2_)):
+    err = np.abs(v1 - v2_)
+    if np.any(err > check_tol * np.maximum(1.0, np.abs(v2_))):
         raise QuadratureError(
-            f"pair quadrature not converged: {abs(v1 - v2_):.3e} at order {order}"
+            f"pair quadrature not converged: {np.max(err):.3e} at order {order}"
         )
-    if abs(v2_.imag) > 1e-8 * max(1.0, abs(v2_.real)):
+    if np.any(np.abs(v2_.imag) > 1e-8 * np.maximum(1.0, np.abs(v2_.real))):
         raise QuadratureError("pair quadrature returned a non-real value")
-    return float(v2_.real)
+    return float(v2_.real) if v2_.ndim == 0 else v2_.real
 
 
 def lambda2_zero_quadrature(spec, qf, order: int = 400, check_tol: float = 1e-8) -> float:

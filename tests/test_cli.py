@@ -421,6 +421,10 @@ BAD_EXTERNAL = [
     (["external", "--external", "inf,0.4"], "magnitude must be positive and finite"),
     (["gap", "--external", "1e-2,nan"], "phase must be finite"),
     (["external", "--external", "1e-2,inf"], "phase must be finite"),
+    # one comma: all after it is the phase
+    (["gap", "--external", "1e-2,0.4,junk"], "bad --external value"),
+    (["external", "--external", "1e-2,0.4,junk"], "bad --external value"),
+    (["gap", "--external", "1e-2,"], "bad --external value"),
     # finite, but the minimizer's y^2 overflows
     (["gap", "--external", "1e300"], "too large"),
     (["external", "--external", "1e300"], "too large"),
@@ -638,7 +642,7 @@ def _fake_fd_hessian(monkeypatch, err):
     """Replace the FD Hessian by 2 Id + err, recording the coords it is asked for."""
     seen = []
 
-    def fake(spec, M, base, h, r=None, coords=None):
+    def fake(spec, M, base, h, coords=None):
         seen.append(list(coords))
         return 2.0 * np.eye(len(coords)) + err, np.zeros((len(coords), len(coords)))
 

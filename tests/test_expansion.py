@@ -10,7 +10,9 @@ import pytest
 import bcslab as bl
 from bcslab.cli import _hessian_coords
 from bcslab.expansion import default_fd_step
-from oracles import index_of, labels, pair_sums_loop, potential_external_reduced
+from oracles import (
+    index_of, labels, loop_fd_hessian, pair_sums_loop, potential_external_reduced
+)
 
 
 def _lattice(d, L, beta, nu):
@@ -160,7 +162,7 @@ def test_fd_hessian_on_quadratic(small_Q, monkeypatch):
     class Quadratic:
         """Stands in for the displaced-field evaluator fd_hessian builds."""
 
-        def __init__(self, spec, M, base, r=None):
+        def __init__(self, spec, M, base):
             self.base = base
 
         def __call__(self, steps=()):
@@ -177,42 +179,6 @@ def test_fd_hessian_on_quadratic(small_Q, monkeypatch):
     fre, fim = bl.fd_hessian(None, None, base, 1e-3)
     assert np.max(np.abs(fre - H)) < 1e-9
     assert np.max(np.abs(fim)) < 1e-12
-
-
-def loop_fd_hessian(spec, M, base, h, r=None, coords=None):
-    """Central differences with a fresh FieldConfig and a fresh reduced-route
-    potential per displaced field: the reference for `fd_hessian`."""
-    Q = base.transfer
-    coords = np.arange(2 * len(Q)) if coords is None else np.asarray(coords, dtype=int)
-
-    def evaluate(values):
-        cfg = bl.FieldConfig(Q, values)
-        if r is None or r.magnitude == 0.0:
-            return bl.potential_reduced(spec, M, cfg).total
-        return potential_external_reduced(spec, M, cfg, r).total
-
-    def displaced(steps):
-        vals = base.values.copy()
-        for c, s in steps:
-            vals[c // 2] += s * h if c % 2 == 0 else 1j * s * h
-        return evaluate(vals)
-
-    f0 = evaluate(base.values.copy())
-    m = len(coords)
-    out = np.zeros((m, m), dtype=complex)
-    for a in range(m):
-        ca = int(coords[a])
-        out[a, a] = (displaced([(ca, +1)]) + displaced([(ca, -1)]) - 2.0 * f0) / h**2
-        for b in range(a + 1, m):
-            cb = int(coords[b])
-            val = (
-                displaced([(ca, +1), (cb, +1)]) + displaced([(ca, -1), (cb, -1)])
-                - displaced([(ca, +1), (cb, -1)]) - displaced([(ca, -1), (cb, +1)])
-            ) / (4.0 * h**2)
-            out[a, b] = val
-            out[b, a] = val
-    out = 0.5 * (out + out.T)
-    return out.real, out.imag
 
 
 @pytest.fixture(scope="module", params=["small-d1", "small-d2", "desk"])
@@ -248,27 +214,22 @@ def _step_cases(Q, h):
     }
 
 
-@pytest.mark.parametrize("case", ["none", "zero-field", "field", "lambda0"])
+@pytest.mark.parametrize("case", ["none", "lambda0"])
 def test_displaced_potential_matches_fresh_route(lattice, case):
     spec, M, Q, sol = lattice
     # the bases finite differencing uses: the condensate, here at phase 0.3,
-    # with or without a field, and the zero field at lambda = 0
-    field = {"zero-field": bl.ExternalField(0.0), "field": bl.ExternalField(1e-2, 0.4)}.get(case)
+    # and the zero field at lambda = 0
     if case == "lambda0":
         spec = dataclasses.replace(spec, lam=0.0)
         base = bl.FieldConfig(Q, np.zeros(len(Q), dtype=complex))
     else:
         base = bl.bcs_config(spec, Q, sol.r0, 0.3)
-    V = bl.DisplacedPotential(spec, M, base, field)
+    V = bl.DisplacedPotential(spec, M, base)
     for name, steps in _step_cases(Q, 1e-2 * math.sqrt(spec.kappa)).items():
         values = base.values.copy()
         for t, delta in steps:
             values[t] += delta
-        cfg = bl.FieldConfig(Q, values)
-        if field is None:
-            ref = bl.potential_reduced(spec, M, cfg).total
-        else:
-            ref = potential_external_reduced(spec, M, cfg, field).total
+        ref = bl.potential_reduced(spec, M, bl.FieldConfig(Q, values)).total
         got = V(steps).total
         assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref)), name
 
@@ -285,27 +246,22 @@ def test_displaced_potential_rejects_generic_base(small_spec, small_M, small_Q, 
         bl.fd_hessian(small_spec, small_M, base, 1e-3, coords=[0])
 
 
-@pytest.fixture(scope="module", params=["small", "small-field", "desk-block"])
+@pytest.fixture(scope="module", params=["small", "desk-block"])
 def fd_case(request, small_spec, small_M, small_Q, small_sol, desk_spec, desk_M,
             desk_Q, desk_sol):
-    """(spec, M, base, h, field, coords) as criterion 4 and hessian-check use them."""
+    """(spec, M, base, h, coords) as criterion 4 and hessian-check use them."""
     if request.param == "small":
         base = bl.bcs_config(small_spec, small_Q, small_sol.r0, 0.0)
-        return small_spec, small_M, base, default_fd_step(small_spec, small_sol.r0), None, None
-    if request.param == "small-field":
-        r = bl.ExternalField(1e-2, 0.4)
-        y0 = abs(bl.solve_gap_external(small_spec, small_M, r).y0)
-        base = bl.bcs_config(small_spec, small_Q, y0, -math.pi / 2)
-        return small_spec, small_M, base, 1e-3, r, None
+        return small_spec, small_M, base, default_fd_step(small_spec, small_sol.r0), None
     base = bl.bcs_config(desk_spec, desk_Q, desk_sol.r0, 0.0)
     h = default_fd_step(desk_spec, desk_sol.r0)
-    return desk_spec, desk_M, base, h, None, _hessian_coords(desk_Q, 3)
+    return desk_spec, desk_M, base, h, _hessian_coords(desk_Q, 3)
 
 
 def test_fd_hessian_matches_loop_oracle(fd_case):
-    spec, M, base, h, r, coords = fd_case
-    ref_re, ref_im = loop_fd_hessian(spec, M, base, h, r=r, coords=coords)
-    got_re, got_im = bl.fd_hessian(spec, M, base, h, r=r, coords=coords)
+    spec, M, base, h, coords = fd_case
+    ref_re, ref_im = loop_fd_hessian(spec, M, base, h, coords=coords)
+    got_re, got_im = bl.fd_hessian(spec, M, base, h, coords=coords)
     m = 2 * len(base.transfer) if coords is None else len(coords)
     assert got_re.shape == got_im.shape == (m, m)
     assert np.max(np.abs(got_re - ref_re)) <= 1e-8
@@ -528,6 +484,32 @@ def test_external_hessian_zero_mode_lift(desk_spec, desk_M, desk_Q):
     z = desk_Q.zero_index
     assert are[2 * z, 2 * z] == pytest.approx(2.0 * qf.shift)
     assert are[2 * z + 1, 2 * z + 1] == pytest.approx(4.0 * qf.beta0 + 2.0 * qf.shift)
+
+
+@pytest.fixture(scope="module", params=["small", "d2-L4"])
+def external_lattice(request, small_spec, small_M, small_Q):
+    """(spec, M, Q, coords): the small lattice with all 18 coordinates, d=2
+    L=4 with the zero mode and 3 orbits."""
+    if request.param == "small":
+        return small_spec, small_M, small_Q, None
+    spec, M, Q = _lattice(2, 4.0, 2.0, 4.0)
+    return spec, M, Q, _hessian_coords(Q, 3)
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.4])
+def test_external_hessian_matches_fd_oracle(external_lattice, phase):
+    # U_r's analytic Hessian, field block and pair blocks included, against
+    # central differences of U_r at its minimum phi_0 = i sqrt(kappa) y0
+    spec, M, Q, coords = external_lattice
+    r = bl.ExternalField(1e-2, phase)
+    sol = bl.solve_gap_external(spec, M, r)
+    qf = bl.coefficients_external(spec, M, Q, sol.y0, r)
+    base = bl.bcs_config(spec, Q, abs(sol.y0), -math.pi / 2)
+    are, aim = bl.analytic_hessian(spec, qf, coords=coords)
+    fre, fim = loop_fd_hessian(spec, M, base, 1e-3, r=r, coords=coords)
+    scale = max(np.max(np.abs(are)), 1.0)
+    assert np.max(np.abs(fre - are)) / scale <= 1e-4
+    assert np.max(np.abs(fim - aim)) / scale <= 1e-4
 
 
 def test_u2_matches_fd_at_minimum(desk_spec, desk_M, desk_Q):

@@ -16,7 +16,9 @@ from bcslab.gaussian import (
     radial_integral,
     representatives,
 )
-from oracles import free_bubble, index_of, labels, lambda2_zero_quadrature, pair_oracle
+from oracles import (
+    QuadratureError, free_bubble, index_of, labels, lambda2_zero_quadrature, pair_oracle
+)
 
 
 def test_pair_factor_closed_form():
@@ -35,6 +37,17 @@ def test_pair_factor_vs_oracle_random():
         closed = pair_factor_coeffs(alpha, beta, gamma)
         oracle = pair_oracle(alpha, beta, gamma)
         assert closed == pytest.approx(oracle, rel=1e-8)
+
+
+def test_pair_oracle_batch_matches_scalars():
+    # a stack of coefficients gives each entry's scalar value, and one entry
+    # that fails the order-doubling check fails the whole stack
+    rng = np.random.default_rng(6)
+    a, b, g = 0.2 + rng.random(5), rng.random(5), rng.standard_normal(5)
+    batch = pair_oracle(a, b, g)
+    assert np.array_equal(batch, [pair_oracle(*abg) for abg in zip(a, b, g)])
+    with pytest.raises(QuadratureError, match="not converged"):
+        pair_oracle(np.append(a, 0.05), np.append(b, 0.0), np.append(g, 20.0))
 
 
 def test_pair_oracle_theta_invariant():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bcslab as bl
-from oracles import potential_external_reduced, propagators
+from oracles import potential_external, potential_external_reduced, propagators, tilted_field
 
 
 def test_logdet_against_slogdet():
@@ -263,16 +263,16 @@ def test_external_reduces_at_zero(desk_spec, desk_M, desk_Q):
     phi = bl.random_config(desk_spec, desk_Q, 0.5, seed=21)
     r0 = bl.ExternalField(0.0)
     plain = bl.potential_full(desk_spec, desk_M, phi).total
-    ext = bl.potential_external(desk_spec, desk_M, phi, r0).total
+    ext = potential_external(desk_spec, desk_M, phi, r0).total
     assert ext == plain
 
 
 def test_external_zero_field_ignores_phase(desk_spec, desk_M, desk_Q):
     phi = bl.random_config(desk_spec, desk_Q, 0.5, seed=21)
     r0 = bl.ExternalField(0.0, 0.7)
-    assert np.array_equal(bl.tilted_field(phi, r0).values, phi.values)
+    assert np.array_equal(tilted_field(phi, r0).values, phi.values)
     plain = bl.potential_full(desk_spec, desk_M, phi).total
-    assert bl.potential_external(desk_spec, desk_M, phi, r0).total == plain
+    assert potential_external(desk_spec, desk_M, phi, r0).total == plain
 
 
 def test_external_routes_agree(desk_spec, desk_M, desk_Q, desk_sol):
@@ -281,7 +281,7 @@ def test_external_routes_agree(desk_spec, desk_M, desk_Q, desk_sol):
     base = bl.bcs_config(desk_spec, desk_Q, abs(sol.y0), -math.pi / 2)
     pert = bl.random_config(desk_spec, desk_Q, 1e-2, seed=30)
     cfg = bl.FieldConfig(desk_Q, base.values + pert.values)
-    full = bl.potential_external(desk_spec, desk_M, cfg, r).total
+    full = potential_external(desk_spec, desk_M, cfg, r).total
     red = potential_external_reduced(desk_spec, desk_M, cfg, r).total
     assert full.real == pytest.approx(red.real, rel=1e-10)
     assert full.imag == pytest.approx(red.imag, abs=1e-8)
@@ -299,7 +299,7 @@ def test_external_minimum_value(desk_spec, desk_M, desk_Q):
 def test_tilted_field(desk_spec, desk_Q):
     phi = bl.random_config(desk_spec, desk_Q, 1.0, seed=14)
     r = bl.ExternalField(1e-2, 0.9)
-    out = bl.tilted_field(phi, r)
+    out = tilted_field(phi, r)
     assert out.values[desk_Q.zero_index] == pytest.approx(
         phi.values[desk_Q.zero_index] * cmath.exp(1j * 0.9)
     )

@@ -6,14 +6,16 @@ Re V >= V_BCS(||phi||) - sum_{q != 0} (1/2)[log(1 - |(e_{t-q}, e_t)|^2)
 and the best (largest) right-hand side over t is reported.  Since every
 log factor is <= 1 the chain Re V >= rhs >= V_BCS(||phi||) follows.
 
-bound_report runs once per field on its lattice's scratch buffers
-(`TransferSet.scratch`): Re V takes one gemm and one in-place LU there, and
-the overlaps are built, clamped, logged and summed in row blocks that reuse
-the same memory, so no N x N array is allocated per field.  Measured with
-one BLAS thread on a 2-vCPU host (whose speed drifts by up to 2x from one
-minute to the next), the Hadamard side takes ~2.5 ms of a ~11.5 ms field
-at d = 1 L = 16 (autocorrelation_all 0.5 ms of it) and ~64 of ~700 ms at
-d = 2 L = 8 (autocorrelation_all ~29 ms).
+bound_report runs once per field on the calling thread's scratch buffers of
+its lattice (`TransferSet.scratch`), so threads can check fields of one
+lattice at once: Re V takes one gemm there and one LU of numpy's own copy
+of R (numpy's slogdet: no scipy), and the overlaps are built, clamped,
+logged and summed in row blocks that reuse the same buffers, so no other
+N x N array is allocated per field.  Measured with one BLAS thread and one
+thread checking fields on a 2-vCPU host (whose speed drifts by up to 2x from
+one minute to the next), a field takes ~14 ms at d = 1 L = 16 (the gemm
+~6, the LU ~4 and the Hadamard side ~2.3, autocorrelation_all 0.4 of it)
+and ~0.83 s at d = 2 L = 8 (~0.53 s, ~0.17 s and ~60 ms, ~17 ms).
 """
 
 from __future__ import annotations

@@ -185,13 +185,17 @@ def _scaled_field(spec, M, Q, scale: float, seed: int) -> FieldConfig:
 
 
 # bytes per (k, p) pair of M that a subcommand's dense matrices hold at once,
-# at least: eval's 2N x 2N complex block (4 * 16), factored in place, with the
-# transfer index (8) and, while the block is filled, phi's matrix (16), 88 in
-# all; and the reduced route's three scratch buffers (3 * 16,
-# model.TransferSet.scratch) with the transfer index (8).  At N = 1400 eval
-# peaks 89.7 bytes per pair above import (90 is kept), verify-bound --count 3
-# 71 and hessian-check 67
-DENSE_BYTES = {"eval": 90, "verify-bound": 56, "hessian-check": 56}
+# at least, as (shared by the run, per worker); eval and hessian-check run one
+# worker.  eval: its 2N x 2N complex block (4 * 16), factored in place, with
+# the transfer index (8) and, while the block is filled, phi's matrix (16), 88
+# in all.  verify-bound: the transfer index (8), shared, and per worker the
+# reduced route's three scratch buffers (3 * 16, model.TransferSet.scratch)
+# and the copy of R that numpy's slogdet factors (16).  hessian-check: the
+# three scratch buffers and the transfer index.  At N = 1400, above import
+# (one BLAS thread): eval peaks at 89.7 bytes per pair (90 is kept),
+# hessian-check at 67, and verify-bound --count 3 at 81 with one worker and
+# 146 with two, 65 per worker
+DENSE_BYTES = {"eval": (0, 90), "verify-bound": (8, 64), "hessian-check": (0, 56)}
 
 
 def physical_memory() -> int:
@@ -199,22 +203,33 @@ def physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def dense_preflight(command: str, M):
-    """Run before `command` builds dense N x N matrices: a ConfigError naming N
-    if they cannot fit in physical memory, else load scipy.linalg, which
-    factors them.  Loaded later, by the first logdet while the first matrices
-    are alive, it leaves glibc reusing the heap a little worse: verify-bound
-    at d = 1 L = 16 then takes 11.8k page faults instead of 10.9k, and ~0.03 s
-    longer (one BLAS thread)."""
+def usable_cores() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def dense_preflight(command: str, M, workers: int = 1) -> int:
+    """Run before `command` builds dense N x N matrices: how many of `workers`
+    fit their matrices in physical memory beside the shared ones, or a
+    ConfigError naming N if not even one does.
+
+    eval and hessian-check then load scipy.linalg, which factors their
+    matrices.  Loaded later, by the first logdet while the first matrices are
+    alive, it leaves glibc reusing the heap a little worse.  verify-bound
+    takes log|det| from numpy and never loads scipy (~0.2 s and ~26 MB)."""
     n = len(M)
-    need = DENSE_BYTES[command] * n * n
+    shared, each = (b * n * n for b in DENSE_BYTES[command])
     have = physical_memory()
-    if need > have:
+    if shared + each > have:
         raise ConfigError(
-            f"{command} on N = {n} momenta needs {need / 2**30:.3g} GiB of dense "
-            f"matrices, more than the {have / 2**30:.3g} GiB of physical memory"
+            f"{command} on N = {n} momenta needs {(shared + each) / 2**30:.3g} GiB of "
+            f"dense matrices, more than the {have / 2**30:.3g} GiB of physical memory"
         )
-    import scipy.linalg  # noqa: F401
+    if command in ("eval", "hessian-check"):
+        import scipy.linalg  # noqa: F401
+    return min(workers, (have - shared) // each)
 
 
 def q_labels(Q) -> list:
@@ -271,25 +286,32 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify_bound(args) -> int:
+    # imported here: the other subcommands run no pool
+    from concurrent.futures import ThreadPoolExecutor
+
     spec, M, _ = build_spec(parse_config(args.config))
-    dense_preflight("verify-bound", M)
+    seeds = [None] + list(range(args.seed, args.seed + args.count))  # None: the BCS field
+    workers = dense_preflight("verify-bound", M, min(usable_cores(), len(seeds)))
     Q = build_transfer_set(M)
     sol = solve_gap(spec, M)
-    rows = []
-    ok_all = True
+    Q.diff_index, Q.fft_box  # the lattice's shared tables, built before the workers read them
 
-    def configs():
-        """Each field drawn when it is evaluated: one |Q| vector alive at a time."""
-        yield "bcs", bcs_config(spec, Q, sol.r0, 0.0)
-        for s in range(args.seed, args.seed + args.count):
-            yield str(s), _scaled_field(spec, M, Q, args.scale, s)
-
-    for label, phi in configs():
+    def row(seed):
+        """One field's CSV row; the field is drawn here, so each worker holds
+        one |Q| vector at a time."""
+        if seed is None:
+            label, phi = "bcs", bcs_config(spec, Q, sol.r0, 0.0)
+        else:
+            label, phi = str(seed), _scaled_field(spec, M, Q, args.scale, seed)
         rep = bound_report(spec, M, phi)
-        ok_all &= rep.chain_ok
-        rows.append(
-            (label, rep.re_v, rep.rhs26, rep.vbcs_at_norm, int(rep.chain_ok))
-        )
+        return (label, rep.re_v, rep.rhs26, rep.vbcs_at_norm, int(rep.chain_ok))
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        rows = list(pool.map(row, seeds))  # in seed order; a field's error is raised here
+    finally:
+        pool.shutdown(cancel_futures=True)  # after an error, the queued fields are dropped
+    ok_all = all(r[4] for r in rows)
     emit_csv(args.output, ["seed", "re_v", "rhs26", "vbcs_norm", "chain_ok"], rows)
     print(f"configurations {len(rows)}")
     print(f"all_chains_ok {ok_all}")

@@ -17,9 +17,9 @@ the {q, -q} orbit representatives (see TransferSet).
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -173,6 +173,7 @@ class TransferSet:
         self.qnorm = np.sqrt(self.q0**2 + (self.qvec**2).sum(axis=1))
         self.zero_index = (nq - 1) // 2
         self.neg_index = nq - 1 - np.arange(nq)
+        self._local = threading.local()
 
     def __len__(self) -> int:
         return len(self.n0)
@@ -198,13 +199,19 @@ class TransferSet:
         gather = np.ravel_multi_index(tuple((coords % padded).T), padded)
         return padded, scatter, gather
 
-    @cached_property
+    @property
     def scratch(self) -> np.ndarray:
         """Three N x N complex buffers that the determinant code reuses from
-        field to field (potential.reduced_matrix, bound.hadamard_rhs); built
-        on first access and kept, like diff_index."""
-        n = len(self.freq_diff) * len(self.spatial_diff)
-        return np.empty((3, n, n), dtype=complex)
+        field to field (potential.reduced_matrix, bound.hadamard_rhs).  Each
+        thread has its own, built on its first access and freed when the
+        thread ends, so threads can evaluate fields of one lattice at once.
+        diff_index and fft_box are shared: build them before such threads
+        start."""
+        buffers = getattr(self._local, "scratch", None)
+        if buffers is None:
+            n = len(self.freq_diff) * len(self.spatial_diff)
+            buffers = self._local.scratch = np.empty((3, n, n), dtype=complex)
+        return buffers
 
 
 def build_transfer_set(M: MomentumSet) -> TransferSet:
@@ -251,8 +258,8 @@ class FieldConfig:
 class ExternalField:
     """U(1)-breaking pairing field r = magnitude * e^{i phase}, with its rules:
     both numbers finite, the magnitude nonnegative.  The zero field (any phase)
-    is no field: false, with `ratio` 0 and `tilt` 1, so U_r is V.  Any other
-    field enters as |r|/g, g = sqrt(lambda): `ratio` refuses it at lambda = 0."""
+    is no field: false, with `ratio` 0, so U_r is V.  Any other field enters
+    as |r|/g, g = sqrt(lambda): `ratio` refuses it at lambda = 0."""
 
     magnitude: float = 0.0
     phase: float = 0.0
@@ -263,15 +270,6 @@ class ExternalField:
 
     def __bool__(self) -> bool:
         return self.magnitude != 0.0
-
-    @property
-    def value(self) -> complex:
-        return self.magnitude * cmath.exp(1j * self.phase)
-
-    @property
-    def tilt(self) -> complex:
-        """e^{i phase}, by which U_r rotates the zero mode."""
-        return cmath.exp(1j * self.phase) if self else 1.0
 
     def ratio(self, spec: ModelSpec, y: float = 1.0) -> float:
         """|r| / (g y): |r|/g, the mean-field shift, or |r|/(g |y0|), the

@@ -12,16 +12,19 @@ test oracles and live with the tests.
 
 The reduced route serves Re V, the bound chain, the cubic remainder probe and
 finite differencing, where its imaginary part is smooth near the minimum; the
-full route serves eval and is the oracle in the checks.  Both are factored in
-place: the full route's block is built Fortran-ordered, and the reduced
-matrix in the lattice's scratch buffers (`TransferSet.scratch`) by two
-gathers and one gemm with out=, so a bound field allocates no N x N array.
+full route serves eval and is the oracle in the checks.  The full route's
+block is built Fortran-ordered and factored in place; the reduced matrix is
+built in the calling thread's scratch buffers (`TransferSet.scratch`) by two
+gathers and one gemm with out=.  Re V is branch-free, so `potential_real`
+takes log|det| alone from numpy's slogdet (`logdet`'s real route), which
+factors a copy of its own; the phased routes factor in place by scipy.
 Finite differencing goes through `DisplacedPotential`, which writes its
 reduced matrices in LAPACK band storage (`Banded`, kl, ku < (max |n0_t -
 n0_s| + 1) S over the step set, S spatial vectors) for a banded LU in
-O(N kl (kl + ku)).  scipy.linalg is imported inside `logdet`, and the N x N
-`diff_index` is built on the first call that needs it, so a process that
-takes no determinant pays for neither.
+O(N kl (kl + ku)).  scipy.linalg is imported inside `logdet`'s phased route
+only, and the N x N `diff_index` is built on the first call that needs it:
+a process that takes no phased determinant loads no scipy, and one that
+takes no determinant at all builds no index either.
 """
 
 from __future__ import annotations
@@ -64,6 +67,16 @@ class Banded:
     ku: int
 
 
+def _square_finite(matrix) -> np.ndarray:
+    """The matrix as a complex array, or a ValueError unless it is square and finite."""
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError("matrix must be square")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("matrix must be finite")
+    return matrix
+
+
 def _dense_pivots(matrix, overwrite: bool) -> tuple:
     """U's diagonal and the row swaps of LAPACK's partial-pivoting LU; with
     `overwrite` a Fortran-ordered complex matrix is factored in place."""
@@ -71,11 +84,7 @@ def _dense_pivots(matrix, overwrite: bool) -> tuple:
     # time, and the subcommands that take no determinant need not pay for it
     import scipy.linalg
 
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("matrix must be finite")
+    matrix = _square_finite(matrix)
     with warnings.catch_warnings():
         # an exactly zero pivot is handled by the caller's check
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -98,7 +107,7 @@ def _band_pivots(band: Banded, overwrite: bool) -> tuple:
     return lu[band.kl + band.ku], piv
 
 
-def logdet(matrix, overwrite: bool = False) -> complex:
+def logdet(matrix, overwrite: bool = False, real: bool = False):
     """log det with exact real part and per-pivot principal-branch imaginary part.
 
     A dense array is factored by LAPACK's LU, a `Banded` matrix by its banded
@@ -107,7 +116,17 @@ def logdet(matrix, overwrite: bool = False) -> complex:
     plus pi when the row swaps are odd.  The caller's matrix is left intact
     unless `overwrite` is set: then a Fortran-ordered complex matrix (or band
     array) is factored in place and holds its LU factors afterwards.
+
+    With `real`, a dense matrix gives log|det| alone, as a float, from
+    numpy's `slogdet`: no phases, no scipy, and numpy factors a copy of its
+    own, so `overwrite` does not apply.  Either way an exactly zero pivot
+    raises SingularMatrixError.
     """
+    if real:
+        sign, value = np.linalg.slogdet(_square_finite(matrix))
+        if sign == 0:
+            raise SingularMatrixError("singular")
+        return float(value)
     if isinstance(matrix, Banded):
         diag, piv = _band_pivots(matrix, overwrite)
     else:
@@ -161,8 +180,8 @@ def potential_full(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> Potenti
 
 def reduced_matrix(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> np.ndarray:
     """Id + (lambda/kappa) Cbar phi C phi^H  (N x N), Fortran-ordered, built in
-    the lattice's scratch buffers (`TransferSet.scratch`) and overwritten by
-    the next field on that lattice.
+    the calling thread's scratch buffers of the lattice (`TransferSet.scratch`)
+    and overwritten by that thread's next field on that lattice.
 
     Cbar phi and C phi^H are gathered through diff_index into the first two
     buffers, and the third receives R^T = (C phi^H)^T (Cbar phi)^T by one
@@ -264,8 +283,9 @@ class DisplacedPotential:
 
 
 def potential_real(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> float:
-    """Re V = sum |phi_q|^2 - log|det| by the reduced route; +inf if singular."""
+    """Re V = sum |phi_q|^2 - log|det| by the reduced route, the determinant by
+    `logdet`'s real route; +inf if singular."""
     try:
-        return potential_reduced(spec, M, phi).total.real
+        return _field_sum(phi) - logdet(reduced_matrix(spec, M, phi), real=True)
     except SingularMatrixError:
         return math.inf

@@ -6,6 +6,7 @@ indices into M and Q, or (n0, m) tuples where a label outside the set is
 meaningful.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -88,10 +89,21 @@ def overlap_matrices(spec, M, phi):
     return o1, o2
 
 
+def field_value(r) -> complex:
+    """The external field's complex value, magnitude * e^{i phase}."""
+    return r.magnitude * cmath.exp(1j * r.phase)
+
+
+def field_tilt(r) -> complex:
+    """e^{i phase}, by which U_r rotates the zero mode; 1 for the zero field,
+    whatever its phase."""
+    return cmath.exp(1j * r.phase) if r else 1.0
+
+
 def tilted_field(phi, r):
-    """phi with the zero mode rotated by the field's `tilt`."""
+    """phi with the zero mode rotated by the field's tilt."""
     out = phi.copy()
-    out.values[phi.transfer.zero_index] *= r.tilt
+    out.values[phi.transfer.zero_index] *= field_tilt(r)
     return out
 
 
@@ -167,7 +179,7 @@ def propagators(spec, M, phi, r=None) -> dict:
                 [ig phi/sqrt(kappa) + r Id, diag(abar)]].
     """
     n = len(M)
-    rval = 0.0 + 0.0j if r is None else r.value
+    rval = 0.0 + 0.0j if r is None else field_value(r)
     pref = 1j * spec.g / math.sqrt(spec.kappa)
     Phi = bl.phi_matrix(M, phi)
     A = np.zeros((2 * n, 2 * n), dtype=complex)

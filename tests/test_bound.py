@@ -1,7 +1,10 @@
 """Hadamard lower bound on Re V and the bound chain."""
 
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -185,9 +188,43 @@ def test_reused_scratch_matches_fresh_lattice(request, lattice):
         assert bl.bound_report(spec, M, fields[i]) == fresh[i]
 
 
+@pytest.mark.parametrize("lattice", ["small", "desk"])
+def test_threads_share_a_lattice(request, lattice):
+    # four threads, more than the cores CI has, evaluating fields of one
+    # lattice at once in rotated orders and switching often: each works on
+    # its own scratch buffers, so every report is the serial one, bit for bit
+    spec = request.getfixturevalue(f"{lattice}_spec")
+    M = request.getfixturevalue(f"{lattice}_M")
+    Q = request.getfixturevalue(f"{lattice}_Q")
+    fields = _bound_fields(spec, Q, request.getfixturevalue(f"{lattice}_sol").r0)
+    serial = [bl.bound_report(spec, M, phi) for phi in fields]
+    threads = 4
+    start = threading.Barrier(threads)
+
+    def run(shift):
+        start.wait(timeout=60)
+        order = [(i + shift) % len(fields) for i in range(len(fields))] * 3
+        return [(i, bl.bound_report(spec, M, fields[i])) for i in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(threads) as pool:
+            runs = list(pool.map(run, range(threads), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(runs) == threads
+    for reports in runs:
+        assert len(reports) == 3 * len(fields)
+        for i, rep in reports:
+            assert rep == serial[i], i
+
+
 def test_bound_report_allocates_no_dense_matrix(desk_spec, desk_M, desk_Q, desk_sol):
     # after the first field has built the scratch buffers, a field's traced
-    # allocations peak below one N x N float array (N^2 8 bytes)
+    # allocations peak below one N x N float array (N^2 8 bytes).  The copy
+    # of R that numpy's slogdet factors is numpy's own buffer, which
+    # tracemalloc does not see; cli.DENSE_BYTES counts it
     fields = _bound_fields(desk_spec, desk_Q, desk_sol.r0)
     bl.bound_report(desk_spec, desk_M, fields[-1])
     limit = len(desk_M) ** 2 * 8

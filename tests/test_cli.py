@@ -1,11 +1,13 @@
 """Command-line driver: subcommands, CSV output and exit codes."""
 
+import concurrent.futures
 import csv
 import importlib.util
 import io
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -132,6 +134,95 @@ def test_verify_bound_explicit_count(config_path, tmp_path, capsys):
     assert "configurations 11" in out
     with open(out_csv) as fh:
         assert len(list(csv.DictReader(fh))) == 11
+
+
+DESK_CONFIG = """
+d = 1
+L = 16
+beta = 8
+nu = 20
+lambda_factor = 2.0
+"""
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """The max_workers of every thread pool started while the test runs."""
+    sizes = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    return sizes
+
+
+def bound_run(config, tmp_path, capsys, *argv):
+    """verify-bound's exit code, stdout and CSV bytes."""
+    out_csv = tmp_path / "bound.csv"
+    code, out, _ = run_cli(
+        ["verify-bound", "--config", config, "--output", str(out_csv), *argv], capsys
+    )
+    return code, out, out_csv.read_bytes()
+
+
+@pytest.mark.parametrize("lattice, count", [("small", 20), ("desk", 8)])
+def test_verify_bound_same_output_on_any_core_count(
+    lattice, count, tmp_path, monkeypatch, capsys, pool_sizes
+):
+    # one worker per usable core, each field drawn and evaluated on its own:
+    # one core and three give the same stdout and CSV, byte for byte
+    config = tmp_path / "lattice.cfg"
+    config.write_text(SMALL_CONFIG if lattice == "small" else DESK_CONFIG)
+    runs = []
+    for cores in (1, 3):
+        monkeypatch.setattr(cli, "usable_cores", lambda cores=cores: cores)
+        runs.append(bound_run(str(config), tmp_path, capsys, "--count", str(count)))
+    assert pool_sizes == [1, 3]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and f"configurations {count + 1}\n" in runs[0][1]
+
+
+def test_verify_bound_workers_fit_memory(config_path, tmp_path, monkeypatch, capsys, pool_sizes):
+    # physical memory for the shared tables and one worker's matrices, not
+    # two: one worker runs, with the output of three
+    monkeypatch.setattr(cli, "usable_cores", lambda: 3)
+    wide = bound_run(config_path, tmp_path, capsys)
+    shared, each = cli.DENSE_BYTES["verify-bound"]
+    monkeypatch.setattr(cli, "physical_memory", lambda: (shared + 2 * each) * 4**2 - 1)
+    narrow = bound_run(config_path, tmp_path, capsys)
+    assert pool_sizes == [3, 1]
+    assert narrow == wide and wide[0] == 0
+    M = cli.build_spec(cli.parse_config(config_path))[1]
+    monkeypatch.setattr(cli, "physical_memory", lambda: (shared + 2 * each) * 4**2)
+    assert cli.dense_preflight("verify-bound", M, 3) == 2
+
+
+def test_verify_bound_field_error_exits_2(config_path, monkeypatch, capsys, pool_sizes):
+    # the --scale error of a later field exits 2 with nothing on stdout, and
+    # the fields still queued are dropped, not evaluated
+    scaled, report, evaluated = cli._scaled_field, cli.bound_report, []
+
+    def field(spec, M, Q, scale, seed):
+        return scaled(spec, M, Q, 1e300 if seed == 3 else scale, seed)
+
+    def slow_report(spec, M, phi):
+        evaluated.append(phi)
+        time.sleep(0.005)
+        return report(spec, M, phi)
+
+    monkeypatch.setattr(cli, "_scaled_field", field)
+    monkeypatch.setattr(cli, "bound_report", slow_report)
+    monkeypatch.setattr(cli, "usable_cores", lambda: 2)
+    code, out, err = run_cli(
+        ["verify-bound", "--config", config_path, "--output", "-"], capsys
+    )
+    assert pool_sizes == [2]
+    assert (code, out) == (2, "")
+    assert err == "error: --scale must be small enough for finite matrices, not 1e+300\n"
+    assert len(evaluated) < 100  # of 200 fields
 
 
 def test_verify_bound_default_count(config_path, capsys):
@@ -680,7 +771,8 @@ def test_hessian_check_lambda_zero_tol(free_config, monkeypatch, capsys, err, ar
 
 def test_import_skips_scipy_optimize(config_path):
     # nothing needs scipy.optimize or scipy.sparse, and only a determinant
-    # needs scipy.linalg; a CLI process that takes none does not pay for it.
+    # with its phase needs scipy.linalg; a CLI process that takes none does not
+    # pay for it: verify-bound takes log|det| alone, from numpy.
     # hessian-check's finite differences factor band matrices by LAPACK
     script = (
         "import contextlib, os, sys, bcslab.cli\n"
@@ -692,6 +784,7 @@ def test_import_skips_scipy_optimize(config_path):
         "print(has('scipy.linalg'))\n"
         f"bcslab.cli.main(['verify-bound', '--config', {config_path!r}, '--count', '2',"
         " '--output', os.devnull])\n"
+        "print(has('scipy.linalg'))\n"
         "with contextlib.redirect_stdout(open(os.devnull, 'w')):\n"
         f"    hessian = bcslab.cli.main(['hessian-check', '--config', {config_path!r}])\n"
         "print(hessian, has('scipy.sparse'))\n"
@@ -704,15 +797,17 @@ def test_import_skips_scipy_optimize(config_path):
     assert proc.returncode == 0
     lines = proc.stdout.splitlines()
     assert lines == [
-        "False False False", "False", "configurations 3", "all_chains_ok True", "0 False",
+        "False False False", "False", "configurations 3", "all_chains_ok True", "False",
+        "0 False",
         "0 0 False",
     ]
 
 
 @pytest.mark.parametrize("command", ["eval", "verify-bound", "hessian-check"])
 def test_dense_preflight_exits_2(config_path, monkeypatch, capsys, command):
-    # the small lattice has N = 4 momenta: the estimate is DENSE_BYTES * 4^2
-    need = cli.DENSE_BYTES[command] * 16
+    # the small lattice has N = 4 momenta: the estimate for the shared
+    # matrices and one worker's is sum(DENSE_BYTES) * 4^2
+    need = sum(cli.DENSE_BYTES[command]) * 16
     monkeypatch.setattr(cli, "physical_memory", lambda: need - 1)
     monkeypatch.setattr(cli, "build_transfer_set", None)  # no matrix gets built
     code, out, err = run_cli([command, "--config", config_path], capsys)
@@ -722,4 +817,4 @@ def test_dense_preflight_exits_2(config_path, monkeypatch, capsys, command):
     assert err.count("\n") == 1
     M = cli.build_spec(cli.parse_config(config_path))[1]
     monkeypatch.setattr(cli, "physical_memory", lambda: need)
-    cli.dense_preflight(command, M)  # an estimate that fits passes
+    assert cli.dense_preflight(command, M) == 1  # an estimate that fits passes

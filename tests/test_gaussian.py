@@ -1,5 +1,6 @@
 """Gaussian-approximation quantities and their quadrature oracles."""
 
+import cmath
 import dataclasses
 import math
 
@@ -50,10 +51,44 @@ def test_pair_oracle_batch_matches_scalars():
         pair_oracle(np.append(a, 0.05), np.append(b, 0.0), np.append(g, 20.0))
 
 
+def _pair_form_matrix(alpha, beta_coef, gamma, theta0):
+    """B with x^T B x the pair's unrotated quadratic form
+
+        alpha (|phi_q|^2 + |phi_-q|^2) + i gamma (|phi_q|^2 - |phi_-q|^2)
+        + beta |e^{-i theta0} phi_q + e^{i theta0} conj(phi_-q)|^2
+
+    in x = (Re phi_q, Im phi_q, Re phi_-q, Im phi_-q), read off the form's
+    values by polarization."""
+
+    def form(x):
+        p, m = complex(x[0], x[1]), complex(x[2], x[3])
+        w = cmath.exp(-1j * theta0) * p + cmath.exp(1j * theta0) * m.conjugate()
+        sq_p, sq_m = abs(p) ** 2, abs(m) ** 2
+        return alpha * (sq_p + sq_m) + 1j * gamma * (sq_p - sq_m) + beta_coef * abs(w) ** 2
+
+    e = np.eye(4)
+    return np.array([
+        [form(e[i]) if i == j else (form(e[i] + e[j]) - form(e[i]) - form(e[j])) / 2
+         for j in range(4)]
+        for i in range(4)
+    ])
+
+
 def test_pair_oracle_theta_invariant():
-    v0 = pair_oracle(0.8, 0.3, 0.5, theta0=0.0)
-    v1 = pair_oracle(0.8, 0.3, 0.5, theta0=1.7)
-    assert v0 == v1
+    # pair_oracle rotates the condensate phase away; at theta0 = 1.7 the
+    # unrotated form's integral (1/pi^2) int exp(-x^T B x) d^4x, which is
+    # prod lambda^(-1/2) over B's eigenvalues (their real parts positive, so
+    # each principal root is the continuous branch), is its value too
+    alpha, beta_coef, gamma, theta0 = 0.8, 0.3, 0.5, 1.7
+    B = _pair_form_matrix(alpha, beta_coef, gamma, theta0)
+    assert not np.allclose(B, _pair_form_matrix(alpha, beta_coef, gamma, 0.0))
+    lam = np.linalg.eigvals(B)
+    assert np.all(lam.real > 0.0)
+    direct = complex(np.prod(1.0 / np.sqrt(lam)))
+    assert abs(direct.imag) <= 1e-14
+    assert pair_oracle(alpha, beta_coef, gamma, theta0=theta0) == pytest.approx(
+        direct.real, rel=1e-12
+    )
 
 
 def test_pair_factor_lattice(desk_spec, desk_Q, desk_qf):

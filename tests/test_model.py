@@ -9,7 +9,7 @@ import pytest
 import bcslab as bl
 from bcslab.expansion import _pair_sum as pair_sum
 from bcslab.model import dispersion_array, spatial_grid
-from oracles import autocorrelation, dispersion, index_of, labels, nondegenerate
+from oracles import autocorrelation, dispersion, field_tilt, index_of, labels, nondegenerate
 
 
 def test_desk_set_sizes(desk_M, desk_Q):
@@ -346,7 +346,7 @@ def test_zero_external_field_is_no_field(desk_spec):
     # whatever its phase, and at lambda = 0 too, where any other field is refused
     free = bl.ModelSpec(lam=0.0)
     r = bl.ExternalField(0.0, 0.7)
-    assert not r and r.tilt == 1.0 and r.ratio(free) == 0.0
+    assert not r and field_tilt(r) == 1.0 and r.ratio(free) == 0.0
     field = bl.ExternalField(1e-2, 0.7)
     assert field and field.ratio(desk_spec) == 1e-2 / desk_spec.g
     with pytest.raises(ValueError, match="lambda > 0"):

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 import bcslab as bl
-from oracles import potential_external, potential_external_reduced, propagators, tilted_field
+from bcslab import potential
+from oracles import (
+    field_value, potential_external, potential_external_reduced, propagators, tilted_field
+)
 
 
 def test_logdet_against_slogdet():
@@ -37,6 +40,37 @@ def test_logdet_validation():
         bl.logdet(np.array([[np.inf, 0.0], [0.0, 1.0]]))
     with pytest.raises(bl.SingularMatrixError):
         bl.logdet(np.zeros((3, 3)))
+
+
+def test_logdet_real_route():
+    # log|det| alone, as a float from numpy's slogdet: the real part of the
+    # phased route, behind the same checks
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 5, 9):
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        got = bl.logdet(A, real=True)
+        assert type(got) is float
+        assert got == pytest.approx(bl.logdet(A).real, rel=1e-12, abs=1e-14)
+    with pytest.raises(ValueError, match="square"):
+        bl.logdet(np.zeros((2, 3)), real=True)
+    with pytest.raises(ValueError, match="square"):
+        bl.logdet(np.ones(3), real=True)
+    for bad in (np.inf, np.nan, complex(0.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            bl.logdet(np.array([[bad, 0.0], [0.0, 1.0]]), real=True)
+    for singular in (np.zeros((3, 3)), np.ones((3, 3))):
+        with pytest.raises(bl.SingularMatrixError):
+            bl.logdet(singular, real=True)
+
+
+def test_potential_real_singular_is_inf(desk_spec, desk_M, desk_Q, monkeypatch):
+    # an exactly singular reduced matrix: det R = 0, so Re V = +inf
+    n = len(desk_M)
+    monkeypatch.setattr(
+        potential, "reduced_matrix", lambda spec, M, phi: np.ones((n, n), dtype=complex)
+    )
+    phi = bl.random_config(desk_spec, desk_Q, 1.0, seed=4)
+    assert bl.potential_real(desk_spec, desk_M, phi) == math.inf
 
 
 def _near_diagonal(n, seed):
@@ -256,7 +290,7 @@ def test_external_field_validation():
     with pytest.raises(ValueError):
         bl.ExternalField(magnitude=-1.0)
     r = bl.ExternalField(0.5, math.pi / 3)
-    assert r.value == pytest.approx(0.5 * cmath.exp(1j * math.pi / 3))
+    assert field_value(r) == pytest.approx(0.5 * cmath.exp(1j * math.pi / 3))
 
 
 def test_external_reduces_at_zero(desk_spec, desk_M, desk_Q):

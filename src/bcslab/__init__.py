@@ -19,7 +19,6 @@ from .model import (
 from .potential import (
     Banded,
     DisplacedPotential,
-    PotentialValue,
     SingularMatrixError,
     assemble_block,
     logdet,

@@ -168,17 +168,25 @@ def emit_csv(path: str | None, header: list, rows: list):
             out.close()
 
 
-def _scaled_field(spec, M, Q, scale: float, seed: int) -> FieldConfig:
-    """random_config, or a ConfigError naming --scale if its matrices can overflow.
+def _scaled_field(spec, M, Q, scale: float, seed: int, hadamard: bool = False) -> FieldConfig:
+    """random_config, or a ConfigError naming --scale if its arrays can overflow.
 
     For each k, p -> k - p is injective, so every entry of Cbar phi C phi^H,
     and every partial sum forming it, is at most max|1/a_k|^2 sum_q |phi_q|^2.
+    With `hadamard`, for the bound's overlaps too: they square (lambda/kappa)
+    A(q), and |A(q)| <= sum_q |phi_q|^2; autocorrelation_all's |f|^2 and the
+    partial sums of its inverse FFT are at most P sum_q |phi_q|^2 (Parseval),
+    P the size of the padded FFT box.
     """
     phi = random_config(spec, Q, 1.0, seed)
     with np.errstate(over="ignore"):  # the factor 2 leaves headroom for the products
-        bound = np.float64(2.0 * scale / np.min(np.abs(M.a))) ** 2
-        bound *= np.sum(np.abs(phi.values) ** 2)
-    if not np.isfinite(bound):
+        total = np.sum(np.abs(phi.values) ** 2)  # sum_q |phi_q|^2, still unscaled
+        bounds = [np.float64(2.0 * scale / np.min(np.abs(M.a))) ** 2 * total]
+        if hadamard:
+            total *= np.float64(scale) ** 2
+            bounds += [(2.0 * spec.lam / spec.kappa * total) ** 2,
+                       2.0 * math.prod(Q.fft_box[0]) * total]
+    if not np.all(np.isfinite(bounds)):
         raise ConfigError(f"--scale must be small enough for finite matrices, not {scale:g}")
     phi.values *= scale
     return phi
@@ -192,9 +200,10 @@ def _scaled_field(spec, M, Q, scale: float, seed: int) -> FieldConfig:
 # reduced route's three scratch buffers (3 * 16, model.TransferSet.scratch)
 # and the copy of R that numpy's slogdet factors (16).  hessian-check: the
 # three scratch buffers and the transfer index.  At N = 1400, above import
-# (one BLAS thread): eval peaks at 89.7 bytes per pair (90 is kept),
-# hessian-check at 67, and verify-bound --count 3 at 81 with one worker and
-# 146 with two, 65 per worker
+# (one BLAS thread; for eval and hessian-check scipy.linalg's 27.5 MB,
+# loaded by their first logdet, counted as import): eval peaks at 81.4
+# bytes per pair (90 is kept), hessian-check at 65, and verify-bound
+# --count 3 at 81 with one worker and 146 with two, 65 per worker
 DENSE_BYTES = {"eval": (0, 90), "verify-bound": (8, 64), "hessian-check": (0, 56)}
 
 
@@ -213,12 +222,7 @@ def usable_cores() -> int:
 def dense_preflight(command: str, M, workers: int = 1) -> int:
     """Run before `command` builds dense N x N matrices: how many of `workers`
     fit their matrices in physical memory beside the shared ones, or a
-    ConfigError naming N if not even one does.
-
-    eval and hessian-check then load scipy.linalg, which factors their
-    matrices.  Loaded later, by the first logdet while the first matrices are
-    alive, it leaves glibc reusing the heap a little worse.  verify-bound
-    takes log|det| from numpy and never loads scipy (~0.2 s and ~26 MB)."""
+    ConfigError naming N if not even one does."""
     n = len(M)
     shared, each = (b * n * n for b in DENSE_BYTES[command])
     have = physical_memory()
@@ -227,8 +231,6 @@ def dense_preflight(command: str, M, workers: int = 1) -> int:
             f"{command} on N = {n} momenta needs {(shared + each) / 2**30:.3g} GiB of "
             f"dense matrices, more than the {have / 2**30:.3g} GiB of physical memory"
         )
-    if command in ("eval", "hessian-check"):
-        import scipy.linalg  # noqa: F401
     return min(workers, (have - shared) // each)
 
 
@@ -278,9 +280,9 @@ def cmd_eval(args) -> int:
     red = potential_reduced(spec, M, phi)
     print(f"seed {args.seed}")
     print(f"norm_sq {FMT % field_norm(phi)}")
-    print(f"re_v_full {FMT % full.total.real}")
-    print(f"im_v_full {FMT % full.total.imag}")
-    print(f"re_v_reduced {FMT % red.total.real}")
+    print(f"re_v_full {FMT % full.real}")
+    print(f"im_v_full {FMT % full.imag}")
+    print(f"re_v_reduced {FMT % red.real}")
     print(f"vbcs_at_norm {FMT % vbcs_sum(spec, M, math.sqrt(field_norm(phi)))}")
     return 0
 
@@ -302,7 +304,7 @@ def cmd_verify_bound(args) -> int:
         if seed is None:
             label, phi = "bcs", bcs_config(spec, Q, sol.r0, 0.0)
         else:
-            label, phi = str(seed), _scaled_field(spec, M, Q, args.scale, seed)
+            label, phi = str(seed), _scaled_field(spec, M, Q, args.scale, seed, hadamard=True)
         rep = bound_report(spec, M, phi)
         return (label, rep.re_v, rep.rhs26, rep.vbcs_at_norm, int(rep.chain_ok))
 

@@ -245,20 +245,20 @@ def fd_hessian(spec: ModelSpec, M: MomentumSet, base: FieldConfig, h: float, coo
     t = coords // 2
     step = np.where(coords % 2 == 0, h, 1j * h)  # u or v step as a shift of phi_t
     V = DisplacedPotential(spec, M, base)
-    f0 = V().total
+    f0 = V()
     m = len(coords)
     out = np.zeros((m, m), dtype=complex)
     for a in range(m):
         ta, sa = t[a], step[a]
-        fp = V([(ta, sa)]).total
-        fm = V([(ta, -sa)]).total
+        fp = V([(ta, sa)])
+        fm = V([(ta, -sa)])
         out[a, a] = (fp + fm - 2.0 * f0) / h**2
         for b in range(a + 1, m):
             tb, sb = t[b], step[b]
-            fpp = V([(ta, sa), (tb, sb)]).total
-            fmm = V([(ta, -sa), (tb, -sb)]).total
-            fpm = V([(ta, sa), (tb, -sb)]).total
-            fmp = V([(ta, -sa), (tb, sb)]).total
+            fpp = V([(ta, sa), (tb, sb)])
+            fmm = V([(ta, -sa), (tb, -sb)])
+            fpm = V([(ta, sa), (tb, -sb)])
+            fmp = V([(ta, -sa), (tb, sb)])
             val = (fpp + fmm - fpm - fmp) / (4.0 * h**2)
             out[a, b] = val
             out[b, a] = val
@@ -287,4 +287,4 @@ def remainder(
     Q = qf.transfer
     base = bcs_config(spec, Q, qf.r0, qf.theta0)
     cfg = FieldConfig(Q, base.values + t * xi.values)
-    return abs(potential_reduced(spec, M, cfg).total - v2(spec, qf, cfg))
+    return abs(potential_reduced(spec, M, cfg) - v2(spec, qf, cfg))

@@ -5,10 +5,11 @@ matrix [[Id, C (ig/sqrt(kappa)) phi*], [Cbar (ig/sqrt(kappa)) phi, Id]]
 with (phi)_{k,p} = phi_{k-p} and C = diag(1/a_k), a_k = i k0 - e_k.  Its
 N x N Schur complement Id + (lambda/kappa) Cbar phi C phi* has the same
 determinant: the routes agree in the real part, and their per-pivot imaginary
-parts may differ by 2 pi k.  This module computes V only.  The mean-field
-closed forms V_BCS live in `gap`; U_r, V with an external pairing field (its
-zero-mode shift and tilt, `model.ExternalField`), and the propagators are
-test oracles and live with the tests.
+parts may differ by 2 pi k.  This module computes V only, as a plain
+complex (a float for `potential_real`).  The mean-field closed forms V_BCS
+live in `gap`; U_r, V with an external pairing field (its zero-mode shift
+and tilt, `model.ExternalField`), and the propagators are test oracles and
+live with the tests.
 
 The reduced route serves Re V, the bound chain, the cubic remainder probe and
 finite differencing, where its imaginary part is smooth near the minimum; the
@@ -17,7 +18,8 @@ block is built Fortran-ordered and factored in place; the reduced matrix is
 built in the calling thread's scratch buffers (`TransferSet.scratch`) by two
 gathers and one gemm with out=.  Re V is branch-free, so `potential_real`
 takes log|det| alone from numpy's slogdet (`logdet`'s real route), which
-factors a copy of its own; the phased routes factor in place by scipy.
+factors a copy of its own; the phased routes factor in place by LAPACK's
+LU, zgetrf for a dense matrix and zgbtrf for a band, from scipy.linalg.lapack.
 Finite differencing goes through `DisplacedPotential`, which writes its
 reduced matrices in LAPACK band storage (`Banded`, kl, ku < (max |n0_t -
 n0_s| + 1) S over the step set, S spatial vectors) for a banded LU in
@@ -30,7 +32,6 @@ takes no determinant at all builds no index either.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,20 +41,6 @@ from .model import FieldConfig, ModelSpec, MomentumSet
 
 class SingularMatrixError(ValueError):
     """Raised when the block matrix is exactly singular (Re V = +inf)."""
-
-
-@dataclass
-class PotentialValue:
-    """V split into its field-sum and log-determinant parts.
-
-    total = sum_term - logdet_term holds as a complex identity; the imaginary
-    part of logdet_term is accumulated per LU pivot on the principal branch
-    and is therefore only defined mod 2 pi globally.
-    """
-
-    total: complex
-    sum_term: float
-    logdet_term: complex
 
 
 @dataclass
@@ -77,34 +64,26 @@ def _square_finite(matrix) -> np.ndarray:
     return matrix
 
 
-def _dense_pivots(matrix, overwrite: bool) -> tuple:
-    """U's diagonal and the row swaps of LAPACK's partial-pivoting LU; with
-    `overwrite` a Fortran-ordered complex matrix is factored in place."""
-    # imported here, not at module level: it is most of the package's import
-    # time, and the subcommands that take no determinant need not pay for it
-    import scipy.linalg
+def _pivots(matrix, overwrite: bool) -> tuple:
+    """U's diagonal and the row swaps of LAPACK's partial-pivoting LU: getrf
+    for a dense matrix, gbtrf for a `Banded` one, which picks the dense LU's
+    pivots.  With `overwrite` a Fortran-ordered complex matrix (or band
+    array) is factored in place."""
+    # imported here, not at module level: scipy.linalg is most of the
+    # package's import time, and the subcommands that take no phased
+    # determinant need not pay for it
+    from scipy.linalg.lapack import zgbtrf, zgetrf
 
-    matrix = _square_finite(matrix)
-    with warnings.catch_warnings():
-        # an exactly zero pivot is handled by the caller's check
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(matrix, overwrite_a=overwrite, check_finite=False)
-    return np.diag(lu), piv
-
-
-def _band_pivots(band: Banded, overwrite: bool) -> tuple:
-    """U's diagonal and the row swaps of LAPACK's banded partial-pivoting LU
-    (gbtrf), which picks the dense LU's pivots; with `overwrite` a
-    Fortran-ordered complex `ab` is factored in place."""
-    from scipy.linalg.lapack import zgbtrf  # here, as in _dense_pivots
-
-    ab = np.asarray(band.ab, dtype=complex)
-    if ab.ndim != 2 or len(ab) != 2 * band.kl + band.ku + 1 or min(band.kl, band.ku) < 0:
+    if not isinstance(matrix, Banded):
+        lu, piv, _ = zgetrf(_square_finite(matrix), overwrite_a=overwrite)
+        return np.diag(lu), piv
+    ab, kl, ku = np.asarray(matrix.ab, dtype=complex), matrix.kl, matrix.ku
+    if ab.ndim != 2 or len(ab) != 2 * kl + ku + 1 or min(kl, ku) < 0:
         raise ValueError("band storage must have 2 kl + ku + 1 rows")
     if not np.all(np.isfinite(ab)):
         raise ValueError("matrix must be finite")
-    lu, piv, _ = zgbtrf(ab, band.kl, band.ku, overwrite_ab=overwrite)
-    return lu[band.kl + band.ku], piv
+    lu, piv, _ = zgbtrf(ab, kl, ku, overwrite_ab=overwrite)
+    return lu[kl + ku], piv
 
 
 def logdet(matrix, overwrite: bool = False, real: bool = False):
@@ -127,10 +106,7 @@ def logdet(matrix, overwrite: bool = False, real: bool = False):
         if sign == 0:
             raise SingularMatrixError("singular")
         return float(value)
-    if isinstance(matrix, Banded):
-        diag, piv = _band_pivots(matrix, overwrite)
-    else:
-        diag, piv = _dense_pivots(matrix, overwrite)
+    diag, piv = _pivots(matrix, overwrite)
     if np.any(diag == 0):
         raise SingularMatrixError("singular")
     odd = np.count_nonzero(piv != np.arange(len(piv))) % 2
@@ -167,15 +143,13 @@ def _field_sum(phi: FieldConfig) -> float:
     return float(np.sum(np.abs(phi.values) ** 2))
 
 
-def _potential(sum_term: float, matrix) -> PotentialValue:
-    """V from a matrix built for this call alone, which LAPACK may overwrite."""
-    ld = logdet(matrix, overwrite=True)
-    return PotentialValue(total=sum_term - ld, sum_term=sum_term, logdet_term=ld)
+def potential_full(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> complex:
+    """V = sum_q |phi_q|^2 - log det of the full block matrix.
 
-
-def potential_full(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> PotentialValue:
-    """V = sum_q |phi_q|^2 - log det of the full block matrix."""
-    return _potential(_field_sum(phi), assemble_block(spec, M, phi))
+    The imaginary part of log det is summed per LU pivot on the principal
+    branch, so Im V is defined only mod 2 pi globally.  The block is built
+    for this call alone and factored in place."""
+    return _field_sum(phi) - logdet(assemble_block(spec, M, phi), overwrite=True)
 
 
 def reduced_matrix(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> np.ndarray:
@@ -202,11 +176,10 @@ def reduced_matrix(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> np.ndar
     return rt.T
 
 
-def potential_reduced(
-    spec: ModelSpec, M: MomentumSet, phi: FieldConfig
-) -> PotentialValue:
-    """Same value as potential_full via the N x N reduced determinant."""
-    return _potential(_field_sum(phi), reduced_matrix(spec, M, phi))
+def potential_reduced(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> complex:
+    """Same value as potential_full via the N x N reduced determinant,
+    factored in place in the scratch buffers."""
+    return _field_sum(phi) - logdet(reduced_matrix(spec, M, phi), overwrite=True)
 
 
 class DisplacedPotential:
@@ -252,7 +225,7 @@ class DisplacedPotential:
             self.maps[t] = (k, j, self.rc[k] * self.C[j], dst)
         return self.maps[t]
 
-    def __call__(self, steps=()) -> PotentialValue:
+    def __call__(self, steps=()) -> complex:
         """V at base + delta on each (transfer, complex delta) pair of `steps`;
         u and v steps on one transfer are merged."""
         Q = self.base.transfer
@@ -279,7 +252,7 @@ class DisplacedPotential:
             # one pair's rows are distinct; entries that pairs share, as the
             # diagonal where t = s, are summed
             ab[kl + ku + below, cols] += entries
-        return _potential(sum_term, Banded(ab, kl, ku))
+        return sum_term - logdet(Banded(ab, kl, ku), overwrite=True)
 
 
 def potential_real(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> float:

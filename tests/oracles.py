@@ -13,9 +13,8 @@ import numpy as np
 import scipy.linalg
 
 import bcslab as bl
-from bcslab.bound import _denominators, _overlap_blocks
+from bcslab.bound import _denominators, _overlaps
 from bcslab.gaussian import FlatGaussianMode
-from bcslab.potential import _potential
 
 
 class QuadratureError(RuntimeError):
@@ -80,13 +79,8 @@ def overlap_prime_sq(spec, M, phi, k: int, t: int) -> float:
 
 def overlap_matrices(spec, M, phi):
     """O1[k, t] = |(e_k, e_t)|^2 and O2[k, t] = |(e'_k, e_t)|^2 for all index
-    pairs, copied out of the row blocks that hadamard_rhs reduces in place."""
-    n = len(M)
-    o1, o2 = np.empty((n, n)), np.empty((n, n))
-    for k0, b1, b2 in _overlap_blocks(spec, M, phi):
-        o1[k0 : k0 + len(b1)] = b1
-        o2[k0 : k0 + len(b2)] = b2
-    return o1, o2
+    pairs, copied out of the scratch views that hadamard_rhs reduces in place."""
+    return tuple(o.copy() for o in _overlaps(spec, M, phi))
 
 
 def field_value(r) -> complex:
@@ -121,17 +115,15 @@ def external_sum(spec, phi, r) -> float:
 def potential_external(spec, M, phi, r):
     """U_r via the full 2N x 2N block of the tilted field; V for the zero
     field: the field's shift enters the sum term, its tilt the determinant."""
-    return _potential(
-        external_sum(spec, phi, r), bl.assemble_block(spec, M, tilted_field(phi, r))
-    )
+    block = bl.assemble_block(spec, M, tilted_field(phi, r))
+    return external_sum(spec, phi, r) - bl.logdet(block, overwrite=True)
 
 
 def potential_external_reduced(spec, M, phi, r):
     """U_r via the N x N reduced determinant of the tilted field; V for the
     zero field."""
-    return _potential(
-        external_sum(spec, phi, r), bl.reduced_matrix(spec, M, tilted_field(phi, r))
-    )
+    matrix = bl.reduced_matrix(spec, M, tilted_field(phi, r))
+    return external_sum(spec, phi, r) - bl.logdet(matrix, overwrite=True)
 
 
 def loop_fd_hessian(spec, M, base, h, r=None, coords=None):
@@ -144,8 +136,8 @@ def loop_fd_hessian(spec, M, base, h, r=None, coords=None):
     def evaluate(values):
         cfg = bl.FieldConfig(Q, values)
         if r is None or r.magnitude == 0.0:
-            return bl.potential_reduced(spec, M, cfg).total
-        return potential_external_reduced(spec, M, cfg, r).total
+            return bl.potential_reduced(spec, M, cfg)
+        return potential_external_reduced(spec, M, cfg, r)
 
     def displaced(steps):
         vals = base.values.copy()

@@ -65,8 +65,8 @@ def test_criterion_3_route_equivalence(desk_spec, desk_M, desk_Q):
     worst = 0.0
     for seed in range(50):
         phi = bl.random_config(desk_spec, desk_Q, 1.0, seed=seed)
-        full = bl.potential_full(desk_spec, desk_M, phi).total.real
-        red = bl.potential_reduced(desk_spec, desk_M, phi).total.real
+        full = bl.potential_full(desk_spec, desk_M, phi).real
+        red = bl.potential_reduced(desk_spec, desk_M, phi).real
         worst = max(worst, abs(full - red) / (1.0 + abs(full)))
     ok = worst <= 1e-10
     assert report(3, "determinant routes", ok, f"worst rel dev {worst:.2e}")
@@ -121,8 +121,8 @@ def test_criterion_4_hessian_match(
         for s in (+1.0, -1.0):
             cfg = base_d.copy()
             cfg.values[z] += 1j * s * h  # tangent of the theta = 0 condensate
-            vals.append(bl.potential_reduced(desk_spec, desk_M, cfg).total)
-        v0 = bl.potential_reduced(desk_spec, desk_M, base_d).total
+            vals.append(bl.potential_reduced(desk_spec, desk_M, cfg))
+        v0 = bl.potential_reduced(desk_spec, desk_M, base_d)
         return (vals[0] + vals[1] - 2.0 * v0) / h**2
 
     h0 = default_fd_step(desk_spec, desk_sol.r0)
@@ -323,7 +323,7 @@ def test_criterion_12_lambda_to_zero(desk_M, desk_Q):
     ok = True
     for seed in range(20):
         phi = bl.random_config(spec0, desk_Q, 1.0, seed=seed)
-        v = bl.potential_reduced(spec0, desk_M, phi).total
+        v = bl.potential_reduced(spec0, desk_M, phi)
         ok &= v == float(np.sum(np.abs(phi.values) ** 2))
     lam_c = bl.critical_coupling(spec0, desk_M)
     spec_w = bl.ModelSpec(lam=lam_c / 10.0)

@@ -205,8 +205,8 @@ def test_verify_bound_field_error_exits_2(config_path, monkeypatch, capsys, pool
     # the fields still queued are dropped, not evaluated
     scaled, report, evaluated = cli._scaled_field, cli.bound_report, []
 
-    def field(spec, M, Q, scale, seed):
-        return scaled(spec, M, Q, 1e300 if seed == 3 else scale, seed)
+    def field(spec, M, Q, scale, seed, **kwargs):
+        return scaled(spec, M, Q, 1e300 if seed == 3 else scale, seed, **kwargs)
 
     def slow_report(spec, M, phi):
         evaluated.append(phi)
@@ -574,6 +574,9 @@ def test_bad_tol_on_every_tol_command(config_path, capsys, command, tol):
         # finite, but the matrices of the field overflow
         ["eval", "--scale", "1e200"],
         ["verify-bound", "--scale", "1e200"],
+        # the matrices stay finite, the Hadamard side's squares of
+        # (lambda/kappa) A(q), |A(q)| up to sum |phi_q|^2, do not
+        ["verify-bound", "--scale", "1e100"],
         # spellings that once silently meant false
         ["gaussian", "--include-zero-mode", "maybe"],
         ["scan", "--include-zero-mode", "ture"],
@@ -588,6 +591,26 @@ def test_bad_count_orbits_seed_scale(config_path, capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {opt} must be ") and err.count("\n") == 1
+
+
+def test_scale_ranges(config_path, tmp_path, capsys):
+    # verify-bound's --scale guard covers the Hadamard side as well, whose
+    # overlaps square (lambda/kappa) A(q), but stops short of refusing a
+    # field that runs: 1e70 still gives finite rows.  eval builds no overlaps
+    # and keeps the range its matrices allow
+    out_csv = str(tmp_path / "bound.csv")
+    code, _, _ = run_cli(
+        ["verify-bound", "--config", config_path, "--count", "1", "--scale", "1e70",
+         "--output", out_csv],
+        capsys,
+    )
+    assert code == 0
+    with open(out_csv) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["seed"] for r in rows] == ["bcs", "0"]
+    assert all(np.isfinite(float(r[k])) for r in rows for k in ("re_v", "rhs26", "vbcs_norm"))
+    code, _, _ = run_cli(["eval", "--config", config_path, "--scale", "1e100"], capsys)
+    assert code == 0
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +41,11 @@ def test_logdet_validation():
         bl.logdet(np.array([[np.inf, 0.0], [0.0, 1.0]]))
     with pytest.raises(bl.SingularMatrixError):
         bl.logdet(np.zeros((3, 3)))
+    # an exact zero pivot raises SingularMatrixError, and LAPACK's LU warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(bl.SingularMatrixError):
+            bl.logdet(np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex))
 
 
 def test_logdet_real_route():
@@ -110,6 +116,10 @@ def test_logdet_band_validation():
     singular = _banded(np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex))
     with pytest.raises(bl.SingularMatrixError):
         bl.logdet(singular)
+    with warnings.catch_warnings():  # as the dense LU: no warning on the way
+        warnings.simplefilter("error")
+        with pytest.raises(bl.SingularMatrixError):
+            bl.logdet(singular)
     A = _near_diagonal(4, seed=0)
     A[1, 2] = np.nan
     with pytest.raises(ValueError, match="finite"):
@@ -142,8 +152,8 @@ def test_block_structure(small_spec, small_M, small_Q):
 def test_route_equivalence_real(desk_spec, desk_M, desk_Q):
     for seed in range(10):
         phi = bl.random_config(desk_spec, desk_Q, 1.0, seed=seed)
-        full = bl.potential_full(desk_spec, desk_M, phi).total
-        red = bl.potential_reduced(desk_spec, desk_M, phi).total
+        full = bl.potential_full(desk_spec, desk_M, phi)
+        red = bl.potential_reduced(desk_spec, desk_M, phi)
         assert abs(full.real - red.real) <= 1e-10 * (1.0 + abs(full.real))
 
 
@@ -161,15 +171,15 @@ def test_u1_invariance(desk_spec, desk_M, desk_Q):
     # match exactly there; the full route matches in the real part, while its
     # per-pivot imaginary part is only defined mod 2 pi
     phi = bl.random_config(desk_spec, desk_Q, 0.7, seed=9)
-    base_red = bl.potential_reduced(desk_spec, desk_M, phi).total
-    base_full = bl.potential_full(desk_spec, desk_M, phi).total
+    base_red = bl.potential_reduced(desk_spec, desk_M, phi)
+    base_full = bl.potential_full(desk_spec, desk_M, phi)
     for theta in np.linspace(0.0, 2.0 * math.pi, 7):
         rot = phi.copy()
         rot.values = np.exp(1j * theta) * phi.values
-        red = bl.potential_reduced(desk_spec, desk_M, rot).total
+        red = bl.potential_reduced(desk_spec, desk_M, rot)
         assert red.real == pytest.approx(base_red.real, abs=1e-12 * max(1, abs(base_red.real)))
         assert red.imag == pytest.approx(base_red.imag, abs=1e-10)
-        full = bl.potential_full(desk_spec, desk_M, rot).total
+        full = bl.potential_full(desk_spec, desk_M, rot)
         assert full.real == pytest.approx(base_full.real, abs=1e-12 * max(1, abs(base_full.real)))
         assert cmath.exp(1j * full.imag) == pytest.approx(
             cmath.exp(1j * base_full.imag), abs=1e-9
@@ -178,20 +188,20 @@ def test_u1_invariance(desk_spec, desk_M, desk_Q):
 
 def test_potential_at_zero_field(desk_spec, desk_M, desk_Q):
     phi = bl.FieldConfig(desk_Q, np.zeros(len(desk_Q), dtype=complex))
-    assert bl.potential_full(desk_spec, desk_M, phi).total == 0.0
+    assert bl.potential_full(desk_spec, desk_M, phi) == 0.0
 
 
 def test_potential_lambda_zero(desk_M, desk_Q):
     spec0 = bl.ModelSpec(lam=0.0)
     phi = bl.random_config(spec0, desk_Q, 1.0, seed=12)
-    v = bl.potential_full(spec0, desk_M, phi).total
+    v = bl.potential_full(spec0, desk_M, phi)
     assert v == pytest.approx(float(np.sum(np.abs(phi.values) ** 2)), rel=1e-14)
 
 
 def test_potential_real_matches_total(desk_spec, desk_M, desk_Q):
     phi = bl.random_config(desk_spec, desk_Q, 1.0, seed=13)
     assert bl.potential_real(desk_spec, desk_M, phi) == pytest.approx(
-        bl.potential_full(desk_spec, desk_M, phi).total.real, rel=1e-14
+        bl.potential_full(desk_spec, desk_M, phi).real, rel=1e-14
     )
 
 
@@ -202,9 +212,9 @@ def test_potential_real_is_reduced_route(desk_spec, desk_M, desk_Q, scale):
     for seed in range(3):
         phi = bl.random_config(desk_spec, desk_Q, scale, seed=seed)
         re_v = bl.potential_real(desk_spec, desk_M, phi)
-        full = bl.potential_full(desk_spec, desk_M, phi).total.real
+        full = bl.potential_full(desk_spec, desk_M, phi).real
         assert abs(re_v - full) <= 1e-12 * (1.0 + abs(full))
-        assert re_v == bl.potential_reduced(desk_spec, desk_M, phi).total.real
+        assert re_v == bl.potential_reduced(desk_spec, desk_M, phi).real
 
 
 def test_vbcs_sum_brute(desk_spec, desk_M):
@@ -223,10 +233,10 @@ def test_vbcs_sum_brute(desk_spec, desk_M):
 def test_vbcs_at_bcs_config(desk_spec, desk_M, desk_Q, desk_sol):
     for theta in (0.0, 1.1, -2.0):
         phi = bl.bcs_config(desk_spec, desk_Q, desk_sol.r0, theta)
-        v = bl.potential_reduced(desk_spec, desk_M, phi).total
+        v = bl.potential_reduced(desk_spec, desk_M, phi)
         assert v.real == pytest.approx(desk_sol.v_min_sum, rel=1e-10)
         assert abs(v.imag) < 1e-8
-        vf = bl.potential_full(desk_spec, desk_M, phi).total
+        vf = bl.potential_full(desk_spec, desk_M, phi)
         assert vf.real == pytest.approx(desk_sol.v_min_sum, rel=1e-10)
         # full-route imaginary part vanishes mod 2 pi
         assert abs(cmath.exp(1j * vf.imag) - 1.0) < 1e-8
@@ -296,8 +306,8 @@ def test_external_field_validation():
 def test_external_reduces_at_zero(desk_spec, desk_M, desk_Q):
     phi = bl.random_config(desk_spec, desk_Q, 0.5, seed=21)
     r0 = bl.ExternalField(0.0)
-    plain = bl.potential_full(desk_spec, desk_M, phi).total
-    ext = potential_external(desk_spec, desk_M, phi, r0).total
+    plain = bl.potential_full(desk_spec, desk_M, phi)
+    ext = potential_external(desk_spec, desk_M, phi, r0)
     assert ext == plain
 
 
@@ -305,8 +315,8 @@ def test_external_zero_field_ignores_phase(desk_spec, desk_M, desk_Q):
     phi = bl.random_config(desk_spec, desk_Q, 0.5, seed=21)
     r0 = bl.ExternalField(0.0, 0.7)
     assert np.array_equal(tilted_field(phi, r0).values, phi.values)
-    plain = bl.potential_full(desk_spec, desk_M, phi).total
-    assert potential_external(desk_spec, desk_M, phi, r0).total == plain
+    plain = bl.potential_full(desk_spec, desk_M, phi)
+    assert potential_external(desk_spec, desk_M, phi, r0) == plain
 
 
 def test_external_routes_agree(desk_spec, desk_M, desk_Q, desk_sol):
@@ -315,8 +325,8 @@ def test_external_routes_agree(desk_spec, desk_M, desk_Q, desk_sol):
     base = bl.bcs_config(desk_spec, desk_Q, abs(sol.y0), -math.pi / 2)
     pert = bl.random_config(desk_spec, desk_Q, 1e-2, seed=30)
     cfg = bl.FieldConfig(desk_Q, base.values + pert.values)
-    full = potential_external(desk_spec, desk_M, cfg, r).total
-    red = potential_external_reduced(desk_spec, desk_M, cfg, r).total
+    full = potential_external(desk_spec, desk_M, cfg, r)
+    red = potential_external_reduced(desk_spec, desk_M, cfg, r)
     assert full.real == pytest.approx(red.real, rel=1e-10)
     assert full.imag == pytest.approx(red.imag, abs=1e-8)
 
@@ -325,7 +335,7 @@ def test_external_minimum_value(desk_spec, desk_M, desk_Q):
     r = bl.ExternalField(1e-2)
     sol = bl.solve_gap_external(desk_spec, desk_M, r)
     base = bl.bcs_config(desk_spec, desk_Q, abs(sol.y0), -math.pi / 2)
-    val = potential_external_reduced(desk_spec, desk_M, base, r).total
+    val = potential_external_reduced(desk_spec, desk_M, base, r)
     assert val.real == pytest.approx(sol.v_min_sum, abs=1e-10)
     assert abs(val.imag) < 1e-10
 

@@ -43,30 +43,28 @@ def _overlaps(spec: ModelSpec, M: MomentumSet, phi: FieldConfig):
     clipped into [0, 1], as N x N float views of the first two of the
     lattice's scratch buffers, overwritten by the next field.
 
-    Entry (k, t) reads the transfer t - k, whose index is |Q| - 1 -
-    diff_index[k, t], so the per-transfer numerators are reversed once and
-    gathered through diff_index.  Both are multiplied by one outer product of
-    the inverse denominators, and o2 by |a_k - a_t|^2 = (k0_k - k0_t)^2 +
-    (e_k - e_t)^2.  The two complex buffers hold four float arrays: o1, o2
-    and two for the outer products.
+    Entry (k, t) reads the transfer t - k, the negation of k - t, so the
+    per-transfer numerators are reversed once and gathered.  Both are
+    multiplied by one outer product of the inverse denominators, and o2 by
+    |a_k - a_t|^2 = (k0_k - k0_t)^2 + (e_k - e_t)^2, a broadcast sum of an
+    nf x nf frequency table and an S x S spatial one.  The two complex
+    buffers hold four float arrays; o1, o2 and the products use three.
     """
     Q = phi.transfer
-    n = len(M)
+    n, ns = len(M), len(M.spatial_m)
     inv = 1.0 / _denominators(spec, M, field_norm(phi))
     ratio = spec.lam / spec.kappa
     num1 = (np.abs(ratio * autocorrelation_all(phi)) ** 2)[::-1]
     num2 = (ratio * np.abs(phi.values) ** 2)[::-1]
-    o1, o2, z, w = Q.scratch[:2].reshape(-1).view(np.float64).reshape(4, n, n)
+    o1, o2, z = Q.scratch[:2].reshape(-1).view(np.float64).reshape(4, n, n)[:3]
     np.multiply(inv[:, None], inv[None, :], out=z)
-    np.take(num1, Q.diff_index, out=o1, mode="clip")
+    Q.gather(num1, out=o1)
     o1 *= z
-    np.take(num2, Q.diff_index, out=o2, mode="clip")
+    Q.gather(num2, out=o2)
     o2 *= z
-    np.subtract(M.k0[:, None], M.k0[None, :], out=z)
-    z *= z
-    np.subtract(M.e[:, None], M.e[None, :], out=w)
-    w *= w
-    z += w
+    k0, e = M.k0[::ns], M.e[:ns]  # k0 per frequency, e per spatial vector
+    dk0, de = (k0[:, None] - k0) ** 2, (e[:, None] - e) ** 2
+    np.add(dk0[:, None, :, None], de[:, None], out=z.reshape(len(k0), ns, len(k0), ns))
     o2 *= z
     # both are products of nonnegative factors
     np.minimum(o1, 1.0, out=o1)

@@ -192,19 +192,15 @@ def _scaled_field(spec, M, Q, scale: float, seed: int, hadamard: bool = False) -
     return phi
 
 
-# bytes per (k, p) pair of M that a subcommand's dense matrices hold at once,
-# at least, as (shared by the run, per worker); eval and hessian-check run one
-# worker.  eval: its 2N x 2N complex block (4 * 16), factored in place, with
-# the transfer index (8) and, while the block is filled, phi's matrix (16), 88
-# in all.  verify-bound: the transfer index (8), shared, and per worker the
-# reduced route's three scratch buffers (3 * 16, model.TransferSet.scratch)
-# and the copy of R that numpy's slogdet factors (16).  hessian-check: the
-# three scratch buffers and the transfer index.  At N = 1400, above import
-# (one BLAS thread; for eval and hessian-check scipy.linalg's 27.5 MB,
-# loaded by their first logdet, counted as import): eval peaks at 81.4
-# bytes per pair (90 is kept), hessian-check at 65, and verify-bound
-# --count 3 at 81 with one worker and 146 with two, 65 per worker
-DENSE_BYTES = {"eval": (0, 90), "verify-bound": (8, 64), "hessian-check": (0, 56)}
+# bytes per (k, p) pair of M that one worker's dense matrices hold at once, at
+# least; eval and hessian-check run one worker.  eval: its 2N x 2N complex
+# block (4 * 16).  verify-bound: three scratch buffers (3 * 16,
+# model.TransferSet.scratch) and numpy slogdet's copy of R (16).
+# hessian-check: the scratch buffers.  At N = 1400, above import (one BLAS
+# thread; scipy.linalg's 26 MB counted as import): eval peaks at 70.2,
+# hessian-check at 56.9, and verify-bound --count 3 at 73.2 with one worker
+# and 143.1 with two
+DENSE_BYTES = {"eval": 64, "verify-bound": 64, "hessian-check": 48}
 
 
 def physical_memory() -> int:
@@ -221,17 +217,17 @@ def usable_cores() -> int:
 
 def dense_preflight(command: str, M, workers: int = 1) -> int:
     """Run before `command` builds dense N x N matrices: how many of `workers`
-    fit their matrices in physical memory beside the shared ones, or a
-    ConfigError naming N if not even one does."""
+    fit their matrices in physical memory, or a ConfigError naming N if not
+    even one does."""
     n = len(M)
-    shared, each = (b * n * n for b in DENSE_BYTES[command])
+    each = DENSE_BYTES[command] * n * n
     have = physical_memory()
-    if shared + each > have:
+    if each > have:
         raise ConfigError(
-            f"{command} on N = {n} momenta needs {(shared + each) / 2**30:.3g} GiB of "
+            f"{command} on N = {n} momenta needs {each / 2**30:.3g} GiB of "
             f"dense matrices, more than the {have / 2**30:.3g} GiB of physical memory"
         )
-    return min(workers, (have - shared) // each)
+    return min(workers, have // each)
 
 
 def q_labels(Q) -> list:
@@ -296,7 +292,7 @@ def cmd_verify_bound(args) -> int:
     workers = dense_preflight("verify-bound", M, min(usable_cores(), len(seeds)))
     Q = build_transfer_set(M)
     sol = solve_gap(spec, M)
-    Q.diff_index, Q.fft_box  # the lattice's shared tables, built before the workers read them
+    Q.fft_box  # the lattice's shared table, built before the workers read it
 
     def row(seed):
         """One field's CSV row; the field is drawn here, so each worker holds

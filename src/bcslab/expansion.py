@@ -60,10 +60,10 @@ def _pair_sum(M: MomentumSet, Q: TransferSet, weight) -> np.ndarray:
     `weight` maps a column of momentum indices k and the row of all indices p
     to their real weights.  The sum runs over the frequencies a of k, one
     block of len(M.spatial_m) rows k at a time, so no N x N array is formed.
-    With p of frequency index b, k - p has frequency index Q.freq_diff[a, b],
+    With p of frequency index b, k - p has frequency index a - b + nf - 1,
     distinct across b, and spatial index j from Q.spatial_diff.  So one
     bincount over (b, j), whose index is the same for every a, sums a block,
-    and its row b belongs to Q's frequency index freq_diff[a, b].
+    and its rows b are Q's frequency rows a + nf - 1 down to a.
     """
     sm, nf, sq = len(M.spatial_m), len(M.freq_n0), len(Q.spatial_m)
     local = (np.arange(nf)[None, :, None] * sq + Q.spatial_diff[:, None, :]).ravel()
@@ -72,7 +72,7 @@ def _pair_sum(M: MomentumSet, Q: TransferSet, weight) -> np.ndarray:
     for a in range(nf):
         k = p[a * sm : (a + 1) * sm, None]
         sums = np.bincount(local, weight(k, p).ravel(), minlength=nf * sq)
-        out[Q.freq_diff[a]] += sums.reshape(nf, sq)
+        out[a : a + nf][::-1] += sums.reshape(nf, sq)
     return out.ravel()
 
 

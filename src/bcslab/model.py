@@ -5,14 +5,13 @@ bosonic transfer momenta on the even grid q0 = (2 pi/beta) n0.  Spatial
 components are k_i = 2 pi m_i / L with integer m_i.  The cutoff set keeps
 |e_k| <= energy_window and |k0| <= nu; it is always a product of a frequency
 range and a set of surviving spatial vectors, and so is the transfer set Q.
-TransferSet keeps the difference map k - p as two factor tables, one over
-frequencies and one over spatial vectors.  The pair sums of the expansion
-read the factors, one frequency of k at a time; only the determinant code,
-which builds N x N complex matrices anyway, reads the whole N x N
-diff_index.  A momentum or transfer is an integer index into its set's
-arrays.  M is ordered frequency-major; Q is sorted lexicographically by
-(n0, m), so negation reverses its index and the indices above zero_index are
-the {q, -q} orbit representatives (see TransferSet).
+M's frequencies are one contiguous run of integers, so the index of k - p
+is a frequency offset plus the S x S table spatial_diff, and
+`TransferSet.gather` reads any N x N array (phi)_{k,p} = phi_{k-p} through
+them; no N x N index is built.  A momentum or transfer is an integer index
+into its set's arrays.  M is ordered frequency-major; Q is sorted
+lexicographically by (n0, m), so negation reverses its index and the indices
+above zero_index are the {q, -q} orbit representatives (see TransferSet).
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,8 @@ class DispersionSpec:
     def __post_init__(self):
         if self.kind not in ("tight_binding", "quadratic"):
             raise ValueError(f"unknown dispersion kind {self.kind!r}")
+        if not math.isfinite(self.t):
+            raise ValueError(f"t must be finite, not {self.t}")
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,9 @@ class ModelSpec:
     energy_window: float = 1.0
 
     def __post_init__(self):
+        for name in ("L", "beta", "nu", "mu", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)}")
         if self.d not in (1, 2, 3):
             raise ValueError("d must be 1, 2 or 3")
         if self.beta <= 0 or self.L <= 0:
@@ -102,13 +107,16 @@ def spatial_grid(spec: ModelSpec) -> np.ndarray:
 class MomentumSet:
     """Ordered fermionic cutoff set with cached e_k and a_k = i k0 - e_k.
 
-    Index i is the momentum (n0[i], mvec[i]): the frequencies freq_n0 times
-    the spatial vectors spatial_m (an (S, d) array), frequency-major.
+    Index i is the momentum (n0[i], mvec[i]): the frequencies freq_n0, one
+    contiguous run (ValueError otherwise), times the spatial vectors
+    spatial_m (an (S, d) array), frequency-major.
     """
 
     def __init__(self, spec: ModelSpec, freq_n0: np.ndarray, spatial_m):
         self.spec = spec
         self.freq_n0 = np.asarray(freq_n0, dtype=int)
+        if np.any(np.diff(self.freq_n0) != 1):
+            raise ValueError("frequencies must be one contiguous run of integers")
         self.spatial_m = np.asarray(spatial_m, dtype=int).reshape(-1, spec.d)
         self.n0 = np.repeat(self.freq_n0, len(self.spatial_m))
         self.mvec = np.tile(self.spatial_m, (len(self.freq_n0), 1))
@@ -144,26 +152,23 @@ class TransferSet:
     middle, and the indices above it (the lexicographically positive q) hold
     one representative per {q, -q} orbit.  Transfer i is (n0[i], mvec[i]).
 
-    The map (k, p) -> index of k - p is kept as its factors: freq_diff[a, b]
-    indexes freq_n0 at M.freq_n0[a] - M.freq_n0[b], and spatial_diff[s, u]
-    indexes spatial_m at M.spatial_m[s] - M.spatial_m[u], so k - p has index
-    freq_diff[a, b] * len(spatial_m) + spatial_diff[s, u].  The whole N x N
-    `diff_index` is built from them on first access and kept.
+    M's nf frequencies are one contiguous run, so freq_n0 = arange(1 - nf, nf),
+    and spatial_diff[s, u] indexes spatial_m at M.spatial_m[s] - M.spatial_m[u]:
+    for k, p of frequency indices a, b, k - p has index (a - b + nf - 1)
+    len(spatial_m) + spatial_diff[s, u], the map that `gather` reads through.
     """
 
     def __init__(self, M: MomentumSet):
         spec = M.spec
         self.spec = spec
-        freq = M.freq_n0
         spatial = M.spatial_m
-        nf, ns = len(freq), len(spatial)
-        self.freq_n0, fdiff = np.unique(freq[:, None] - freq[None, :], return_inverse=True)
+        nf, ns = len(M.freq_n0), len(spatial)
+        self.freq_n0 = np.arange(1 - nf, nf)
         self.spatial_m, sdiff = np.unique(
             (spatial[:, None, :] - spatial[None, :, :]).reshape(-1, spec.d),
             axis=0,
             return_inverse=True,
         )
-        self.freq_diff = fdiff.reshape(nf, nf)
         self.spatial_diff = sdiff.reshape(ns, ns)
         nq = len(self.freq_n0) * len(self.spatial_m)
         self.n0 = np.repeat(self.freq_n0, len(self.spatial_m))
@@ -178,12 +183,21 @@ class TransferSet:
     def __len__(self) -> int:
         return len(self.n0)
 
-    @cached_property
-    def diff_index(self) -> np.ndarray:
-        """diff_index[k, p] = index of k - p in Q, for k, p in M (N x N)."""
-        fdiff, sdiff = self.freq_diff, self.spatial_diff
-        rows = fdiff[:, None, :, None] * len(self.spatial_m) + sdiff[None, :, None, :]
-        return rows.reshape(len(fdiff) * len(sdiff), -1)
+    def gather(self, values, out=None) -> np.ndarray:
+        """out[k, p] = values[index of k - p]: the N x N array of a vector
+        aligned to Q, written into `out` (any N x N array of its dtype) or a
+        new one.  Row (a, s) of out, at frequency a and spatial index s, is one
+        run of the table T[s, g, u] = values[2 nf - 2 - g, spatial_diff[s, u]]."""
+        nf, ns = (len(self.freq_n0) + 1) // 2, len(self.spatial_diff)
+        rows = np.asarray(values).reshape(2 * nf - 1, -1)[::-1]
+        table = rows[np.arange(len(rows))[None, :, None], self.spatial_diff[:, None, :]]
+        if out is None:
+            out = np.empty((nf * ns, nf * ns), dtype=table.dtype)
+        # windows[s, c, u, b] = T[s, c + b, u], and row (a, s) reads c = nf - 1 - a;
+        # splitting out's two axes gives a view whatever its strides
+        windows = sliding_window_view(table, nf, axis=1)
+        out.reshape(nf, ns, nf, ns)[...] = windows[:, ::-1].transpose(1, 0, 3, 2)
+        return out
 
     @cached_property
     def fft_box(self):
@@ -205,11 +219,10 @@ class TransferSet:
         field to field (potential.reduced_matrix, bound.hadamard_rhs).  Each
         thread has its own, built on its first access and freed when the
         thread ends, so threads can evaluate fields of one lattice at once.
-        diff_index and fft_box are shared: build them before such threads
-        start."""
+        fft_box is shared: build it before such threads start."""
         buffers = getattr(self._local, "scratch", None)
         if buffers is None:
-            n = len(self.freq_diff) * len(self.spatial_diff)
+            n = (len(self.freq_n0) + 1) // 2 * len(self.spatial_diff)
             buffers = self._local.scratch = np.empty((3, n, n), dtype=complex)
         return buffers
 

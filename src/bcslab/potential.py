@@ -24,9 +24,7 @@ Finite differencing goes through `DisplacedPotential`, which writes its
 reduced matrices in LAPACK band storage (`Banded`, kl, ku < (max |n0_t -
 n0_s| + 1) S over the step set, S spatial vectors) for a banded LU in
 O(N kl (kl + ku)).  scipy.linalg is imported inside `logdet`'s phased route
-only, and the N x N `diff_index` is built on the first call that needs it:
-a process that takes no phased determinant loads no scipy, and one that
-takes no determinant at all builds no index either.
+only: a process that takes no phased determinant loads no scipy.
 """
 
 from __future__ import annotations
@@ -117,23 +115,24 @@ def logdet(matrix, overwrite: bool = False, real: bool = False):
 
 def phi_matrix(M: MomentumSet, phi: FieldConfig) -> np.ndarray:
     """(phi)_{k,p} = phi_{k-p} over the momentum-set ordering."""
-    return phi.values[phi.transfer.diff_index]
+    return phi.transfer.gather(phi.values)
 
 
 def assemble_block(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> np.ndarray:
     """2N x 2N block matrix of the quadratic fermion form, Fortran-ordered,
-    so `logdet(overwrite=True)` factors it in place."""
+    so `logdet(overwrite=True)` factors it in place.  Its quadrants' transposes
+    gather (phi^H)^T = conj(phi) and phi^T, phi in the reversed Q order."""
     n = len(M)
     pref = 1j * spec.g / math.sqrt(spec.kappa)
     block = np.zeros((2 * n, 2 * n), dtype=complex, order="F")
     np.fill_diagonal(block, 1.0)
-    Phi = phi_matrix(M, phi)
     upper, lower = block[:n, n:], block[n:, :n]
+    phi.transfer.gather(np.conj(phi.values), out=upper.T)
+    phi.transfer.gather(phi.values[::-1], out=lower.T)
     # the left operand first: numpy's complex multiply is not bitwise symmetric
-    np.conjugate(Phi.T, out=upper)
     np.multiply(pref, upper, out=upper)
     np.multiply((1.0 / M.a)[:, None], upper, out=upper)
-    np.multiply(pref, Phi, out=lower)
+    np.multiply(pref, lower, out=lower)
     np.multiply((1.0 / np.conj(M.a))[:, None], lower, out=lower)
     return block
 
@@ -157,18 +156,18 @@ def reduced_matrix(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> np.ndar
     the calling thread's scratch buffers of the lattice (`TransferSet.scratch`)
     and overwritten by that thread's next field on that lattice.
 
-    Cbar phi and C phi^H are gathered through diff_index into the first two
-    buffers, and the third receives R^T = (C phi^H)^T (Cbar phi)^T by one
+    Cbar phi and C phi^H are gathered (`TransferSet.gather`) into the first
+    two buffers, and the third receives R^T = (C phi^H)^T (Cbar phi)^T by one
     matmul with out=, so R itself is Fortran-ordered and LAPACK factors it in
     place.  (phi^H)_{k,p} = conj(phi_{p-k}), and -q has index |Q| - 1 - q, so
-    phi^H is conj(phi) in the reversed Q order gathered through diff_index:
-    no transpose copy.  A field allocates no N x N array.
+    phi^H is the gather of conj(phi) in the reversed Q order: no transpose
+    copy.  A field allocates no N x N array.
     """
     Q = phi.transfer
     left, right, rt = Q.scratch
-    np.take(phi.values, Q.diff_index, out=left, mode="clip")
+    Q.gather(phi.values, out=left)
     left *= (1.0 / np.conj(M.a))[:, None]
-    np.take(np.conj(phi.values[::-1]), Q.diff_index, out=right, mode="clip")
+    Q.gather(np.conj(phi.values[::-1]), out=right)
     right *= (1.0 / M.a)[:, None]
     np.matmul(right.T, left.T, out=rt)
     rt *= spec.lam / spec.kappa
@@ -187,7 +186,7 @@ class DisplacedPotential:
 
     The base carries only the zero mode, as the mean-field minimum does, so a
     displaced field is phi = sum_t phi_t E_t over the zero mode and the
-    stepped transfers, where E_t is the 0/1 matrix of diff_index == t.  Row k
+    stepped transfers, where E_t is the 0/1 matrix of k - p = t.  Row k
     of E_t has its one entry in column k - t (none if k - t is not in M), so
     the reduced matrix Id + (lam/kappa) Cbar phi C phi^H has, for each pair
     t, s, the entry
@@ -209,7 +208,6 @@ class DisplacedPotential:
             raise ValueError("base field must carry only the zero mode")
         self.spec = spec
         self.base = base
-        self.diff = Q.diff_index
         self.rc = (spec.lam / spec.kappa) / np.conj(M.a)
         self.C = 1.0 / M.a
         self.maps: dict = {}
@@ -218,9 +216,9 @@ class DisplacedPotential:
         """E_t's nonzeros (k, j = k - t), their weights (lam/kappa) Cbar_k C_j,
         and dst[j] = k, the index of j + t (-1 where it is not in M)."""
         if t not in self.maps:
-            n = len(self.diff)
-            k, j = np.nonzero(self.diff == t)
-            dst = np.full(n, -1, dtype=np.intp)
+            Q = self.base.transfer
+            k, j = np.nonzero(Q.gather(np.arange(len(Q)) == t))
+            dst = np.full(len(self.C), -1, dtype=np.intp)
             dst[j] = k
             self.maps[t] = (k, j, self.rc[k] * self.C[j], dst)
         return self.maps[t]
@@ -246,7 +244,7 @@ class DisplacedPotential:
                 below = k[keep] - cols  # row minus column
                 pairs.append((below, cols, (phi_t * np.conj(phi_s)) * weight[keep]))
                 kl, ku = max(kl, below.max(initial=0)), max(ku, -below.min(initial=0))
-        ab = np.zeros((2 * kl + ku + 1, len(self.diff)), dtype=complex, order="F")
+        ab = np.zeros((2 * kl + ku + 1, len(self.C)), dtype=complex, order="F")
         ab[kl + ku] = 1.0
         for below, cols, entries in pairs:
             # one pair's rows are distinct; entries that pairs share, as the

@@ -31,6 +31,12 @@ def index_of(S) -> dict:
     return {label: i for i, label in enumerate(labels(S))}
 
 
+def difference(M, Q, k: int, p: int) -> int:
+    """Index in Q of the difference of momenta k and p of M, by label lookup."""
+    (kn, km), (pn, pm) = ((int(M.n0[i]), M.mvec[i].tolist()) for i in (k, p))
+    return index_of(Q)[(kn - pn, tuple(a - b for a, b in zip(km, pm)))]
+
+
 def dispersion(spec, m) -> float:
     """Single-particle energy e_k = eps_k - mu at spatial index vector m."""
     m = tuple(m)
@@ -63,7 +69,7 @@ def autocorrelation(phi, q) -> complex:
 
 def overlap_sq(spec, M, phi, k: int, t: int) -> float:
     """|(e_k, e_t)|^2: normalized Gram overlap of two unprimed columns."""
-    q = int(phi.transfer.diff_index[t, k])  # t - k
+    q = difference(M, phi.transfer, t, k)
     num = abs(spec.lam / spec.kappa * autocorrelation(phi, q)) ** 2
     den = _denominators(spec, M, bl.field_norm(phi))
     return float(num / (den[k] * den[t]))
@@ -71,7 +77,7 @@ def overlap_sq(spec, M, phi, k: int, t: int) -> float:
 
 def overlap_prime_sq(spec, M, phi, k: int, t: int) -> float:
     """|(e'_k, e_t)|^2: primed-against-unprimed Gram overlap."""
-    phi_tk = phi.values[phi.transfer.diff_index[t, k]]
+    phi_tk = phi.values[difference(M, phi.transfer, t, k)]
     num = spec.lam / spec.kappa * abs(phi_tk) ** 2 * abs(M.a[t] - M.a[k]) ** 2
     den = _denominators(spec, M, bl.field_norm(phi))
     return float(num / (den[k] * den[t]))
@@ -335,9 +341,12 @@ def pair_sums_loop(spec, M, Q, delta_sq):
     n_lo = int(M.freq_n0.min())
     n_hi = int(M.freq_n0.max())
     n_dm = int(np.count_nonzero(Q.n0 == Q.n0[0]))
-    n_s = len(M.spatial_m)
-    # spatial transfer index of m - m' for m, m' in spatial_m
-    sdiff = Q.diff_index[:n_s, :n_s] % n_dm
+    # spatial transfer index of m - m' for m, m' in spatial_m, by lookup
+    spatial_index = {tuple(m): j for j, m in enumerate(Q.mvec[:n_dm].tolist())}
+    spatial = M.spatial_m.tolist()
+    sdiff = np.array(
+        [[spatial_index[tuple(np.subtract(m, u).tolist())] for u in spatial] for m in spatial]
+    )
     e_s = M.spatial_e
     freq = []
     for nq in Q.n0[::n_dm].tolist():

@@ -11,7 +11,9 @@ import pytest
 
 import bcslab as bl
 from bcslab.bound import _denominators
-from oracles import index_of, labels, overlap_matrices, overlap_prime_sq, overlap_sq
+from oracles import (
+    difference, index_of, labels, overlap_matrices, overlap_prime_sq, overlap_sq
+)
 
 
 def brute_autocorrelation(phi, q):
@@ -34,7 +36,7 @@ def test_overlap_sq_oracle(small_spec, small_M, small_Q):
     ratio = small_spec.lam / small_spec.kappa
     for ik in range(len(small_M)):
         for it in range(len(small_M)):
-            q = small_Q.diff_index[it, ik]
+            q = difference(small_M, small_Q, it, ik)
             val = abs(ratio * brute_autocorrelation(phi, q)) ** 2
             val /= den[ik] * den[it]
             got = overlap_sq(small_spec, small_M, phi, ik, it)
@@ -47,7 +49,7 @@ def test_overlap_prime_sq_oracle(small_spec, small_M, small_Q):
     ratio = small_spec.lam / small_spec.kappa
     for ik in range(len(small_M)):
         for it in range(len(small_M)):
-            phi_tk = phi.values[small_Q.diff_index[it, ik]]
+            phi_tk = phi.values[difference(small_M, small_Q, it, ik)]
             val = ratio * abs(phi_tk) ** 2 * abs(small_M.a[it] - small_M.a[ik]) ** 2
             val /= den[ik] * den[it]
             got = overlap_prime_sq(small_spec, small_M, phi, ik, it)

@@ -186,17 +186,17 @@ def test_verify_bound_same_output_on_any_core_count(
 
 
 def test_verify_bound_workers_fit_memory(config_path, tmp_path, monkeypatch, capsys, pool_sizes):
-    # physical memory for the shared tables and one worker's matrices, not
-    # two: one worker runs, with the output of three
+    # physical memory for one worker's matrices, not two: one worker runs,
+    # with the output of three
     monkeypatch.setattr(cli, "usable_cores", lambda: 3)
     wide = bound_run(config_path, tmp_path, capsys)
-    shared, each = cli.DENSE_BYTES["verify-bound"]
-    monkeypatch.setattr(cli, "physical_memory", lambda: (shared + 2 * each) * 4**2 - 1)
+    each = cli.DENSE_BYTES["verify-bound"]
+    monkeypatch.setattr(cli, "physical_memory", lambda: 2 * each * 4**2 - 1)
     narrow = bound_run(config_path, tmp_path, capsys)
     assert pool_sizes == [3, 1]
     assert narrow == wide and wide[0] == 0
     M = cli.build_spec(cli.parse_config(config_path))[1]
-    monkeypatch.setattr(cli, "physical_memory", lambda: (shared + 2 * each) * 4**2)
+    monkeypatch.setattr(cli, "physical_memory", lambda: 2 * each * 4**2)
     assert cli.dense_preflight("verify-bound", M, 3) == 2
 
 
@@ -828,9 +828,9 @@ def test_import_skips_scipy_optimize(config_path):
 
 @pytest.mark.parametrize("command", ["eval", "verify-bound", "hessian-check"])
 def test_dense_preflight_exits_2(config_path, monkeypatch, capsys, command):
-    # the small lattice has N = 4 momenta: the estimate for the shared
-    # matrices and one worker's is sum(DENSE_BYTES) * 4^2
-    need = sum(cli.DENSE_BYTES[command]) * 16
+    # the small lattice has N = 4 momenta: the estimate for one worker's
+    # matrices is DENSE_BYTES * 4^2
+    need = cli.DENSE_BYTES[command] * 16
     monkeypatch.setattr(cli, "physical_memory", lambda: need - 1)
     monkeypatch.setattr(cli, "build_transfer_set", None)  # no matrix gets built
     code, out, err = run_cli([command, "--config", config_path], capsys)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,18 @@ def test_spec_validation():
         bl.ModelSpec(beta=8.0, nu=0.1)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["L", "beta", "nu", "mu", "lam", "t"])
+def test_spec_refuses_non_finite(name, value):
+    # NaN passed the sign checks, and inf overflowed or was accepted
+    if name == "t":
+        make = lambda: bl.ModelSpec(dispersion=bl.DispersionSpec(t=value))
+    else:
+        make = lambda: bl.ModelSpec(**{name: value})
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        make()
+
+
 def test_a_values(desk_spec, desk_M):
     for i, (n0, m) in enumerate(labels(desk_M)):
         k0 = (math.pi / desk_spec.beta) * (2 * n0 + 1)
@@ -80,10 +93,11 @@ def test_transfer_negation_involution(desk_Q):
     assert desk_Q.neg_index[desk_Q.zero_index] == desk_Q.zero_index
 
 
-def test_diff_index(small_M, small_Q):
+def test_gather_indexes_differences(small_M, small_Q):
+    diff = small_Q.gather(np.arange(len(small_Q)))
     for i in range(len(small_M)):
         for j in range(len(small_M)):
-            q = small_Q.diff_index[i, j]
+            q = diff[i, j]
             assert small_Q.n0[q] == small_M.n0[i] - small_M.n0[j]
             assert np.array_equal(small_Q.mvec[q], small_M.mvec[i] - small_M.mvec[j])
 
@@ -214,12 +228,19 @@ def _lattice(d, L, beta, nu):
     return bl.build_momentum_set(bl.ModelSpec(d=d, L=L, beta=beta, nu=nu, lam=1.0))
 
 
+GAPPED_SPATIAL = [(-2, 1), (0, 0), (1, 3), (3, -1), (4, 4)]
+
+
 def _gapped_set():
-    # non-contiguous frequencies and an asymmetric spatial subset
+    # an asymmetric spatial subset, at contiguous frequencies off the centre
     spec = bl.ModelSpec(d=2, L=8.0, beta=4.0, nu=10.0, lam=1.0)
-    return bl.model.MomentumSet(
-        spec, [-3, -1, 0, 4], [(-2, 1), (0, 0), (1, 3), (3, -1), (4, 4)]
-    )
+    return bl.model.MomentumSet(spec, [-1, 0, 1, 2], GAPPED_SPATIAL)
+
+
+def test_momentum_set_refuses_gapped_frequencies():
+    spec = bl.ModelSpec(d=2, L=8.0, beta=4.0, nu=10.0, lam=1.0)
+    with pytest.raises(ValueError, match="contiguous"):
+        bl.model.MomentumSet(spec, [-3, -1, 0, 4], GAPPED_SPATIAL)
 
 
 @pytest.fixture(
@@ -240,40 +261,81 @@ def test_transfer_maps_match_oracle(lattice):
     Q = bl.build_transfer_set(lattice)
     ref = transfer_set_oracle(lattice)
     assert Q.zero_index == ref["zero_index"]
-    for name in ("n0", "mvec", "neg_index", "diff_index"):
+    for name in ("n0", "mvec", "neg_index"):
         got = getattr(Q, name)
         assert got.dtype == ref[name].dtype, name
         assert np.array_equal(got, ref[name]), name
+    got = Q.gather(np.arange(len(Q)))
+    assert got.dtype == ref["diff_index"].dtype
+    assert np.array_equal(got, ref["diff_index"])
+
+
+def test_gather_writes_into_strided_out(lattice):
+    # out may be any N x N view, such as a quadrant's transpose of a
+    # Fortran-ordered block; the values' dtype carries through
+    Q = bl.build_transfer_set(lattice)
+    n = len(lattice)
+    diff = transfer_set_oracle(lattice)["diff_index"]
+    values = bl.random_config(lattice.spec, Q, 1.0, seed=2).values
+    block = np.zeros((2 * n, 2 * n), dtype=complex, order="F")
+    out = block[n:, :n].T
+    assert Q.gather(values, out=out) is out
+    assert np.array_equal(out, values[diff])
+    assert not block[:n].any() and not block[n:, n:].any()
+    assert np.array_equal(Q.gather(values.real), values.real[diff])
+    assert np.array_equal(Q.gather(np.arange(len(Q)) == 3), diff == 3)
 
 
 def test_pair_sum_bins_match_diff_index(lattice):
-    # the pair sums read only the factor tables; with integer weights every
-    # sum is exact, so each (k, p) must land in diff_index[k, p]'s bin
+    # the pair sums read only the spatial table and frequency offsets; with
+    # integer weights every sum is exact, so each (k, p) must land in the bin
+    # of the oracle's index of k - p
     Q = bl.build_transfer_set(lattice)
     W = np.random.default_rng(3).integers(0, 2**20, (len(lattice), len(lattice)))
     got = pair_sum(lattice, Q, lambda k, p: W[k, p].astype(float))
-    assert "diff_index" not in vars(Q)
-    want = np.bincount(Q.diff_index.ravel(), W.ravel().astype(float), minlength=len(Q))
+    diff = transfer_set_oracle(lattice)["diff_index"]
+    want = np.bincount(diff.ravel(), W.ravel().astype(float), minlength=len(Q))
     assert np.array_equal(got, want)
 
 
-def test_expansion_leaves_diff_index_unbuilt(monkeypatch):
-    # the expansion and the Gaussian report take no determinant
-    probe = bl.ModelSpec(d=2, L=4.0, beta=2.0, nu=4.0, lam=0.0)
+def _traced(fn):
+    """fn() and the bytes its traced allocations peak at above the level before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_transfer_set_allocates_no_frequency_square():
+    # nu = 5000 gives nf = 3184 frequencies (N = 6368): no nf x nf table of
+    # frequency differences (81 MB) and no N x N index, only |Q|-long
+    # vectors (|Q| = 19101)
+    spec = bl.ModelSpec(d=1, L=4.0, beta=2.0, nu=5000.0, lam=1.0)
+    M = bl.build_momentum_set(spec)
+    assert len(M.freq_n0) == 3184
+    assert _traced(lambda: bl.build_transfer_set(M))[1] < 8 * 2**20
+
+
+def test_expansion_allocates_no_dense_matrix():
+    # the expansion and the Gaussian report take no determinant: their pair
+    # sums run one frequency block of k at a time, so at d = 3 L = 4
+    # (N = 1600) each call peaks below one N x N float array
+    probe = bl.ModelSpec(d=3, L=4.0, beta=8.0, nu=20.0, lam=0.0)
     lam_c = bl.critical_coupling(probe, bl.build_momentum_set(probe))
-    spec = bl.ModelSpec(d=2, L=4.0, beta=2.0, nu=4.0, lam=2.0 * lam_c)
+    spec = bl.ModelSpec(d=3, L=4.0, beta=8.0, nu=20.0, lam=2.0 * lam_c)
     M = bl.build_momentum_set(spec)
     Q = bl.build_transfer_set(M)
     sol = bl.solve_gap(spec, M)
     assert not sol.trivial
-
-    def unbuilt(self):
-        raise AssertionError("diff_index read")
-
-    monkeypatch.setattr(bl.TransferSet, "diff_index", property(unbuilt))
-    qf = bl.coefficients(spec, M, Q, sol.r0, 0.0)
-    bl.gaussian_report(spec, qf)
-    bl.decomposition_lhs(spec, M, Q, sol.delta_sq)
+    limit = len(M) ** 2 * 8
+    qf, peak = _traced(lambda: bl.coefficients(spec, M, Q, sol.r0, 0.0))
+    assert peak < limit
+    assert _traced(lambda: bl.gaussian_report(spec, qf))[1] < limit
+    assert _traced(lambda: bl.decomposition_lhs(spec, M, Q, sol.delta_sq))[1] < limit
 
 
 @pytest.mark.parametrize("lattice", ["small-d2", "d3-L4", "gapped"], indirect=True)

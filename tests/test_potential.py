@@ -10,7 +10,8 @@ import pytest
 import bcslab as bl
 from bcslab import potential
 from oracles import (
-    field_value, potential_external, potential_external_reduced, propagators, tilted_field
+    difference, field_value, potential_external, potential_external_reduced, propagators,
+    tilted_field,
 )
 
 
@@ -133,7 +134,7 @@ def test_phi_matrix_entries(small_M, small_Q, small_spec):
     Phi = bl.phi_matrix(small_M, phi)
     for i in range(len(small_M)):
         for j in range(len(small_M)):
-            assert Phi[i, j] == phi.values[small_Q.diff_index[i, j]]
+            assert Phi[i, j] == phi.values[difference(small_M, small_Q, i, j)]
 
 
 def test_block_structure(small_spec, small_M, small_Q):

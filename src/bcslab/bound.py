@@ -6,16 +6,17 @@ Re V >= V_BCS(||phi||) - sum_{q != 0} (1/2)[log(1 - |(e_{t-q}, e_t)|^2)
 and the best (largest) right-hand side over t is reported.  Since every
 log factor is <= 1 the chain Re V >= rhs >= V_BCS(||phi||) follows.
 
-bound_report runs once per field on the calling thread's scratch buffers of
-its lattice (`TransferSet.scratch`), so threads can check fields of one
-lattice at once: Re V takes one gemm there and one LU of numpy's own copy
-of R (numpy's slogdet: no scipy), and the overlaps are built, clamped,
-logged and summed in place as N x N float views of the same buffers, so no
-other N x N array is allocated per field.  Measured with one BLAS thread and
-one thread checking fields on a 2-vCPU host (whose speed drifts by up to 2x
-from one minute to the next), a field takes ~12 ms at d = 1 L = 16 (the
-gemm ~5, the LU ~3.5 and the Hadamard side ~2, autocorrelation_all 0.4 of
-it) and ~0.8 s at d = 2 L = 8 (~0.54 s, ~0.15 s and ~80 ms, ~14 ms).
+bound_report runs once per field on the calling thread's two scratch buffers
+of its lattice (`TransferSet.scratch`), so threads can check fields of one
+lattice at once: Re V builds R there, a quarter of its rows per gemm, and
+LAPACK factors it in place with the GIL released, and the overlaps are
+built, clamped, logged and summed in place as N x N float views of the same
+buffers, so no other N x N array is allocated per field.  Measured with one
+BLAS thread and one thread checking fields on a 2-vCPU host (whose speed
+drifts by up to 2x from one minute to the next), a field takes ~10 ms at
+d = 1 L = 16 (R ~5.5, the LU ~3 and the Hadamard side ~1.6,
+autocorrelation_all ~0.3 of it) and ~0.6 s at d = 2 L = 8 (~0.4 s, ~0.16 s
+and ~60 ms, ~15 ms).
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ def _denominators(spec: ModelSpec, M: MomentumSet, norm_sq: float) -> np.ndarray
 
 def _overlaps(spec: ModelSpec, M: MomentumSet, phi: FieldConfig):
     """(o1, o2): o1[k, t] = |(e_k, e_t)|^2 and o2[k, t] = |(e'_k, e_t)|^2,
-    clipped into [0, 1], as N x N float views of the first two of the
-    lattice's scratch buffers, overwritten by the next field.
+    clipped into [0, 1], as N x N float views of the lattice's two scratch
+    buffers, overwritten by the next field.
 
     Entry (k, t) reads the transfer t - k, the negation of k - t, so the
     per-transfer numerators are reversed once and gathered.  Both are
@@ -56,7 +57,7 @@ def _overlaps(spec: ModelSpec, M: MomentumSet, phi: FieldConfig):
     ratio = spec.lam / spec.kappa
     num1 = (np.abs(ratio * autocorrelation_all(phi)) ** 2)[::-1]
     num2 = (ratio * np.abs(phi.values) ** 2)[::-1]
-    o1, o2, z = Q.scratch[:2].reshape(-1).view(np.float64).reshape(4, n, n)[:3]
+    o1, o2, z = Q.scratch.view(np.float64).reshape(4, n, n)[:3]
     np.multiply(inv[:, None], inv[None, :], out=z)
     Q.gather(num1, out=o1)
     o1 *= z

@@ -194,13 +194,13 @@ def _scaled_field(spec, M, Q, scale: float, seed: int, hadamard: bool = False) -
 
 # bytes per (k, p) pair of M that one worker's dense matrices hold at once, at
 # least; eval and hessian-check run one worker.  eval: its 2N x 2N complex
-# block (4 * 16).  verify-bound: three scratch buffers (3 * 16,
-# model.TransferSet.scratch) and numpy slogdet's copy of R (16).
-# hessian-check: the scratch buffers.  At N = 1400, above import (one BLAS
-# thread; scipy.linalg's 26 MB counted as import): eval peaks at 70.2,
-# hessian-check at 56.9, and verify-bound --count 3 at 73.2 with one worker
-# and 143.1 with two
-DENSE_BYTES = {"eval": 64, "verify-bound": 64, "hessian-check": 48}
+# block (4 * 16).  verify-bound and hessian-check: two scratch buffers
+# (2 * 16, model.TransferSet.scratch), in which LAPACK factors R in place,
+# and reduced_matrix's quarter block of rows (16 / 4).  At N = 1400 (d = 2
+# L = 8), peak RSS above import with one BLAS thread, LAPACK's library
+# included: eval 74.1, hessian-check 46.4, and verify-bound --count 3 48.6
+# with one worker and 88.9 with two
+DENSE_BYTES = {"eval": 64, "verify-bound": 36, "hessian-check": 36}
 
 
 def physical_memory() -> int:

@@ -15,21 +15,26 @@ The reduced route serves Re V, the bound chain, the cubic remainder probe and
 finite differencing, where its imaginary part is smooth near the minimum; the
 full route serves eval and is the oracle in the checks.  The full route's
 block is built Fortran-ordered and factored in place; the reduced matrix is
-built in the calling thread's scratch buffers (`TransferSet.scratch`) by two
-gathers and one gemm with out=.  Re V is branch-free, so `potential_real`
-takes log|det| alone from numpy's slogdet (`logdet`'s real route), which
-factors a copy of its own; the phased routes factor in place by LAPACK's
-LU, zgetrf for a dense matrix and zgbtrf for a band, from scipy.linalg.lapack.
-Finite differencing goes through `DisplacedPotential`, which writes its
-reduced matrices in LAPACK band storage (`Banded`, kl, ku < (max |n0_t -
-n0_s| + 1) S over the step set, S spatial vectors) for a banded LU in
-O(N kl (kl + ku)).  scipy.linalg is imported inside `logdet`'s phased route
-only: a process that takes no phased determinant loads no scipy.
+built in the calling thread's two scratch buffers (`TransferSet.scratch`),
+Fortran-ordered, and factored in place there, `potential_real` included.
+Every determinant is one LAPACK LU from scipy's f2py LAPACK extension
+(`_flapack`), zgetrf for a dense matrix and zgbtrf for a band.  It is loaded
+from its file on the first `logdet` (`_lapack`), so scipy's package init
+never runs, and it releases the GIL, so threads factor at once.  Finite
+differencing goes through `DisplacedPotential`, which writes its reduced
+matrices in LAPACK band storage (`Banded`, kl, ku < (max |n0_t - n0_s| + 1) S
+over the step set, S spatial vectors) for a banded LU in O(N kl (kl + ku)).
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,48 +67,69 @@ def _square_finite(matrix) -> np.ndarray:
     return matrix
 
 
+_LAPACK_LOCK = threading.Lock()
+
+
+def _lapack():
+    """scipy's f2py LAPACK extension, loaded once (`_load_flapack`).  The lock
+    keeps threads that take their first determinant at once from loading it
+    twice."""
+    with _LAPACK_LOCK:
+        return _load_flapack()
+
+
+@functools.cache
+def _load_flapack():
+    """scipy/linalg/_flapack, loaded from its file in the directory that
+    find_spec("scipy") reports, and kept out of sys.modules.  It imports only
+    numpy, while scipy.linalg's package init costs ~0.2 s and ~25 MB."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError("no LAPACK extension _flapack: scipy is not installed")
+    directory = os.path.join(scipy.submodule_search_locations[0], "linalg")
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    paths = [os.path.join(directory, "_flapack" + suffix) for suffix in suffixes]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"no LAPACK extension _flapack in {directory}")
+    name = "bcslab._flapack"  # its last component picks the init function
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if sys.modules.get(name) is module:  # CPython files a single-phase extension there
+        del sys.modules[name]
+    return module
+
+
 def _pivots(matrix, overwrite: bool) -> tuple:
     """U's diagonal and the row swaps of LAPACK's partial-pivoting LU: getrf
     for a dense matrix, gbtrf for a `Banded` one, which picks the dense LU's
     pivots.  With `overwrite` a Fortran-ordered complex matrix (or band
     array) is factored in place."""
-    # imported here, not at module level: scipy.linalg is most of the
-    # package's import time, and the subcommands that take no phased
-    # determinant need not pay for it
-    from scipy.linalg.lapack import zgbtrf, zgetrf
-
+    lapack = _lapack()
     if not isinstance(matrix, Banded):
-        lu, piv, _ = zgetrf(_square_finite(matrix), overwrite_a=overwrite)
+        lu, piv, _ = lapack.zgetrf(_square_finite(matrix), overwrite_a=overwrite)
         return np.diag(lu), piv
     ab, kl, ku = np.asarray(matrix.ab, dtype=complex), matrix.kl, matrix.ku
     if ab.ndim != 2 or len(ab) != 2 * kl + ku + 1 or min(kl, ku) < 0:
         raise ValueError("band storage must have 2 kl + ku + 1 rows")
     if not np.all(np.isfinite(ab)):
         raise ValueError("matrix must be finite")
-    lu, piv, _ = zgbtrf(ab, kl, ku, overwrite_ab=overwrite)
+    lu, piv, _ = lapack.zgbtrf(ab, kl, ku, overwrite_ab=overwrite)
     return lu[kl + ku], piv
 
 
-def logdet(matrix, overwrite: bool = False, real: bool = False):
+def logdet(matrix, overwrite: bool = False) -> complex:
     """log det with exact real part and per-pivot principal-branch imaginary part.
 
     A dense array is factored by LAPACK's LU, a `Banded` matrix by its banded
     LU; both pivot by rows within each column, so they pick the same pivots.
-    The real part is sum log|U_ii| and the imaginary part is sum arg U_ii,
-    plus pi when the row swaps are odd.  The caller's matrix is left intact
-    unless `overwrite` is set: then a Fortran-ordered complex matrix (or band
-    array) is factored in place and holds its LU factors afterwards.
-
-    With `real`, a dense matrix gives log|det| alone, as a float, from
-    numpy's `slogdet`: no phases, no scipy, and numpy factors a copy of its
-    own, so `overwrite` does not apply.  Either way an exactly zero pivot
-    raises SingularMatrixError.
+    The real part is the pairwise sum (np.sum) of log|U_ii| and the imaginary
+    part is sum arg U_ii, plus pi when the row swaps are odd.  The caller's
+    matrix is left intact unless `overwrite` is set: then a Fortran-ordered
+    complex matrix (or band array) is factored in place and holds its LU
+    factors afterwards.  An exactly zero pivot raises SingularMatrixError.
     """
-    if real:
-        sign, value = np.linalg.slogdet(_square_finite(matrix))
-        if sign == 0:
-            raise SingularMatrixError("singular")
-        return float(value)
     diag, piv = _pivots(matrix, overwrite)
     if np.any(diag == 0):
         raise SingularMatrixError("singular")
@@ -153,23 +179,37 @@ def potential_full(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> complex
 
 def reduced_matrix(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> np.ndarray:
     """Id + (lambda/kappa) Cbar phi C phi^H  (N x N), Fortran-ordered, built in
-    the calling thread's scratch buffers of the lattice (`TransferSet.scratch`)
-    and overwritten by that thread's next field on that lattice.
+    the calling thread's two scratch buffers of the lattice
+    (`TransferSet.scratch`) and overwritten by that thread's next field on
+    that lattice.
 
-    Cbar phi and C phi^H are gathered (`TransferSet.gather`) into the first
-    two buffers, and the third receives R^T = (C phi^H)^T (Cbar phi)^T by one
-    matmul with out=, so R itself is Fortran-ordered and LAPACK factors it in
-    place.  (phi^H)_{k,p} = conj(phi_{p-k}), and -q has index |Q| - 1 - q, so
-    phi^H is the gather of conj(phi) in the reversed Q order: no transpose
-    copy.  A field allocates no N x N array.
+    Cbar phi is gathered (`TransferSet.gather`) into the first buffer, and the
+    second receives R^T = (C phi^H)^T (Cbar phi)^T, so R itself is
+    Fortran-ordered and LAPACK factors it in place.  (C phi^H)^T = conj(phi) C
+    is built a quarter of its rows at a time in a temporary: each row is one
+    contiguous run of the table under `TransferSet.windows`, scaled by C, and
+    one matmul with out= writes the same rows of R^T, bit for bit the rows of
+    one whole product.  A field allocates no N x N array, only that N^2/4
+    block.
     """
     Q = phi.transfer
-    left, right, rt = Q.scratch
+    left, rt = Q.scratch
     Q.gather(phi.values, out=left)
     left *= (1.0 / np.conj(M.a))[:, None]
-    Q.gather(np.conj(phi.values[::-1]), out=right)
-    right *= (1.0 / M.a)[:, None]
-    np.matmul(right.T, left.T, out=rt)
+    view = Q.windows(np.conj(phi.values))  # [a, s, b, u]: conj(phi) at k - p
+    ns, n = view.shape[1], len(M)
+    c = 1.0 / M.a
+    # four blocks of two rows or more: numpy's matmul takes one row by gemv,
+    # whose sums would round differently from the whole product's gemm
+    parts = max(1, min(4, n // 2))
+    bounds = [n * i // parts for i in range(parts + 1)]
+    block = np.empty((-(-n // parts), n), dtype=complex)
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows = block[: hi - lo]
+        # row by row: a broadcast multiply would take a ufunc buffer as well
+        for p, row in enumerate(rows, lo):
+            np.multiply(view[p // ns, p % ns].reshape(-1), c, out=row)
+        np.matmul(rows, left.T, out=rt[lo:hi])
     rt *= spec.lam / spec.kappa
     rt.reshape(-1)[:: len(rt) + 1] += 1.0
     return rt.T
@@ -254,9 +294,9 @@ class DisplacedPotential:
 
 
 def potential_real(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> float:
-    """Re V = sum |phi_q|^2 - log|det| by the reduced route, the determinant by
-    `logdet`'s real route; +inf if singular."""
+    """Re V = sum |phi_q|^2 - log|det| by the reduced route, factored in place
+    in the scratch buffers; +inf if singular."""
     try:
-        return _field_sum(phi) - logdet(reduced_matrix(spec, M, phi), real=True)
+        return _field_sum(phi) - logdet(reduced_matrix(spec, M, phi), overwrite=True).real
     except SingularMatrixError:
         return math.inf

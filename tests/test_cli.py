@@ -793,10 +793,9 @@ def test_hessian_check_lambda_zero_tol(free_config, monkeypatch, capsys, err, ar
 
 
 def test_import_skips_scipy_optimize(config_path):
-    # nothing needs scipy.optimize or scipy.sparse, and only a determinant
-    # with its phase needs scipy.linalg; a CLI process that takes none does not
-    # pay for it: verify-bound takes log|det| alone, from numpy.
-    # hessian-check's finite differences factor band matrices by LAPACK
+    # nothing needs scipy.optimize, scipy.sparse or scipy.linalg: every LU
+    # comes from scipy's LAPACK extension, loaded from its file without
+    # scipy.linalg's package init, so no subcommand imports scipy.linalg
     script = (
         "import contextlib, os, sys, bcslab.cli\n"
         "def has(name): return name in sys.modules\n"
@@ -809,21 +808,46 @@ def test_import_skips_scipy_optimize(config_path):
         " '--output', os.devnull])\n"
         "print(has('scipy.linalg'))\n"
         "with contextlib.redirect_stdout(open(os.devnull, 'w')):\n"
+        f"    ev = bcslab.cli.main(['eval', '--config', {config_path!r}])\n"
         f"    hessian = bcslab.cli.main(['hessian-check', '--config', {config_path!r}])\n"
-        "print(hessian, has('scipy.sparse'))\n"
+        "print(ev, hessian, has('scipy.sparse'), has('scipy.linalg'))\n"
         "with contextlib.redirect_stdout(open(os.devnull, 'w')):\n"
         f"    ext = bcslab.cli.main(['external', '--config', {config_path!r}])\n"
         f"    gap = bcslab.cli.main(['gap', '--config', {config_path!r}, '--external', '1e-2'])\n"
-        "print(ext, gap, has('scipy.optimize'))\n"
+        "print(ext, gap, has('scipy.optimize'), has('scipy.linalg'))\n"
     )
     proc = run_child(["-c", script])
     assert proc.returncode == 0
     lines = proc.stdout.splitlines()
     assert lines == [
         "False False False", "False", "configurations 3", "all_chains_ok True", "False",
-        "0 False",
-        "0 0 False",
+        "0 0 False False",
+        "0 0 False False",
     ]
+
+
+def test_lapack_handle_with_scipy_linalg_either_side():
+    # scipy's LAPACK extension initialised by the package alone, then by
+    # scipy.linalg as well (or the other way round) gives the same values
+    script = (
+        "import hashlib, sys, numpy as np\n"
+        "if sys.argv[1] == 'before': import scipy.linalg\n"
+        "import bcslab as bl\n"
+        "rng = np.random.default_rng(3)\n"
+        "A = rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50))\n"
+        "ab = np.zeros((7, 50), dtype=complex, order='F')\n"
+        "ab[4] = 1.0 + rng.random(50)\n"
+        "ab[3, 1:] = ab[5, :-1] = rng.standard_normal(49) + 0.5j\n"
+        "first = (bl.logdet(A), bl.logdet(bl.Banded(ab, 2, 2)))\n"
+        "import scipy.linalg\n"
+        "again = (bl.logdet(A), bl.logdet(bl.Banded(ab, 2, 2)))\n"
+        "print(first == again, repr(first))\n"
+        "print(hashlib.sha256(scipy.linalg.lapack.zgetrf(A)[0].tobytes()).hexdigest())\n"
+    )
+    before, after = (run_child(["-c", script, order]) for order in ("before", "after"))
+    assert before.returncode == after.returncode == 0, before.stderr + after.stderr
+    assert before.stdout.startswith("True ")
+    assert before.stdout == after.stdout
 
 
 @pytest.mark.parametrize("command", ["eval", "verify-bound", "hessian-check"])

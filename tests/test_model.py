@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -32,6 +33,19 @@ def test_energy_window(desk_spec, desk_M):
     for m in spatial_grid(desk_spec).tolist():
         inside = abs(dispersion(desk_spec, m)) <= desk_spec.energy_window
         assert (tuple(m) in kept) == inside
+
+
+def test_energy_window_nan_refused():
+    # NaN passed the sign check and failed later as an empty cutoff set
+    with pytest.raises(ValueError, match="^energy_window must be nonnegative"):
+        bl.ModelSpec(energy_window=math.nan)
+
+
+def test_energy_window_inf_keeps_every_momentum():
+    # no window: the cutoff set is the whole spatial grid
+    spec = bl.ModelSpec(energy_window=math.inf)
+    M = bl.build_momentum_set(spec)
+    assert len(M.spatial_m) == len(spatial_grid(spec))
 
 
 def test_frequency_cutoff(desk_spec, desk_M):
@@ -284,6 +298,25 @@ def test_gather_writes_into_strided_out(lattice):
     assert not block[:n].any() and not block[n:, n:].any()
     assert np.array_equal(Q.gather(values.real), values.real[diff])
     assert np.array_equal(Q.gather(np.arange(len(Q)) == 3), diff == 3)
+    # gather copies the read-only strided view windows, [a, s, b, u] for the
+    # momenta (a, s) and (b, u), of which each row is one contiguous run
+    view = Q.windows(values)
+    assert not view.flags.writeable
+    assert np.array_equal(view.reshape(n, n), values[diff])
+    assert view[-1, -1].flags.c_contiguous
+
+
+def test_scratch_is_two_buffers_per_thread(desk_M, desk_Q):
+    n = len(desk_M)
+    assert desk_Q.scratch.shape == (2, n, n)
+    assert desk_Q.scratch is desk_Q.scratch
+    other = []
+    thread = threading.Thread(target=lambda: other.append(desk_Q.scratch))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert other[0].shape == (2, n, n)
+    assert not np.shares_memory(other[0], desk_Q.scratch)
 
 
 def test_pair_sum_bins_match_diff_index(lattice):

@@ -1,7 +1,12 @@
 """Log-determinants, the two potential routes and the BCS closed forms."""
 
 import cmath
+import importlib.machinery
+import importlib.util
 import math
+import os
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -50,24 +55,50 @@ def test_logdet_validation():
 
 
 def test_logdet_real_route():
-    # log|det| alone, as a float from numpy's slogdet: the real part of the
-    # phased route, behind the same checks
+    # the real part, which potential_real reads, is np.sum's pairwise sum of
+    # log|U_ii| over LAPACK's LU, a float close to numpy's slogdet
+    from scipy.linalg.lapack import zgetrf
+
     rng = np.random.default_rng(5)
-    for n in (1, 2, 5, 9):
+    for n in (1, 2, 5, 9, 300):
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        got = bl.logdet(A, real=True)
-        assert type(got) is float
-        assert got == pytest.approx(bl.logdet(A).real, rel=1e-12, abs=1e-14)
+        got = bl.logdet(A).real
+        assert got == float(np.sum(np.log(np.abs(np.diag(zgetrf(A)[0])))))
+        assert got == pytest.approx(np.linalg.slogdet(A)[1], rel=1e-12, abs=1e-14)
     with pytest.raises(ValueError, match="square"):
-        bl.logdet(np.zeros((2, 3)), real=True)
-    with pytest.raises(ValueError, match="square"):
-        bl.logdet(np.ones(3), real=True)
+        bl.logdet(np.ones(3))
     for bad in (np.inf, np.nan, complex(0.0, np.nan)):
         with pytest.raises(ValueError, match="finite"):
-            bl.logdet(np.array([[bad, 0.0], [0.0, 1.0]]), real=True)
+            bl.logdet(np.array([[bad, 0.0], [0.0, 1.0]]))
     for singular in (np.zeros((3, 3)), np.ones((3, 3))):
         with pytest.raises(bl.SingularMatrixError):
-            bl.logdet(singular, real=True)
+            bl.logdet(singular)
+
+
+def test_lapack_handle_matches_scipy():
+    # the extension loaded from its file is scipy's own LAPACK: LU factors
+    # and pivots bit for bit those of scipy.linalg.lapack, dense and banded
+    from scipy.linalg import lapack
+
+    handle = potential._lapack()
+    assert handle.__name__.endswith("_flapack")
+    assert handle.__name__ not in sys.modules
+    rng = np.random.default_rng(11)
+    A = np.asfortranarray(rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40)))
+    for got, want in zip(handle.zgetrf(A), lapack.zgetrf(A)):
+        assert np.array_equal(got, want)
+    B = _banded(_near_diagonal(30, seed=2))
+    for got, want in zip(handle.zgbtrf(B.ab, B.kl, B.ku), lapack.zgbtrf(B.ab, B.kl, B.ku)):
+        assert np.array_equal(got, want)
+
+
+def test_lapack_handle_missing(monkeypatch):
+    # no extension file: an ImportError naming the directory searched
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    scipy = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    directory = os.path.join(scipy, "linalg")
+    with pytest.raises(ImportError, match=re.escape(directory)):
+        potential._load_flapack.__wrapped__()
 
 
 def test_potential_real_singular_is_inf(desk_spec, desk_M, desk_Q, monkeypatch):
@@ -77,7 +108,9 @@ def test_potential_real_singular_is_inf(desk_spec, desk_M, desk_Q, monkeypatch):
         potential, "reduced_matrix", lambda spec, M, phi: np.ones((n, n), dtype=complex)
     )
     phi = bl.random_config(desk_spec, desk_Q, 1.0, seed=4)
-    assert bl.potential_real(desk_spec, desk_M, phi) == math.inf
+    with warnings.catch_warnings():  # LAPACK's zero pivot warns of nothing
+        warnings.simplefilter("error")
+        assert bl.potential_real(desk_spec, desk_M, phi) == math.inf
 
 
 def _near_diagonal(n, seed):
@@ -241,6 +274,20 @@ def test_vbcs_at_bcs_config(desk_spec, desk_M, desk_Q, desk_sol):
         assert vf.real == pytest.approx(desk_sol.v_min_sum, rel=1e-10)
         # full-route imaginary part vanishes mod 2 pi
         assert abs(cmath.exp(1j * vf.imag) - 1.0) < 1e-8
+
+
+def test_potential_real_bcs_row_d2():
+    # verify-bound's bcs row at d=2 L=8 (N = 1400): Re V is the difference of
+    # two sums over 1400 momenta, and the pairwise sum of log|U_ii| keeps it
+    # within 5e-14 of the closed form
+    probe = bl.ModelSpec(d=2, L=8.0, beta=8.0, nu=20.0, lam=0.0)
+    lam_c = bl.critical_coupling(probe, bl.build_momentum_set(probe))
+    spec = bl.ModelSpec(d=2, L=8.0, beta=8.0, nu=20.0, lam=2.0 * lam_c)
+    M = bl.build_momentum_set(spec)
+    Q = bl.build_transfer_set(M)
+    sol = bl.solve_gap(spec, M)
+    re_v = bl.potential_real(spec, M, bl.bcs_config(spec, Q, sol.r0, 0.0))
+    assert abs(re_v - sol.v_min_sum) <= 5e-14
 
 
 def test_vbcs_cosh_is_full_sum_limit():

@@ -8,15 +8,15 @@ log factor is <= 1 the chain Re V >= rhs >= V_BCS(||phi||) follows.
 
 bound_report runs once per field on the calling thread's two scratch buffers
 of its lattice (`TransferSet.scratch`), so threads can check fields of one
-lattice at once: Re V builds R there, a quarter of its rows per gemm, and
-LAPACK factors it in place with the GIL released, and the overlaps are
-built, clamped, logged and summed in place as N x N float views of the same
-buffers, so no other N x N array is allocated per field.  Measured with one
-BLAS thread and one thread checking fields on a 2-vCPU host (whose speed
-drifts by up to 2x from one minute to the next), a field takes ~10 ms at
-d = 1 L = 16 (R ~5.5, the LU ~3 and the Hadamard side ~1.6,
-autocorrelation_all ~0.3 of it) and ~0.6 s at d = 2 L = 8 (~0.4 s, ~0.16 s
-and ~60 ms, ~15 ms).
+lattice at once: Re V gathers R's two factors there and multiplies them a
+quarter of the rows at a time, and LAPACK factors R in place with the GIL
+released, and the overlaps are built, clamped, logged and summed in place
+as N x N float views of the same buffers, so no other N x N array is
+allocated per field.  Measured with one BLAS thread and one thread checking
+fields on a 2-vCPU host (whose speed drifts by up to 2x from one minute to
+the next), a field takes ~15 ms at d = 1 L = 16 (R ~7.6, the LU ~4 and the
+Hadamard side ~3.3, autocorrelation_all ~0.6 of it) and ~0.74 s at d = 2
+L = 8 (~0.45 s, ~0.17 s and ~71 ms, ~20 ms).
 """
 
 from __future__ import annotations

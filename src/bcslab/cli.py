@@ -192,15 +192,23 @@ def _scaled_field(spec, M, Q, scale: float, seed: int, hadamard: bool = False) -
     return phi
 
 
-# bytes per (k, p) pair of M that one worker's dense matrices hold at once, at
-# least; eval and hessian-check run one worker.  eval: its 2N x 2N complex
-# block (4 * 16).  verify-bound and hessian-check: two scratch buffers
-# (2 * 16, model.TransferSet.scratch), in which LAPACK factors R in place,
-# and reduced_matrix's quarter block of rows (16 / 4).  At N = 1400 (d = 2
-# L = 8), peak RSS above import with one BLAS thread, LAPACK's library
-# included: eval 74.1, hessian-check 46.4, and verify-bound --count 3 48.6
-# with one worker and 88.9 with two
-DENSE_BYTES = {"eval": 64, "verify-bound": 36, "hessian-check": 36}
+def worker_bytes(command: str, Q) -> int:
+    """Bytes that one worker of `command` holds at once on Q's lattice, at
+    least.  eval: its 2N x 2N complex block.  verify-bound and hessian-check:
+    two N x N complex scratch buffers (model.TransferSet.scratch), in which
+    LAPACK factors R in place, and the larger of reduced_matrix's N^2/4 block
+    and, for verify-bound, autocorrelation_all's three complex arrays of the
+    FFT box (built here, before any worker reads it).  Each adds 32 MiB for
+    BLAS and LAPACK, their code and the buffers their gemm and LU touch.
+    Peak RSS above import per worker, one BLAS thread, against this count, in
+    MiB: at N = 1400 (d = 2 L = 8) eval 138 of 152, hessian-check 85 of 99,
+    verify-bound --count 3 91 of 102 with one worker and 87 with two; at
+    N = 1600 (d = 3 L = 4) verify-bound 151 of 163 with one and 144 with two."""
+    n, libraries = Q.n_momenta, 32 * 2**20
+    if command == "eval":
+        return 64 * n * n + libraries
+    box = 48 * math.prod(Q.fft_box[0]) if command == "verify-bound" else 0
+    return 32 * n * n + max(4 * n * n, box) + libraries
 
 
 def physical_memory() -> int:
@@ -215,17 +223,16 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def dense_preflight(command: str, M, workers: int = 1) -> int:
-    """Run before `command` builds dense N x N matrices: how many of `workers`
-    fit their matrices in physical memory, or a ConfigError naming N if not
-    even one does."""
-    n = len(M)
-    each = DENSE_BYTES[command] * n * n
+def dense_preflight(command: str, Q, workers: int = 1) -> int:
+    """Run before `command` builds dense N x N matrices on Q's lattice: how
+    many of `workers` fit what each holds (`worker_bytes`) in physical
+    memory, or a ConfigError naming N if not even one does."""
+    each = worker_bytes(command, Q)
     have = physical_memory()
     if each > have:
         raise ConfigError(
-            f"{command} on N = {n} momenta needs {each / 2**30:.3g} GiB of "
-            f"dense matrices, more than the {have / 2**30:.3g} GiB of physical memory"
+            f"{command} on N = {Q.n_momenta} momenta needs {each / 2**30:.3g} GiB "
+            f"per worker, more than the {have / 2**30:.3g} GiB of physical memory"
         )
     return min(workers, have // each)
 
@@ -269,8 +276,8 @@ def cmd_gap(args) -> int:
 
 def cmd_eval(args) -> int:
     spec, M, _ = build_spec(parse_config(args.config))
-    dense_preflight("eval", M)
     Q = build_transfer_set(M)
+    dense_preflight("eval", Q)
     phi = _scaled_field(spec, M, Q, args.scale, args.seed)
     full = potential_full(spec, M, phi)
     red = potential_reduced(spec, M, phi)
@@ -289,10 +296,9 @@ def cmd_verify_bound(args) -> int:
 
     spec, M, _ = build_spec(parse_config(args.config))
     seeds = [None] + list(range(args.seed, args.seed + args.count))  # None: the BCS field
-    workers = dense_preflight("verify-bound", M, min(usable_cores(), len(seeds)))
     Q = build_transfer_set(M)
+    workers = dense_preflight("verify-bound", Q, min(usable_cores(), len(seeds)))
     sol = solve_gap(spec, M)
-    Q.fft_box  # the lattice's shared table, built before the workers read it
 
     def row(seed):
         """One field's CSV row; the field is drawn here, so each worker holds
@@ -369,8 +375,8 @@ def ordered_gap(spec, M, lam_c: float, why: str):
 
 def cmd_hessian_check(args) -> int:
     spec, M, lam_c = build_spec(parse_config(args.config))
-    dense_preflight("hessian-check", M)
     Q = build_transfer_set(M)
+    dense_preflight("hessian-check", Q)
     n_orbits = (len(Q) - 1) // 2  # q = 0 is its own partner
     if args.orbits > n_orbits:
         raise ConfigError(

@@ -7,12 +7,12 @@ components are k_i = 2 pi m_i / L with integer m_i.  The cutoff set keeps
 range and a set of surviving spatial vectors, and so is the transfer set Q.
 M's frequencies are one contiguous run of integers, so the index of k - p
 is a frequency offset plus the S x S table spatial_diff, and
-`TransferSet.windows` reads any N x N array (phi)_{k,p} = phi_{k-p} through
-them as a strided view; no N x N index is built.  A momentum or transfer is
-an integer index into its set's arrays.  M is ordered frequency-major; Q is
-sorted lexicographically by (n0, m), so negation reverses its index and the
-indices above zero_index are the {q, -q} orbit representatives (see
-TransferSet).
+`TransferSet.gather`, the one reader of that map, writes any N x N array
+(phi)_{k,p} = phi_{k-p} from a strided view through them; no N x N index is
+built.  A momentum or transfer is an integer index into its set's arrays.  M
+is ordered frequency-major; Q is sorted lexicographically by (n0, m), so
+negation reverses its index and the indices above zero_index are the
+{q, -q} orbit representatives (see TransferSet).
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ class TransferSet:
     M's nf frequencies are one contiguous run, so freq_n0 = arange(1 - nf, nf),
     and spatial_diff[s, u] indexes spatial_m at M.spatial_m[s] - M.spatial_m[u]:
     for k, p of frequency indices a, b, k - p has index (a - b + nf - 1)
-    len(spatial_m) + spatial_diff[s, u], the map that `windows` reads through.
+    len(spatial_m) + spatial_diff[s, u], the map that `gather` reads through.
     """
 
     def __init__(self, M: MomentumSet):
@@ -171,6 +171,7 @@ class TransferSet:
             return_inverse=True,
         )
         self.spatial_diff = sdiff.reshape(ns, ns)
+        self.n_momenta = nf * ns  # N, the side of every array that gather writes
         nq = len(self.freq_n0) * len(self.spatial_m)
         self.n0 = np.repeat(self.freq_n0, len(self.spatial_m))
         self.mvec = np.tile(self.spatial_m, (len(self.freq_n0), 1))
@@ -184,29 +185,23 @@ class TransferSet:
     def __len__(self) -> int:
         return len(self.n0)
 
-    def windows(self, values) -> np.ndarray:
+    def gather(self, values, out=None) -> np.ndarray:
         """The N x N array out[k, p] = values[index of k - p] of a vector
-        aligned to Q, as a read-only strided (nf, S, nf, S) view w[a, s, b, u]
-        with k = (a, s), p = (b, u): any block of rows reads without building
-        N x N.  The view is of the C-ordered table T[s, g, u] =
-        values[2 nf - 2 - g, spatial_diff[s, u]], and row (a, s) is its
-        contiguous run T[s, nf - 1 - a : 2 nf - 1 - a]."""
+        aligned to Q, written into `out` (any N x N array of its dtype) or a
+        new one.  No N x N index is built: out is copied from a read-only
+        strided (nf, S, nf, S) view w[a, s, b, u], k = (a, s) and p = (b, u),
+        of the C-ordered table T[s, g, u] = values[2 nf - 2 - g,
+        spatial_diff[s, u]], whose row (a, s) is the contiguous run
+        T[s, nf - 1 - a : 2 nf - 1 - a]."""
         nf, ns = (len(self.freq_n0) + 1) // 2, len(self.spatial_diff)
         rows = np.asarray(values).reshape(2 * nf - 1, -1)[::-1]
         table = rows[np.arange(len(rows))[None, :, None], self.spatial_diff[:, None, :]]
         # windows[s, c, u, b] = T[s, c + b, u], and row (a, s) reads c = nf - 1 - a
         windows = sliding_window_view(table, nf, axis=1)
-        return windows[:, ::-1].transpose(1, 0, 3, 2)
-
-    def gather(self, values, out=None) -> np.ndarray:
-        """The N x N array of `windows(values)`, written into `out` (any
-        N x N array of its dtype) or a new one."""
-        view = self.windows(values)
-        n = view.shape[0] * view.shape[1]
         if out is None:
-            out = np.empty((n, n), dtype=view.dtype)
+            out = np.empty((nf * ns, nf * ns), dtype=table.dtype)
         # splitting out's two axes gives a view whatever its strides
-        out.reshape(view.shape)[...] = view
+        out.reshape(nf, ns, nf, ns)[...] = windows[:, ::-1].transpose(1, 0, 3, 2)
         return out
 
     @cached_property
@@ -226,15 +221,16 @@ class TransferSet:
     @property
     def scratch(self) -> np.ndarray:
         """Two N x N complex buffers that the determinant code reuses from
-        field to field: potential.reduced_matrix builds Cbar phi in the first
-        and R^T in the second, where the LU runs in place, and
-        bound.hadamard_rhs reads both as four N x N float arrays.  Each
-        thread has its own, built on its first access and freed when the
-        thread ends, so threads can evaluate fields of one lattice at once.
-        fft_box is shared: build it before such threads start."""
+        field to field: potential.reduced_matrix gathers Cbar phi into the
+        first and conj(phi) C into the second, where R^T replaces it and the
+        LU runs in place, and bound.hadamard_rhs reads both as four N x N
+        float arrays.  Each thread has its own, built on its first access
+        and freed when the thread ends, so threads can evaluate fields of one
+        lattice at once.  fft_box is shared: build it before such threads
+        start (cli.worker_bytes does)."""
         buffers = getattr(self._local, "scratch", None)
         if buffers is None:
-            n = (len(self.freq_n0) + 1) // 2 * len(self.spatial_diff)
+            n = self.n_momenta
             buffers = self._local.scratch = np.empty((2, n, n), dtype=complex)
         return buffers
 

@@ -13,10 +13,11 @@ live with the tests.
 
 The reduced route serves Re V, the bound chain, the cubic remainder probe and
 finite differencing, where its imaginary part is smooth near the minimum; the
-full route serves eval and is the oracle in the checks.  The full route's
-block is built Fortran-ordered and factored in place; the reduced matrix is
-built in the calling thread's two scratch buffers (`TransferSet.scratch`),
-Fortran-ordered, and factored in place there, `potential_real` included.
+full route serves eval and is the oracle in the checks.  Both read phi by
+`TransferSet.gather` alone: the full route's block is built Fortran-ordered
+and factored in place, and the reduced matrix is built, Fortran-ordered, in
+the calling thread's two scratch buffers (`TransferSet.scratch`) and
+factored in place there, `potential_real` included.
 Every determinant is one LAPACK LU from scipy's f2py LAPACK extension
 (`_flapack`), zgetrf for a dense matrix and zgbtrf for a band.  It is loaded
 from its file on the first `logdet` (`_lapack`), so scipy's package init
@@ -183,33 +184,28 @@ def reduced_matrix(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> np.ndar
     (`TransferSet.scratch`) and overwritten by that thread's next field on
     that lattice.
 
-    Cbar phi is gathered (`TransferSet.gather`) into the first buffer, and the
-    second receives R^T = (C phi^H)^T (Cbar phi)^T, so R itself is
-    Fortran-ordered and LAPACK factors it in place.  (C phi^H)^T = conj(phi) C
-    is built a quarter of its rows at a time in a temporary: each row is one
-    contiguous run of the table under `TransferSet.windows`, scaled by C, and
-    one matmul with out= writes the same rows of R^T, bit for bit the rows of
-    one whole product.  A field allocates no N x N array, only that N^2/4
-    block.
+    Cbar phi is gathered (`TransferSet.gather`) into the first buffer and
+    (C phi^H)^T = conj(phi) C into the second, which then receives
+    R^T = (C phi^H)^T (Cbar phi)^T, so R itself is Fortran-ordered and LAPACK
+    factors it in place.  The product is taken a quarter of its rows at a
+    time into a temporary and copied back over the rows it read, bit for bit
+    the rows of one whole product.  A field allocates no N x N array, only
+    that N^2/4 block.
     """
     Q = phi.transfer
     left, rt = Q.scratch
     Q.gather(phi.values, out=left)
     left *= (1.0 / np.conj(M.a))[:, None]
-    view = Q.windows(np.conj(phi.values))  # [a, s, b, u]: conj(phi) at k - p
-    ns, n = view.shape[1], len(M)
-    c = 1.0 / M.a
+    Q.gather(np.conj(phi.values), out=rt)
+    rt *= 1.0 / M.a
+    n = len(M)
     # four blocks of two rows or more: numpy's matmul takes one row by gemv,
     # whose sums would round differently from the whole product's gemm
     parts = max(1, min(4, n // 2))
     bounds = [n * i // parts for i in range(parts + 1)]
     block = np.empty((-(-n // parts), n), dtype=complex)
     for lo, hi in zip(bounds, bounds[1:]):
-        rows = block[: hi - lo]
-        # row by row: a broadcast multiply would take a ufunc buffer as well
-        for p, row in enumerate(rows, lo):
-            np.multiply(view[p // ns, p % ns].reshape(-1), c, out=row)
-        np.matmul(rows, left.T, out=rt[lo:hi])
+        rt[lo:hi] = np.matmul(rt[lo:hi], left.T, out=block[: hi - lo])
     rt *= spec.lam / spec.kappa
     rt.reshape(-1)[:: len(rt) + 1] += 1.0
     return rt.T

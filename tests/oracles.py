@@ -89,6 +89,23 @@ def overlap_matrices(spec, M, phi):
     return tuple(o.copy() for o in _overlaps(spec, M, phi))
 
 
+def translation(Q, x) -> np.ndarray:
+    """Phases e^{i q.x} on Q: phi_q e^{i q.x} is phi moved by the spatial
+    vector x (in lattice units)."""
+    return np.exp(1j * (Q.qvec @ np.asarray(x, dtype=float)))
+
+
+def time_shift(Q, tau: float) -> np.ndarray:
+    """Phases e^{i q0 tau} on Q: phi_q e^{i q0 tau} is phi moved by tau in
+    imaginary time."""
+    return np.exp(1j * Q.q0 * tau)
+
+
+def global_phase(Q, theta: float) -> np.ndarray:
+    """The constant phase e^{i theta} on Q, a global U(1) rotation of phi."""
+    return np.full(len(Q), cmath.exp(1j * theta))
+
+
 def field_value(r) -> complex:
     """The external field's complex value, magnitude * e^{i phase}."""
     return r.magnitude * cmath.exp(1j * r.phase)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -190,14 +191,14 @@ def test_verify_bound_workers_fit_memory(config_path, tmp_path, monkeypatch, cap
     # with the output of three
     monkeypatch.setattr(cli, "usable_cores", lambda: 3)
     wide = bound_run(config_path, tmp_path, capsys)
-    each = cli.DENSE_BYTES["verify-bound"]
-    monkeypatch.setattr(cli, "physical_memory", lambda: 2 * each * 4**2 - 1)
+    Q = cli.build_transfer_set(cli.build_spec(cli.parse_config(config_path))[1])
+    each = cli.worker_bytes("verify-bound", Q)
+    monkeypatch.setattr(cli, "physical_memory", lambda: 2 * each - 1)
     narrow = bound_run(config_path, tmp_path, capsys)
     assert pool_sizes == [3, 1]
     assert narrow == wide and wide[0] == 0
-    M = cli.build_spec(cli.parse_config(config_path))[1]
-    monkeypatch.setattr(cli, "physical_memory", lambda: 2 * each * 4**2)
-    assert cli.dense_preflight("verify-bound", M, 3) == 2
+    monkeypatch.setattr(cli, "physical_memory", lambda: 2 * each)
+    assert cli.dense_preflight("verify-bound", Q, 3) == 2
 
 
 def test_verify_bound_field_error_exits_2(config_path, monkeypatch, capsys, pool_sizes):
@@ -852,16 +853,39 @@ def test_lapack_handle_with_scipy_linalg_either_side():
 
 @pytest.mark.parametrize("command", ["eval", "verify-bound", "hessian-check"])
 def test_dense_preflight_exits_2(config_path, monkeypatch, capsys, command):
-    # the small lattice has N = 4 momenta: the estimate for one worker's
-    # matrices is DENSE_BYTES * 4^2
-    need = cli.DENSE_BYTES[command] * 16
+    # the small lattice has N = 4 momenta; physical memory one byte short of
+    # one worker's count
+    Q = cli.build_transfer_set(cli.build_spec(cli.parse_config(config_path))[1])
+    need = cli.worker_bytes(command, Q)
     monkeypatch.setattr(cli, "physical_memory", lambda: need - 1)
-    monkeypatch.setattr(cli, "build_transfer_set", None)  # no matrix gets built
+    # no field is drawn and no gap solved after the preflight: no matrix gets built
+    monkeypatch.setattr(cli, "random_config", None)
+    monkeypatch.setattr(cli, "solve_gap", None)
     code, out, err = run_cli([command, "--config", config_path], capsys)
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {command} on N = 4 momenta needs ")
     assert err.count("\n") == 1
-    M = cli.build_spec(cli.parse_config(config_path))[1]
     monkeypatch.setattr(cli, "physical_memory", lambda: need)
-    assert cli.dense_preflight(command, M) == 1  # an estimate that fits passes
+    assert cli.dense_preflight(command, Q) == 1  # an estimate that fits passes
+
+
+def test_first_bound_report_fits_worker_bytes(tmp_path):
+    # a worker's first field on a fresh lattice builds the two scratch
+    # buffers, and at d = 3 L = 4 (N = 1600) the Hadamard side's FFT box
+    # (198 x 18^3) outweighs reduced_matrix's N^2/4 block: its traced peak
+    # stays within the preflight's count, whose FFT box is built beforehand
+    path = tmp_path / "d3.cfg"
+    path.write_text("d = 3\nL = 4\nbeta = 8\nnu = 20\nlambda_factor = 2\n")
+    spec, M, _ = cli.build_spec(cli.parse_config(str(path)))
+    Q = cli.build_transfer_set(M)
+    each = cli.worker_bytes("verify-bound", Q)
+    phi = cli.random_config(spec, Q, 1.0, 0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cli.bound_report(spec, M, phi)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= each

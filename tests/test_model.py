@@ -298,12 +298,6 @@ def test_gather_writes_into_strided_out(lattice):
     assert not block[:n].any() and not block[n:, n:].any()
     assert np.array_equal(Q.gather(values.real), values.real[diff])
     assert np.array_equal(Q.gather(np.arange(len(Q)) == 3), diff == 3)
-    # gather copies the read-only strided view windows, [a, s, b, u] for the
-    # momenta (a, s) and (b, u), of which each row is one contiguous run
-    view = Q.windows(values)
-    assert not view.flags.writeable
-    assert np.array_equal(view.reshape(n, n), values[diff])
-    assert view[-1, -1].flags.c_contiguous
 
 
 def test_scratch_is_two_buffers_per_thread(desk_M, desk_Q):

@@ -194,21 +194,25 @@ def _scaled_field(spec, M, Q, scale: float, seed: int, hadamard: bool = False) -
 
 def worker_bytes(command: str, Q) -> int:
     """Bytes that one worker of `command` holds at once on Q's lattice, at
-    least.  eval: its 2N x 2N complex block.  verify-bound and hessian-check:
-    two N x N complex scratch buffers (model.TransferSet.scratch), in which
-    LAPACK factors R in place, and the larger of reduced_matrix's N^2/4 block
-    and, for verify-bound, autocorrelation_all's three complex arrays of the
-    FFT box (built here, before any worker reads it).  Each adds 32 MiB for
-    BLAS and LAPACK, their code and the buffers their gemm and LU touch.
-    Peak RSS above import per worker, one BLAS thread, against this count, in
-    MiB: at N = 1400 (d = 2 L = 8) eval 138 of 152, hessian-check 85 of 99,
-    verify-bound --count 3 91 of 102 with one worker and 87 with two; at
-    N = 1600 (d = 3 L = 4) verify-bound 151 of 163 with one and 144 with two."""
+    least.  eval: its 2N x 2N complex block.  verify-bound: two N x N complex
+    scratch buffers (model.TransferSet.scratch), in which LAPACK factors R in
+    place, and the larger of reduced_matrix's N^2/4 block and
+    autocorrelation_all's three complex arrays of the FFT box (built here,
+    before any worker reads it).  hessian-check: the two scratch buffers, the
+    N x N product G that `DisplacedPotential.ray` holds beside them, and the
+    N x N mask by which `logdet` checks that R is finite (49 bytes per pair).
+    Each adds 32 MiB for BLAS and LAPACK, their code and the buffers their
+    gemm and LU touch.  Peak RSS above import per worker, one BLAS thread,
+    against this count, in MiB: at N = 1400 (d = 2 L = 8) eval 138 of 152,
+    hessian-check 114 of 124, verify-bound --count 3 91 of 102 with one
+    worker and 87 with two; at N = 1600 (d = 3 L = 4) hessian-check 150 of
+    152, verify-bound 151 of 163 with one and 144 with two."""
     n, libraries = Q.n_momenta, 32 * 2**20
     if command == "eval":
         return 64 * n * n + libraries
-    box = 48 * math.prod(Q.fft_box[0]) if command == "verify-bound" else 0
-    return 32 * n * n + max(4 * n * n, box) + libraries
+    if command == "hessian-check":
+        return 49 * n * n + libraries
+    return 32 * n * n + max(4 * n * n, 48 * math.prod(Q.fft_box[0])) + libraries
 
 
 def physical_memory() -> int:
@@ -411,8 +415,7 @@ def cmd_hessian_check(args) -> int:
             Q, rng.standard_normal(len(Q)) + 1j * rng.standard_normal(len(Q))
         )
         xi.values /= math.sqrt(float(np.sum(np.abs(xi.values) ** 2)))
-        r1 = remainder(spec, M, qf, xi, t)
-        r2 = remainder(spec, M, qf, xi, t / 2.0)
+        r1, r2 = remainder(spec, M, qf, xi, (t, t / 2.0))
         ratios.append(r1 / r2 if r2 > 0 else math.inf)
     ratios = np.array(ratios)
     print(f"remainder_ratio_min {FMT % float(ratios.min())}")

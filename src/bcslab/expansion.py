@@ -35,7 +35,7 @@ from .model import (
     ExternalField, FieldConfig, ModelSpec, MomentumSet, TransferSet, bcs_config
 )
 from .gap import vbcs_r, vbcs_sum
-from .potential import DisplacedPotential, potential_reduced
+from .potential import DisplacedPotential
 
 
 @dataclass
@@ -275,16 +275,23 @@ def remainder(
     M: MomentumSet,
     qf: QuadraticForm,
     xi: FieldConfig,
-    t: float,
-) -> float:
-    """|V(phi_min + t xi) - V_2(phi_min + t xi)|, the cubic remainder probe.
+    ts,
+) -> list:
+    """|V(phi_min + t xi) - V_2(phi_min + t xi)| for each t of `ts`, the
+    cubic remainder probe.
 
     V comes from the reduced route, whose imaginary part stays smooth near the
     minimum; the full route's per-pivot imaginary part can jump by 2 pi k.
+    One `DisplacedPotential.ray` gives every t's V from one N x N product,
+    and one LU per t.
     """
-    if t < 0:
+    ts = [float(t) for t in ts]
+    if not all(t >= 0 for t in ts):
         raise ValueError("t must be nonnegative")
     Q = qf.transfer
     base = bcs_config(spec, Q, qf.r0, qf.theta0)
-    cfg = FieldConfig(Q, base.values + t * xi.values)
-    return abs(potential_reduced(spec, M, cfg) - v2(spec, qf, cfg))
+    values = DisplacedPotential(spec, M, base).ray(xi, ts)
+    return [
+        abs(v - v2(spec, qf, FieldConfig(Q, base.values + t * xi.values)))
+        for t, v in zip(ts, values)
+    ]

@@ -24,7 +24,10 @@ from its file on the first `logdet` (`_lapack`), so scipy's package init
 never runs, and it releases the GIL, so threads factor at once.  Finite
 differencing goes through `DisplacedPotential`, which writes its reduced
 matrices in LAPACK band storage (`Banded`, kl, ku < (max |n0_t - n0_s| + 1) S
-over the step set, S spatial vectors) for a banded LU in O(N kl (kl + ku)).
+over the step set, S spatial vectors) for a banded LU in O(N kl (kl + ku)),
+from band patterns built once per ordered pair of transfers.  The remainder
+probe goes through `DisplacedPotential.ray`, which gives V at every point of
+base + t xi from one N x N product and one dense LU per t.
 """
 
 from __future__ import annotations
@@ -218,7 +221,8 @@ def potential_reduced(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> comp
 
 
 class DisplacedPotential:
-    """Reduced-route V at base + steps, for finite differencing.
+    """Reduced-route V at base + steps, for finite differencing, and along
+    rays base + t xi, for the cubic remainder probe.
 
     The base carries only the zero mode, as the mean-field minimum does, so a
     displaced field is phi = sum_t phi_t E_t over the zero mode and the
@@ -234,8 +238,10 @@ class DisplacedPotential:
     by banded LU in O(N kl (kl + ku)).  M is frequency-major with S spatial
     vectors per frequency, so an entry's row and column differ by less than
     (|n0_t - n0_s| + 1) S: kl, ku < (max |n0_t - n0_s| + 1) S over the step
-    set and the zero mode.  A base with any other nonzero transfer raises
-    ValueError.
+    set and the zero mode.  Each ordered pair's pattern (rows minus columns,
+    columns, weights and its own kl, ku) does not depend on the step, so it
+    is built once (`_pair`) and a call only scales its weights.  A base with
+    any other nonzero transfer raises ValueError.
     """
 
     def __init__(self, spec: ModelSpec, M: MomentumSet, base: FieldConfig):
@@ -247,6 +253,7 @@ class DisplacedPotential:
         self.rc = (spec.lam / spec.kappa) / np.conj(M.a)
         self.C = 1.0 / M.a
         self.maps: dict = {}
+        self.pairs: dict = {}
 
     def _map(self, t: int):
         """E_t's nonzeros (k, j = k - t), their weights (lam/kappa) Cbar_k C_j,
@@ -259,6 +266,19 @@ class DisplacedPotential:
             self.maps[t] = (k, j, self.rc[k] * self.C[j], dst)
         return self.maps[t]
 
+    def _pair(self, t: int, s: int):
+        """The entries of the ordered pair (t, s) before phi_t conj(phi_s):
+        rows minus columns, columns, weights, and the pair's kl and ku."""
+        if (t, s) not in self.pairs:
+            k, j, weight = self._map(t)[:3]
+            l = self._map(s)[3][j]
+            keep = l >= 0
+            cols = l[keep]
+            below = k[keep] - cols
+            kl, ku = int(below.max(initial=0)), int(-below.min(initial=0))
+            self.pairs[t, s] = (below, cols, weight[keep], kl, ku)
+        return self.pairs[t, s]
+
     def __call__(self, steps=()) -> complex:
         """V at base + delta on each (transfer, complex delta) pair of `steps`;
         u and v steps on one transfer are merged."""
@@ -270,23 +290,52 @@ class DisplacedPotential:
         # the stepped transfers, then the zero mode: the band's summation order
         phi = {int(t): values[t] for t, _ in steps}
         phi[Q.zero_index] = values[Q.zero_index]
-        pairs, kl, ku = [], 0, 0
-        for t, phi_t in phi.items():
-            k, j, weight = self._map(t)[:3]
-            for s, phi_s in phi.items():
-                l = self._map(s)[3][j]
-                keep = l >= 0
-                cols = l[keep]
-                below = k[keep] - cols  # row minus column
-                pairs.append((below, cols, (phi_t * np.conj(phi_s)) * weight[keep]))
-                kl, ku = max(kl, below.max(initial=0)), max(ku, -below.min(initial=0))
+        pairs = [(self._pair(t, s), phi_t * np.conj(phi_s))
+                 for t, phi_t in phi.items() for s, phi_s in phi.items()]
+        kl = max(pair[3] for pair, _ in pairs)
+        ku = max(pair[4] for pair, _ in pairs)
         ab = np.zeros((2 * kl + ku + 1, len(self.C)), dtype=complex, order="F")
         ab[kl + ku] = 1.0
-        for below, cols, entries in pairs:
+        for (below, cols, weight, _, _), factor in pairs:
             # one pair's rows are distinct; entries that pairs share, as the
             # diagonal where t = s, are summed
-            ab[kl + ku + below, cols] += entries
+            ab[kl + ku + below, cols] += factor * weight
         return sum_term - logdet(Banded(ab, kl, ku), overwrite=True)
+
+    def ray(self, xi: FieldConfig, ts) -> list:
+        """V at base + t xi for each t of `ts`, in that order.
+
+        With z0 the base's zero mode and Xi = `Q.gather(xi.values)`, the
+        field's matrix is z0 Id + t Xi, so R^T = Id + (lam/kappa)
+        (|z0|^2 C + t S + t^2 G) Cbar with G = conj(Xi) C Xi^T and
+        S = z0 conj(Xi) C + conj(z0) C Xi^T, where Xi^T gathers xi's values
+        in reversed Q order.  G is one N x N product, taken once for every
+        t.  conj(Xi) C and Xi^T are gathered into the calling thread's two
+        scratch buffers (`TransferSet.scratch`), S replaces the second, G
+        fills one N x N array that lives until this call returns, and each
+        t builds R^T in the first buffer, where LAPACK factors R in place.
+        """
+        Q = self.base.transfer
+        z0 = self.base.values[Q.zero_index]
+        ratio = self.spec.lam / self.spec.kappa
+        mat, s_mat = Q.scratch
+        Q.gather(np.conj(xi.values), out=mat)
+        mat *= self.C
+        Q.gather(xi.values[::-1], out=s_mat)
+        g_mat = np.matmul(mat, s_mat)
+        mat *= z0
+        s_mat *= (np.conj(z0) * self.C)[:, None]
+        s_mat += mat
+        diag = 1.0 + ratio * abs(z0) ** 2 * np.abs(self.C) ** 2
+        out = []
+        for t in ts:
+            np.multiply(g_mat, t, out=mat)
+            mat += s_mat
+            mat *= t * self.rc
+            mat.reshape(-1)[:: len(mat) + 1] += diag
+            sum_term = _field_sum(FieldConfig(Q, self.base.values + t * xi.values))
+            out.append(sum_term - logdet(mat.T, overwrite=True))
+        return out
 
 
 def potential_real(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> float:

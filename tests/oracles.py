@@ -149,6 +149,15 @@ def potential_external_reduced(spec, M, phi, r):
     return external_sum(spec, phi, r) - bl.logdet(matrix, overwrite=True)
 
 
+def remainder_at(spec, M, qf, xi, t: float) -> float:
+    """|V - V_2| at phi_min + t xi, V from a fresh reduced matrix: the
+    reference for `remainder`, one t at a time."""
+    Q = qf.transfer
+    base = bl.bcs_config(spec, Q, qf.r0, qf.theta0)
+    cfg = bl.FieldConfig(Q, base.values + t * xi.values)
+    return abs(bl.potential_reduced(spec, M, cfg) - bl.v2(spec, qf, cfg))
+
+
 def loop_fd_hessian(spec, M, base, h, r=None, coords=None):
     """Central differences with a fresh FieldConfig and a fresh reduced-route
     potential per displaced field, U_r's with a field: the reference for

@@ -160,8 +160,7 @@ def test_criterion_5_cubic_remainder(desk_spec, desk_M, desk_Q, desk_qf):
             rng.standard_normal(len(desk_Q)) + 1j * rng.standard_normal(len(desk_Q)),
         )
         xi.values /= math.sqrt(float(np.sum(np.abs(xi.values) ** 2)))
-        r1 = bl.remainder(desk_spec, desk_M, desk_qf, xi, t)
-        r2 = bl.remainder(desk_spec, desk_M, desk_qf, xi, t / 2.0)
+        r1, r2 = bl.remainder(desk_spec, desk_M, desk_qf, xi, (t, t / 2.0))
         ratios.append(r1 / r2)
     ok = all(6.0 <= r <= 10.0 for r in ratios)
     assert report(

@@ -225,8 +225,9 @@ def test_threads_share_a_lattice(request, lattice):
 def test_bound_report_allocates_no_dense_matrix(desk_spec, desk_M, desk_Q, desk_sol):
     # after the first field has built the scratch buffers, a field's traced
     # allocations peak below 0.3 N x N complex arrays (0.3 N^2 16 bytes):
-    # reduced_matrix's quarter block of rows, its table and the Hadamard
-    # side's temporaries.  LAPACK factors R in place, so no copy of it is made
+    # the larger of reduced_matrix's quarter block of rows (0.25) and the
+    # Hadamard side's temporaries, which set the peak (0.28 at desk).  LAPACK
+    # factors R in place, so no copy of it is made
     fields = _bound_fields(desk_spec, desk_Q, desk_sol.r0)
     bl.bound_report(desk_spec, desk_M, fields[-1])
     limit = 0.3 * len(desk_M) ** 2 * 16

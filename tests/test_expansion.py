@@ -11,7 +11,8 @@ import bcslab as bl
 from bcslab.cli import _hessian_coords
 from bcslab.expansion import default_fd_step
 from oracles import (
-    index_of, labels, loop_fd_hessian, pair_sums_loop, potential_external_reduced
+    index_of, labels, loop_fd_hessian, pair_sums_loop, potential_external_reduced,
+    remainder_at,
 )
 
 
@@ -234,9 +235,30 @@ def test_displaced_potential_matches_fresh_route(lattice, case):
         assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref)), name
 
 
+def test_ray_matches_reduced_route(lattice):
+    # V along base + t xi from the shared product G = conj(Xi) C Xi^T against
+    # a fresh reduced matrix per t, from t = 0 out to sqrt(kappa), where the
+    # t^2 G term dominates R
+    spec, M, Q, sol = lattice
+    base = bl.bcs_config(spec, Q, sol.r0, 0.0)
+    V = bl.DisplacedPotential(spec, M, base)
+    root = math.sqrt(spec.kappa)
+    ts = [0.0, 5e-3 * root, 1e-2 * root, 0.3 * root, root]
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        xi = bl.FieldConfig(Q, rng.standard_normal(len(Q)) + 1j * rng.standard_normal(len(Q)))
+        xi.values /= math.sqrt(float(np.sum(np.abs(xi.values) ** 2)))
+        got = V.ray(xi, ts)
+        assert len(got) == len(ts)
+        for t, v in zip(ts, got):
+            ref = bl.potential_reduced(spec, M, bl.FieldConfig(Q, base.values + t * xi.values))
+            assert abs(v - ref) <= 1e-12 * max(1.0, abs(ref)), t
+
+
 def test_displaced_potential_rejects_generic_base(small_spec, small_M, small_Q, small_sol):
     # only a base on the zero mode gives the displaced matrices their few
-    # entries per row; any other nonzero transfer is refused
+    # entries per row, and a ray its matrix z0 Id + t Xi; any other nonzero
+    # transfer is refused
     base = bl.bcs_config(small_spec, small_Q, small_sol.r0, 0.0)
     q = int(np.argsort(small_Q.qnorm)[1])
     base.values[q] = 1e-3
@@ -436,11 +458,34 @@ def test_remainder_cubic(desk_spec, desk_M, desk_Q, desk_qf):
             desk_Q, rng.standard_normal(len(desk_Q)) + 1j * rng.standard_normal(len(desk_Q))
         )
         xi.values /= math.sqrt(float(np.sum(np.abs(xi.values) ** 2)))
-        r1 = bl.remainder(desk_spec, desk_M, desk_qf, xi, t)
-        r2 = bl.remainder(desk_spec, desk_M, desk_qf, xi, t / 2.0)
+        r1, r2 = bl.remainder(desk_spec, desk_M, desk_qf, xi, (t, t / 2.0))
         assert 6.0 <= r1 / r2 <= 10.0
     with pytest.raises(ValueError):
-        bl.remainder(desk_spec, desk_M, desk_qf, xi, -1.0)
+        bl.remainder(desk_spec, desk_M, desk_qf, xi, (-1.0,))
+
+
+def test_remainder_matches_per_t_oracle(lattice):
+    # one shared product per direction against a fresh reduced matrix per t
+    spec, M, Q, sol = lattice
+    qf = bl.coefficients(spec, M, Q, sol.r0, 0.0)
+    base = bl.bcs_config(spec, Q, qf.r0, qf.theta0)
+    t = 1e-2 * math.sqrt(spec.kappa)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        xi = bl.FieldConfig(Q, rng.standard_normal(len(Q)) + 1j * rng.standard_normal(len(Q)))
+        xi.values /= math.sqrt(float(np.sum(np.abs(xi.values) ** 2)))
+        got = bl.remainder(spec, M, qf, xi, (t, t / 2.0))
+        assert len(got) == 2
+        for ti, r in zip((t, t / 2.0), got):
+            v = bl.potential_reduced(spec, M, bl.FieldConfig(Q, base.values + ti * xi.values))
+            assert abs(r - remainder_at(spec, M, qf, xi, ti)) <= 1e-12 * max(1.0, abs(v))
+
+
+def test_remainder_refuses_negative_t(small_spec, small_M, small_Q, small_qf):
+    xi = bl.FieldConfig(small_Q, np.ones(len(small_Q), dtype=complex))
+    for ts in ((-1.0,), (1e-3, -1e-3), (math.nan,)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            bl.remainder(small_spec, small_M, small_qf, xi, ts)
 
 
 def test_external_coefficients(desk_spec, desk_M, desk_Q):

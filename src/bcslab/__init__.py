@@ -24,7 +24,7 @@ from .potential import (
     logdet,
     phi_matrix,
     potential_full,
-    potential_real,
+    potential_ray,
     potential_reduced,
     reduced_matrix,
 )

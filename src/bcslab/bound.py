@@ -28,7 +28,7 @@ import numpy as np
 
 from .model import FieldConfig, ModelSpec, MomentumSet, autocorrelation_all, field_norm
 from .gap import vbcs_sum
-from .potential import potential_real
+from .potential import SingularMatrixError, potential_reduced
 
 # floor on (1 - overlap) before the log; an exactly parallel column pair means
 # det = 0 and Re V = +inf, so the clamped bound stays valid
@@ -107,7 +107,10 @@ class BoundReport:
 def bound_report(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> BoundReport:
     """Re V, the Hadamard bound and V_BCS(||phi||), the chain checked to 1e-9 kappa."""
     slack = 1e-9 * spec.kappa
-    re_v = potential_real(spec, M, phi)
+    try:
+        re_v = potential_reduced(spec, M, phi).real
+    except SingularMatrixError:  # det R = 0, so Re V = +inf (see EPS_CLAMP)
+        re_v = math.inf
     rhs, t = hadamard_rhs(spec, M, phi)
     vb = vbcs_sum(spec, M, math.sqrt(field_norm(phi)))
     ok = (re_v >= rhs - slack) and (rhs >= vb - slack)

@@ -199,7 +199,7 @@ def worker_bytes(command: str, Q) -> int:
     place, and the larger of reduced_matrix's N^2/4 block and
     autocorrelation_all's three complex arrays of the FFT box (built here,
     before any worker reads it).  hessian-check: the two scratch buffers, the
-    N x N product G that `DisplacedPotential.ray` holds beside them, and the
+    N x N product G that `potential_ray` holds beside them, and the
     N x N mask by which `logdet` checks that R is finite (49 bytes per pair).
     Each adds 32 MiB for BLAS and LAPACK, their code and the buffers their
     gemm and LU touch.  Peak RSS above import per worker, one BLAS thread,

@@ -35,7 +35,7 @@ from .model import (
     ExternalField, FieldConfig, ModelSpec, MomentumSet, TransferSet, bcs_config
 )
 from .gap import vbcs_r, vbcs_sum
-from .potential import DisplacedPotential
+from .potential import DisplacedPotential, potential_ray
 
 
 @dataclass
@@ -282,15 +282,15 @@ def remainder(
 
     V comes from the reduced route, whose imaginary part stays smooth near the
     minimum; the full route's per-pivot imaginary part can jump by 2 pi k.
-    One `DisplacedPotential.ray` gives every t's V from one N x N product,
-    and one LU per t.
+    One `potential_ray` from the minimum's zero mode gives every t's V from
+    one N x N product, and one LU per t.
     """
     ts = [float(t) for t in ts]
     if not all(t >= 0 for t in ts):
         raise ValueError("t must be nonnegative")
     Q = qf.transfer
     base = bcs_config(spec, Q, qf.r0, qf.theta0)
-    values = DisplacedPotential(spec, M, base).ray(xi, ts)
+    values = potential_ray(spec, M, base.values[Q.zero_index], xi, ts)
     return [
         abs(v - v2(spec, qf, FieldConfig(Q, base.values + t * xi.values)))
         for t, v in zip(ts, values)

@@ -29,7 +29,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 @dataclass(frozen=True)
 class DispersionSpec:
-    """Dispersion selector: 'tight_binding' (hopping t) or 'quadratic'."""
+    """Dispersion selector: 'tight_binding' (hopping t on L sites per axis, so
+    L must be an integer) or 'quadratic' (k^2/2 in a box of side L, any
+    positive L)."""
 
     kind: str = "tight_binding"
     t: float = 1.0
@@ -62,6 +64,8 @@ class ModelSpec:
             raise ValueError("d must be 1, 2 or 3")
         if self.beta <= 0 or self.L <= 0:
             raise ValueError("beta and L must be positive")
+        if self.dispersion.kind == "tight_binding" and not float(self.L).is_integer():
+            raise ValueError(f"L must be an integer for tight_binding, not {self.L}")
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
         if self.nu < math.pi / self.beta:

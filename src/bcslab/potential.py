@@ -6,10 +6,9 @@ with (phi)_{k,p} = phi_{k-p} and C = diag(1/a_k), a_k = i k0 - e_k.  Its
 N x N Schur complement Id + (lambda/kappa) Cbar phi C phi* has the same
 determinant: the routes agree in the real part, and their per-pivot imaginary
 parts may differ by 2 pi k.  This module computes V only, as a plain
-complex (a float for `potential_real`).  The mean-field closed forms V_BCS
-live in `gap`; U_r, V with an external pairing field (its zero-mode shift
-and tilt, `model.ExternalField`), and the propagators are test oracles and
-live with the tests.
+complex.  The mean-field closed forms V_BCS live in `gap`; U_r, V with an
+external pairing field (its zero-mode shift and tilt, `model.ExternalField`),
+and the propagators are test oracles and live with the tests.
 
 The reduced route serves Re V, the bound chain, the cubic remainder probe and
 finite differencing, where its imaginary part is smooth near the minimum; the
@@ -17,7 +16,7 @@ full route serves eval and is the oracle in the checks.  Both read phi by
 `TransferSet.gather` alone: the full route's block is built Fortran-ordered
 and factored in place, and the reduced matrix is built, Fortran-ordered, in
 the calling thread's two scratch buffers (`TransferSet.scratch`) and
-factored in place there, `potential_real` included.
+factored in place there; Re V is `potential_reduced`'s real part.
 Every determinant is one LAPACK LU from scipy's f2py LAPACK extension
 (`_flapack`), zgetrf for a dense matrix and zgbtrf for a band.  It is loaded
 from its file on the first `logdet` (`_lapack`), so scipy's package init
@@ -26,8 +25,8 @@ differencing goes through `DisplacedPotential`, which writes its reduced
 matrices in LAPACK band storage (`Banded`, kl, ku < (max |n0_t - n0_s| + 1) S
 over the step set, S spatial vectors) for a banded LU in O(N kl (kl + ku)),
 from band patterns built once per ordered pair of transfers.  The remainder
-probe goes through `DisplacedPotential.ray`, which gives V at every point of
-base + t xi from one N x N product and one dense LU per t.
+probe goes through `potential_ray`, which gives V at every point of a ray
+from a zero-mode field along xi from one N x N product and one dense LU per t.
 """
 
 from __future__ import annotations
@@ -59,16 +58,6 @@ class Banded:
     ab: np.ndarray
     kl: int
     ku: int
-
-
-def _square_finite(matrix) -> np.ndarray:
-    """The matrix as a complex array, or a ValueError unless it is square and finite."""
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("matrix must be finite")
-    return matrix
 
 
 _LAPACK_LOCK = threading.Lock()
@@ -109,10 +98,16 @@ def _pivots(matrix, overwrite: bool) -> tuple:
     """U's diagonal and the row swaps of LAPACK's partial-pivoting LU: getrf
     for a dense matrix, gbtrf for a `Banded` one, which picks the dense LU's
     pivots.  With `overwrite` a Fortran-ordered complex matrix (or band
-    array) is factored in place."""
+    array) is factored in place.  A matrix that is not square (band storage
+    without 2 kl + ku + 1 rows) or not finite raises ValueError."""
     lapack = _lapack()
     if not isinstance(matrix, Banded):
-        lu, piv, _ = lapack.zgetrf(_square_finite(matrix), overwrite_a=overwrite)
+        a = np.asarray(matrix, dtype=complex)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("matrix must be square")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("matrix must be finite")
+        lu, piv, _ = lapack.zgetrf(a, overwrite_a=overwrite)
         return np.diag(lu), piv
     ab, kl, ku = np.asarray(matrix.ab, dtype=complex), matrix.kl, matrix.ku
     if ab.ndim != 2 or len(ab) != 2 * kl + ku + 1 or min(kl, ku) < 0:
@@ -220,9 +215,46 @@ def potential_reduced(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> comp
     return _field_sum(phi) - logdet(reduced_matrix(spec, M, phi), overwrite=True)
 
 
+def potential_ray(spec: ModelSpec, M: MomentumSet, z0: complex, xi: FieldConfig, ts) -> list:
+    """Reduced-route V at phi_q = z0 delta_{q,0} + t xi_q for each t of `ts`,
+    in that order: a ray from a field on the zero mode alone, as the
+    mean-field minimum (`model.bcs_config`) is.
+
+    With Xi = `Q.gather(xi.values)` the field's matrix is z0 Id + t Xi, so
+    R^T = Id + (lam/kappa) (|z0|^2 C + t S + t^2 G) Cbar with
+    G = conj(Xi) C Xi^T and S = z0 conj(Xi) C + conj(z0) C Xi^T, where Xi^T
+    gathers xi's values in reversed Q order.  G is one N x N product, taken
+    once for every t.  conj(Xi) C and Xi^T are gathered into the calling
+    thread's two scratch buffers (`TransferSet.scratch`), S replaces the
+    second, G fills one N x N array that lives until this call returns, and
+    each t builds R^T in the first buffer, where LAPACK factors R in place.
+    """
+    Q = xi.transfer
+    ratio = spec.lam / spec.kappa
+    C, rc = 1.0 / M.a, ratio / np.conj(M.a)
+    mat, s_mat = Q.scratch
+    Q.gather(np.conj(xi.values), out=mat)
+    mat *= C
+    Q.gather(xi.values[::-1], out=s_mat)
+    g_mat = np.matmul(mat, s_mat)
+    mat *= z0
+    s_mat *= (np.conj(z0) * C)[:, None]
+    s_mat += mat
+    diag = 1.0 + ratio * abs(z0) ** 2 * np.abs(C) ** 2
+    out = []
+    for t in ts:
+        np.multiply(g_mat, t, out=mat)
+        mat += s_mat
+        mat *= t * rc
+        mat.reshape(-1)[:: len(mat) + 1] += diag
+        values = t * xi.values
+        values[Q.zero_index] += z0
+        out.append(_field_sum(FieldConfig(Q, values)) - logdet(mat.T, overwrite=True))
+    return out
+
+
 class DisplacedPotential:
-    """Reduced-route V at base + steps, for finite differencing, and along
-    rays base + t xi, for the cubic remainder probe.
+    """Reduced-route V at base + steps, for finite differencing.
 
     The base carries only the zero mode, as the mean-field minimum does, so a
     displaced field is phi = sum_t phi_t E_t over the zero mode and the
@@ -241,14 +273,14 @@ class DisplacedPotential:
     set and the zero mode.  Each ordered pair's pattern (rows minus columns,
     columns, weights and its own kl, ku) does not depend on the step, so it
     is built once (`_pair`) and a call only scales its weights.  A base with
-    any other nonzero transfer raises ValueError.
+    any other nonzero transfer raises ValueError.  Rays from such a base, for
+    the cubic remainder probe, go through `potential_ray`.
     """
 
     def __init__(self, spec: ModelSpec, M: MomentumSet, base: FieldConfig):
         Q = base.transfer
         if np.any(np.flatnonzero(base.values) != Q.zero_index):
             raise ValueError("base field must carry only the zero mode")
-        self.spec = spec
         self.base = base
         self.rc = (spec.lam / spec.kappa) / np.conj(M.a)
         self.C = 1.0 / M.a
@@ -302,46 +334,3 @@ class DisplacedPotential:
             ab[kl + ku + below, cols] += factor * weight
         return sum_term - logdet(Banded(ab, kl, ku), overwrite=True)
 
-    def ray(self, xi: FieldConfig, ts) -> list:
-        """V at base + t xi for each t of `ts`, in that order.
-
-        With z0 the base's zero mode and Xi = `Q.gather(xi.values)`, the
-        field's matrix is z0 Id + t Xi, so R^T = Id + (lam/kappa)
-        (|z0|^2 C + t S + t^2 G) Cbar with G = conj(Xi) C Xi^T and
-        S = z0 conj(Xi) C + conj(z0) C Xi^T, where Xi^T gathers xi's values
-        in reversed Q order.  G is one N x N product, taken once for every
-        t.  conj(Xi) C and Xi^T are gathered into the calling thread's two
-        scratch buffers (`TransferSet.scratch`), S replaces the second, G
-        fills one N x N array that lives until this call returns, and each
-        t builds R^T in the first buffer, where LAPACK factors R in place.
-        """
-        Q = self.base.transfer
-        z0 = self.base.values[Q.zero_index]
-        ratio = self.spec.lam / self.spec.kappa
-        mat, s_mat = Q.scratch
-        Q.gather(np.conj(xi.values), out=mat)
-        mat *= self.C
-        Q.gather(xi.values[::-1], out=s_mat)
-        g_mat = np.matmul(mat, s_mat)
-        mat *= z0
-        s_mat *= (np.conj(z0) * self.C)[:, None]
-        s_mat += mat
-        diag = 1.0 + ratio * abs(z0) ** 2 * np.abs(self.C) ** 2
-        out = []
-        for t in ts:
-            np.multiply(g_mat, t, out=mat)
-            mat += s_mat
-            mat *= t * self.rc
-            mat.reshape(-1)[:: len(mat) + 1] += diag
-            sum_term = _field_sum(FieldConfig(Q, self.base.values + t * xi.values))
-            out.append(sum_term - logdet(mat.T, overwrite=True))
-        return out
-
-
-def potential_real(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> float:
-    """Re V = sum |phi_q|^2 - log|det| by the reduced route, factored in place
-    in the scratch buffers; +inf if singular."""
-    try:
-        return _field_sum(phi) - logdet(reduced_matrix(spec, M, phi), overwrite=True).real
-    except SingularMatrixError:
-        return math.inf

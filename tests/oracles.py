@@ -195,6 +195,57 @@ def loop_fd_hessian(spec, M, base, h, r=None, coords=None):
     return out.real, out.imag
 
 
+def jacobi_hessian(spec, M, base, coords=None):
+    """Exact Hessian of V in the real coordinates (u_q, v_q) at a base on the
+    zero mode alone, from Jacobi's formula, with no LU and no step:
+
+        d_a d_b log det R = tr(R0^-1 d_a d_b R) - tr(R0^-1 d_a R R0^-1 d_b R).
+
+    With phi = sum_q phi_q E_q (E_q the 0/1 matrix of k - p = q, built here
+    from the labels) and c_a = 1 for u, i for v, coordinate a of transfer t
+    has d_a phi = c_a E_a, E_a = E_t.  At the base phi = z0 Id, so R0 is the
+    diagonal 1 + (lam/kappa) |z0|^2 |C|^2, and with r = lam/kappa
+
+        d_a R     = r (c_a conj(z0) Cbar E_a C + conj(c_a) z0 |C|^2 E_a^T),
+        d_a d_b R = r (c_a conj(c_b) Cbar E_a C E_b^T + (a <-> b)).
+
+    V's field sum adds 2 on the diagonal.  Returns (real part, imaginary
+    part) over `coords` (None: all 2|Q|), the reference for
+    `analytic_hessian` at the mean-field minimum.  It holds one dense N x N
+    matrix per coordinate, so it suits a few coordinates or a small N."""
+    Q = base.transfer
+    if np.any(np.delete(base.values, Q.zero_index)):
+        raise ValueError("base field must carry only the zero mode")
+    z0 = base.values[Q.zero_index]
+    coords = np.arange(2 * len(Q)) if coords is None else np.asarray(coords, dtype=int)
+    index, q_labels, m_labels = index_of(M), labels(Q), labels(M)
+
+    def unit(t):
+        (tn, tm), out = q_labels[t], np.zeros((len(M), len(M)))
+        for k, (kn, km) in enumerate(m_labels):
+            p = index.get((kn - tn, tuple(a - b for a, b in zip(km, tm))))
+            if p is not None:
+                out[k, p] = 1.0
+        return out
+
+    m = len(coords)
+    E = np.array([unit(t) for t in coords // 2])
+    c = np.where(coords % 2 == 0, 1.0 + 0j, 1j)
+    r, C = spec.lam / spec.kappa, 1.0 / M.a
+    d_inv = 1.0 / (1.0 + r * abs(z0) ** 2 * np.abs(C) ** 2)
+    d_r = r * (c[:, None, None] * np.conj(z0) * (np.conj(C)[:, None] * E * C)
+               + np.conj(c)[:, None, None] * z0 * (np.abs(C) ** 2)[:, None]
+               * E.transpose(0, 2, 1))
+    d_r *= d_inv[:, None]  # R0^-1 d_a R
+    second = d_r.reshape(m, -1) @ d_r.transpose(0, 2, 1).reshape(m, -1).T
+    # tr(R0^-1 Cbar E_a C E_b^T) = sum over (k, p) of weight E_a E_b
+    weight = (d_inv * np.conj(C))[:, None] * C
+    F = (E * weight).reshape(m, -1) @ E.reshape(m, -1).T
+    first = r * (np.outer(c, np.conj(c)) * F + np.outer(np.conj(c), c) * F.T)
+    H = 2.0 * (coords[:, None] == coords[None, :]) - first + second
+    return H.real, H.imag
+
+
 def propagators(spec, M, phi, r=None) -> dict:
     """Map index k -> (F(k), G(k)) from one factorization of the unnormalized block.
 

@@ -45,17 +45,17 @@ def test_criterion_2_minimum_location(desk_spec, desk_M, desk_Q, desk_sol):
     ok = desk_sol.residual <= 1e-12
     for theta in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
         phi = bl.bcs_config(desk_spec, desk_Q, desk_sol.r0, theta)
-        re_v = bl.potential_real(desk_spec, desk_M, phi)
+        re_v = bl.potential_reduced(desk_spec, desk_M, phi).real
         ok &= abs(re_v - desk_sol.v_min_sum) <= 1e-10 * abs(desk_sol.v_min_sum)
     base = bl.bcs_config(desk_spec, desk_Q, desk_sol.r0, 0.0)
-    v0 = bl.potential_real(desk_spec, desk_M, base)
+    v0 = bl.potential_reduced(desk_spec, desk_M, base).real
     norm = 1e-2 * math.sqrt(desk_spec.kappa)
     increases = 0
     for seed in range(50):
         pert = bl.random_config(desk_spec, desk_Q, 1.0, seed=5000 + seed)
         pert.values *= norm / math.sqrt(float(np.sum(np.abs(pert.values) ** 2)))
         trial = bl.FieldConfig(desk_Q, base.values + pert.values)
-        if bl.potential_real(desk_spec, desk_M, trial) > v0:
+        if bl.potential_reduced(desk_spec, desk_M, trial).real > v0:
             increases += 1
     ok &= increases == 50
     assert report(2, "minimum location", ok, f"{increases}/50 perturbations increase")

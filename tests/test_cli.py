@@ -501,6 +501,21 @@ def test_bad_config_value(tmp_path, capsys, line, message):
     assert message in err
 
 
+def test_non_integer_L_exits_2(tmp_path, config_path, capsys):
+    # tight_binding's L counts sites: a fractional L, from the config file or
+    # from a point of an L sweep (5.5 here), is refused before any output
+    path = tmp_path / "half.cfg"
+    path.write_text("d = 1\nL = 7.5\nbeta = 2\nnu = 4\n")
+    for argv in (["lattice-info", "--config", str(path)],
+                 ["scan", "--config", config_path, "--sweep", "L=4:7:3",
+                  "--output", str(tmp_path / "scan.csv")]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: L must be an integer") and err.count("\n") == 1
+    assert (tmp_path / "scan.csv").read_text() == ""  # created by the --output probe alone
+
+
 def test_missing_config_file(capsys):
     code, _, err = run_cli(["lattice-info", "--config", "/no/such/file.cfg"], capsys)
     assert code == 2

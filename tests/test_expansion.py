@@ -11,8 +11,8 @@ import bcslab as bl
 from bcslab.cli import _hessian_coords
 from bcslab.expansion import default_fd_step
 from oracles import (
-    index_of, labels, loop_fd_hessian, pair_sums_loop, potential_external_reduced,
-    remainder_at,
+    index_of, jacobi_hessian, labels, loop_fd_hessian, pair_sums_loop,
+    potential_external_reduced, remainder_at,
 )
 
 
@@ -235,30 +235,61 @@ def test_displaced_potential_matches_fresh_route(lattice, case):
         assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref)), name
 
 
+def _unit_directions(Q, count, seed):
+    """`count` random complex directions of unit norm on Q."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        xi = bl.FieldConfig(Q, rng.standard_normal(len(Q)) + 1j * rng.standard_normal(len(Q)))
+        xi.values /= math.sqrt(float(np.sum(np.abs(xi.values) ** 2)))
+        yield xi
+
+
 def test_ray_matches_reduced_route(lattice):
     # V along base + t xi from the shared product G = conj(Xi) C Xi^T against
     # a fresh reduced matrix per t, from t = 0 out to sqrt(kappa), where the
     # t^2 G term dominates R
     spec, M, Q, sol = lattice
     base = bl.bcs_config(spec, Q, sol.r0, 0.0)
-    V = bl.DisplacedPotential(spec, M, base)
     root = math.sqrt(spec.kappa)
     ts = [0.0, 5e-3 * root, 1e-2 * root, 0.3 * root, root]
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        xi = bl.FieldConfig(Q, rng.standard_normal(len(Q)) + 1j * rng.standard_normal(len(Q)))
-        xi.values /= math.sqrt(float(np.sum(np.abs(xi.values) ** 2)))
-        got = V.ray(xi, ts)
+    for xi in _unit_directions(Q, 5, seed=11):
+        got = bl.potential_ray(spec, M, base.values[Q.zero_index], xi, ts)
         assert len(got) == len(ts)
         for t, v in zip(ts, got):
             ref = bl.potential_reduced(spec, M, bl.FieldConfig(Q, base.values + t * xi.values))
             assert abs(v - ref) <= 1e-12 * max(1.0, abs(ref)), t
 
 
+def test_ray_at_zero_is_base(lattice):
+    # at t = 0 the ray's matrix is z0 Id whatever xi is: V of the base itself,
+    # at the condensate (phase 0.3) and at the zero field
+    spec, M, Q, sol = lattice
+    for base in (bl.bcs_config(spec, Q, sol.r0, 0.3), bl.bcs_config(spec, Q, 0.0, 0.0)):
+        ref = bl.potential_reduced(spec, M, base)
+        for xi in _unit_directions(Q, 2, seed=12):
+            (got,) = bl.potential_ray(spec, M, base.values[Q.zero_index], xi, [0.0])
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_remainder_builds_no_fd_evaluator(small_spec, small_M, small_Q, small_qf, monkeypatch):
+    # the remainder probe runs on potential_ray alone: the finite-difference
+    # evaluator, with its zero-mode check and pattern caches, is never built
+    import bcslab.expansion as expansion
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("remainder built a DisplacedPotential")
+
+    monkeypatch.setattr(expansion, "DisplacedPotential", refuse)
+    (xi,) = _unit_directions(small_Q, 1, seed=13)
+    t = 1e-2 * math.sqrt(small_spec.kappa)
+    r1, r2 = bl.remainder(small_spec, small_M, small_qf, xi, (t, t / 2.0))
+    assert math.isfinite(r1) and math.isfinite(r2)
+
+
 def test_displaced_potential_rejects_generic_base(small_spec, small_M, small_Q, small_sol):
     # only a base on the zero mode gives the displaced matrices their few
-    # entries per row, and a ray its matrix z0 Id + t Xi; any other nonzero
-    # transfer is refused
+    # entries per row; any other nonzero transfer is refused.  A ray
+    # (potential_ray) starts from its zero mode z0 alone, so needs no check
     base = bl.bcs_config(small_spec, small_Q, small_sol.r0, 0.0)
     q = int(np.argsort(small_Q.qnorm)[1])
     base.values[q] = 1e-3
@@ -288,6 +319,44 @@ def test_fd_hessian_matches_loop_oracle(fd_case):
     assert got_re.shape == got_im.shape == (m, m)
     assert np.max(np.abs(got_re - ref_re)) <= 1e-8
     assert np.max(np.abs(got_im - ref_im)) <= 1e-8
+
+
+def test_analytic_hessian_matches_jacobi_oracle(lattice):
+    # the exact Hessian at the minimum, from Jacobi's formula with no step and
+    # no LU: analytic_hessian within 1e-10 under hessian-check's normalisation,
+    # max(largest |entry|, 1), and the loop FD oracle within criterion 4's 1e-4.
+    # Orbit counts (None: every coordinate) for the two comparisons, keyed by
+    # N; the FD oracle's ~400 LUs for 14 coordinates take ~3 s at N = 300
+    spec, M, Q, sol = lattice
+    orbits, fd_orbits = {4: (None, None), 16: (None, 3), 300: (3, 1)}[len(M)]
+    qf = bl.coefficients(spec, M, Q, sol.r0, 0.0)
+    base = bl.bcs_config(spec, Q, sol.r0, 0.0)
+    coords = None if orbits is None else _hessian_coords(Q, orbits)
+    analytic = bl.analytic_hessian(spec, qf, coords)
+    scale = max(np.max(np.abs(analytic[0])), 1.0)
+    for got, ref in zip(analytic, jacobi_hessian(spec, M, base, coords)):
+        assert np.max(np.abs(got - ref)) <= 1e-10 * scale
+    coords = None if fd_orbits is None else _hessian_coords(Q, fd_orbits)
+    fd = loop_fd_hessian(spec, M, base, default_fd_step(spec, sol.r0), coords=coords)
+    for got, ref in zip(fd, jacobi_hessian(spec, M, base, coords)):
+        assert np.max(np.abs(got - ref)) <= 1e-4 * scale
+
+
+def test_jacobi_oracle_away_from_half_filling():
+    # at mu = 0 every gamma_q vanishes, so the imaginary parts above compare
+    # zeros; at mu = 0.3 and condensate phase 0.7 they carry 2 gamma_q
+    probe = bl.ModelSpec(d=2, L=4.0, beta=2.0, nu=4.0, mu=0.3, lam=0.0)
+    lam_c = bl.critical_coupling(probe, bl.build_momentum_set(probe))
+    spec = dataclasses.replace(probe, lam=2.0 * lam_c)
+    M = bl.build_momentum_set(spec)
+    Q = bl.build_transfer_set(M)
+    sol = bl.solve_gap(spec, M)
+    analytic = bl.analytic_hessian(spec, bl.coefficients(spec, M, Q, sol.r0, 0.7))
+    exact = jacobi_hessian(spec, M, bl.bcs_config(spec, Q, sol.r0, 0.7))
+    assert np.max(np.abs(analytic[1])) > 0.1
+    scale = max(np.max(np.abs(analytic[0])), 1.0)
+    for got, ref in zip(analytic, exact):
+        assert np.max(np.abs(got - ref)) <= 1e-10 * scale
 
 
 @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
@@ -470,10 +539,7 @@ def test_remainder_matches_per_t_oracle(lattice):
     qf = bl.coefficients(spec, M, Q, sol.r0, 0.0)
     base = bl.bcs_config(spec, Q, qf.r0, qf.theta0)
     t = 1e-2 * math.sqrt(spec.kappa)
-    rng = np.random.default_rng(4)
-    for _ in range(3):
-        xi = bl.FieldConfig(Q, rng.standard_normal(len(Q)) + 1j * rng.standard_normal(len(Q)))
-        xi.values /= math.sqrt(float(np.sum(np.abs(xi.values) ** 2)))
+    for xi in _unit_directions(Q, 3, seed=4):
         got = bl.remainder(spec, M, qf, xi, (t, t / 2.0))
         assert len(got) == 2
         for ti, r in zip((t, t / 2.0), got):

@@ -70,6 +70,23 @@ def test_quadratic_dispersion():
     assert dispersion(spec, (2,)) == pytest.approx(0.5 * (2 * math.pi * 2 / 8.0) ** 2)
 
 
+@pytest.mark.parametrize("L", [7.5, 4.000001, 0.5])
+def test_tight_binding_refuses_non_integer_L(L):
+    # L sites per axis: the momenta 2 pi m / L of a fractional ring are no lattice
+    with pytest.raises(ValueError, match="^L must be an integer"):
+        bl.ModelSpec(d=1, L=L, beta=2.0, nu=4.0)
+    # an integer given as a float, as the config file reads it, stays valid
+    assert bl.ModelSpec(d=1, L=8.0, beta=2.0, nu=4.0).L == 8
+
+
+def test_quadratic_keeps_real_L():
+    # there L is the side of a box, any positive real
+    quadratic = bl.DispersionSpec(kind="quadratic")
+    spec = bl.ModelSpec(d=1, L=7.5, beta=2.0, nu=4.0, dispersion=quadratic)
+    assert spec.L == 7.5 and spec.kappa == 2.0 * 7.5
+    assert len(bl.build_momentum_set(spec)) > 0
+
+
 def test_dispersion_kind_rejected():
     with pytest.raises(ValueError):
         bl.DispersionSpec(kind="linear")

@@ -55,8 +55,8 @@ def test_logdet_validation():
 
 
 def test_logdet_real_route():
-    # the real part, which potential_real reads, is np.sum's pairwise sum of
-    # log|U_ii| over LAPACK's LU, a float close to numpy's slogdet
+    # the real part, which bound_report reads as Re V, is np.sum's pairwise
+    # sum of log|U_ii| over LAPACK's LU, a float close to numpy's slogdet
     from scipy.linalg.lapack import zgetrf
 
     rng = np.random.default_rng(5)
@@ -102,7 +102,8 @@ def test_lapack_handle_missing(monkeypatch):
 
 
 def test_potential_real_singular_is_inf(desk_spec, desk_M, desk_Q, monkeypatch):
-    # an exactly singular reduced matrix: det R = 0, so Re V = +inf
+    # an exactly singular reduced matrix: det R = 0, so potential_reduced
+    # raises and the bound chain reads Re V = +inf
     n = len(desk_M)
     monkeypatch.setattr(
         potential, "reduced_matrix", lambda spec, M, phi: np.ones((n, n), dtype=complex)
@@ -110,7 +111,9 @@ def test_potential_real_singular_is_inf(desk_spec, desk_M, desk_Q, monkeypatch):
     phi = bl.random_config(desk_spec, desk_Q, 1.0, seed=4)
     with warnings.catch_warnings():  # LAPACK's zero pivot warns of nothing
         warnings.simplefilter("error")
-        assert bl.potential_real(desk_spec, desk_M, phi) == math.inf
+        with pytest.raises(bl.SingularMatrixError):
+            bl.potential_reduced(desk_spec, desk_M, phi)
+        assert bl.bound_report(desk_spec, desk_M, phi).re_v == math.inf
 
 
 def _near_diagonal(n, seed):
@@ -234,7 +237,7 @@ def test_potential_lambda_zero(desk_M, desk_Q):
 
 def test_potential_real_matches_total(desk_spec, desk_M, desk_Q):
     phi = bl.random_config(desk_spec, desk_Q, 1.0, seed=13)
-    assert bl.potential_real(desk_spec, desk_M, phi) == pytest.approx(
+    assert bl.potential_reduced(desk_spec, desk_M, phi).real == pytest.approx(
         bl.potential_full(desk_spec, desk_M, phi).real, rel=1e-14
     )
 
@@ -242,10 +245,11 @@ def test_potential_real_matches_total(desk_spec, desk_M, desk_Q):
 @pytest.mark.parametrize("scale", [0.3, 1.0, 3.0, 10.0])
 def test_potential_real_is_reduced_route(desk_spec, desk_M, desk_Q, scale):
     # Re V is branch-free, so the 2 pi k offsets between the routes' imaginary
-    # parts at the larger scales leave it untouched
+    # parts at the larger scales leave it untouched; the bound chain's Re V is
+    # the reduced route's real part, bit for bit
     for seed in range(3):
         phi = bl.random_config(desk_spec, desk_Q, scale, seed=seed)
-        re_v = bl.potential_real(desk_spec, desk_M, phi)
+        re_v = bl.bound_report(desk_spec, desk_M, phi).re_v
         full = bl.potential_full(desk_spec, desk_M, phi).real
         assert abs(re_v - full) <= 1e-12 * (1.0 + abs(full))
         assert re_v == bl.potential_reduced(desk_spec, desk_M, phi).real
@@ -286,7 +290,7 @@ def test_potential_real_bcs_row_d2():
     M = bl.build_momentum_set(spec)
     Q = bl.build_transfer_set(M)
     sol = bl.solve_gap(spec, M)
-    re_v = bl.potential_real(spec, M, bl.bcs_config(spec, Q, sol.r0, 0.0))
+    re_v = bl.potential_reduced(spec, M, bl.bcs_config(spec, Q, sol.r0, 0.0)).real
     assert abs(re_v - sol.v_min_sum) <= 5e-14
 
 

@@ -54,28 +54,6 @@ class QuadraticForm:
     field: ExternalField | None = None
 
 
-def _pair_sum(M: MomentumSet, Q: TransferSet, weight) -> np.ndarray:
-    """Per q, the sum of weight(k, p) over k, p in M with k - p = q.
-
-    `weight` maps a column of momentum indices k and the row of all indices p
-    to their real weights.  The sum runs over the frequencies a of k, one
-    block of len(M.spatial_m) rows k at a time, so no N x N array is formed.
-    With p of frequency index b, k - p has frequency index a - b + nf - 1,
-    distinct across b, and spatial index j from Q.spatial_diff.  So one
-    bincount over (b, j), whose index is the same for every a, sums a block,
-    and its rows b are Q's frequency rows a + nf - 1 down to a.
-    """
-    sm, nf, sq = len(M.spatial_m), len(M.freq_n0), len(Q.spatial_m)
-    local = (np.arange(nf)[None, :, None] * sq + Q.spatial_diff[:, None, :]).ravel()
-    p = np.arange(len(M))
-    out = np.zeros((len(Q.freq_n0), sq))
-    for a in range(nf):
-        k = p[a * sm : (a + 1) * sm, None]
-        sums = np.bincount(local, weight(k, p).ravel(), minlength=nf * sq)
-        out[a : a + nf][::-1] += sums.reshape(nf, sq)
-    return out.ravel()
-
-
 def _quadratic_form(spec, M, Q, r0, theta0, v_min, shift=0.0, field=None):
     """Coefficients with E_k^2 = k0^2 + e_k^2 + lam r0^2 and stiffness `shift`."""
     delta_sq = spec.lam * r0**2
@@ -86,7 +64,7 @@ def _quadratic_form(spec, M, Q, r0, theta0, v_min, shift=0.0, field=None):
         raise OverflowError(f"E_k^2 E_p^2 overflows at lam r0^2 = {delta_sq:g}")
 
     def over_e_sq(num):
-        return _pair_sum(M, Q, lambda k, p: num(k, p) / (e_sq[k] * e_sq[p]))
+        return Q.pair_sum(lambda k, p: num(k, p) / (e_sq[k] * e_sq[p]))
 
     inv_sum = over_e_sq(lambda k, p: 1.0)
     alpha_num = over_e_sq(lambda k, p: (k0[k] - k0[p]) ** 2 + (e[k] - e[p]) ** 2)
@@ -127,13 +105,13 @@ def decomposition_lhs(
     """1 - (lam/kappa) sum_k a_k abar_{k-q} / (E_k^2 E_{k-q}^2), per q.
 
     Equals alpha_q + i gamma_q + beta_q exactly; computed here directly from
-    the a_k products, so it shares only the summation primitive `_pair_sum`
-    with the coefficient code.
+    the a_k products, so it shares only the summation primitive
+    `TransferSet.pair_sum` with the coefficient code.
     """
     a, e_sq = M.a, M.k0**2 + M.e**2 + delta_sq
 
     def part(f):  # real or imaginary part of a_k abar_p / (E_k^2 E_p^2)
-        return _pair_sum(M, Q, lambda k, p: f(a[k] * np.conj(a[p]) / (e_sq[k] * e_sq[p])))
+        return Q.pair_sum(lambda k, p: f(a[k] * np.conj(a[p]) / (e_sq[k] * e_sq[p])))
 
     return 1.0 - (spec.lam / spec.kappa) * (part(np.real) + 1j * part(np.imag))
 

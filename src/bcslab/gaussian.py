@@ -30,7 +30,6 @@ class FlatGaussianMode(ValueError):
 class GaussianReport:
     """lambda2 is aligned to `nonzero(Q)`, pair_factors to `representatives`."""
 
-    z2: float
     log_z2: float
     lambda2: np.ndarray
     eps_int2: float
@@ -48,10 +47,6 @@ def pair_denominator(alpha, beta_coef, gamma):
     return den
 
 
-def pair_factor_coeffs(alpha, beta_coef, gamma):
-    return 1.0 / pair_denominator(alpha, beta_coef, gamma)
-
-
 def _nonzero_coeffs(qf: QuadraticForm, q, zero_message: str):
     """alpha, beta, gamma at a transfer index or index array that avoids q = 0."""
     iq = np.asarray(q)
@@ -63,9 +58,8 @@ def _nonzero_coeffs(qf: QuadraticForm, q, zero_message: str):
 def pair_factor(qf: QuadraticForm, q):
     """1/(alpha_q^2 + gamma_q^2 + 2 alpha_q beta_q) at a nonzero transfer index
     or index array."""
-    return pair_factor_coeffs(
-        *_nonzero_coeffs(qf, q, "pair_factor is undefined at q = 0")
-    )
+    coeffs = _nonzero_coeffs(qf, q, "pair_factor is undefined at q = 0")
+    return 1.0 / pair_denominator(*coeffs)
 
 
 def _radial_moments(beta0: float, center: float):
@@ -147,10 +141,8 @@ def eps_int2(
 def gaussian_report(
     spec: ModelSpec, qf: QuadraticForm, include_zero_mode: bool = True
 ) -> GaussianReport:
-    zval, logz = z2(spec, qf)
     return GaussianReport(
-        z2=zval,
-        log_z2=logz,
+        log_z2=z2(spec, qf)[1],
         lambda2=lambda2(spec, qf, nonzero(qf.transfer)),
         eps_int2=eps_int2(spec, qf, include_zero_mode),
         pair_factors=pair_factor(qf, representatives(qf)),

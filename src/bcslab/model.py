@@ -6,13 +6,13 @@ components are k_i = 2 pi m_i / L with integer m_i.  The cutoff set keeps
 |e_k| <= energy_window and |k0| <= nu; it is always a product of a frequency
 range and a set of surviving spatial vectors, and so is the transfer set Q.
 M's frequencies are one contiguous run of integers, so the index of k - p
-is a frequency offset plus the S x S table spatial_diff, and
-`TransferSet.gather`, the one reader of that map, writes any N x N array
-(phi)_{k,p} = phi_{k-p} from a strided view through them; no N x N index is
-built.  A momentum or transfer is an integer index into its set's arrays.  M
-is ordered frequency-major; Q is sorted lexicographically by (n0, m), so
-negation reverses its index and the indices above zero_index are the
-{q, -q} orbit representatives (see TransferSet).
+is a frequency offset plus the S x S table spatial_diff, read only by
+`TransferSet.gather`, which writes any N x N array (phi)_{k,p} = phi_{k-p}
+from a strided view, `shift` (p to p + q) and `pair_sum` (sums over each
+k - p); no N x N index is built.  A momentum or transfer is an integer index
+into its set's arrays.  M is ordered frequency-major; Q is sorted
+lexicographically by (n0, m), so negation reverses its index and the indices
+above zero_index are the {q, -q} orbit representatives (see TransferSet).
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ class TransferSet:
     M's nf frequencies are one contiguous run, so freq_n0 = arange(1 - nf, nf),
     and spatial_diff[s, u] indexes spatial_m at M.spatial_m[s] - M.spatial_m[u]:
     for k, p of frequency indices a, b, k - p has index (a - b + nf - 1)
-    len(spatial_m) + spatial_diff[s, u], the map that `gather` reads through.
+    len(spatial_m) + spatial_diff[s, u], read by `gather`, `shift`, `pair_sum`.
     """
 
     def __init__(self, M: MomentumSet):
@@ -207,6 +207,40 @@ class TransferSet:
         # splitting out's two axes gives a view whatever its strides
         out.reshape(nf, ns, nf, ns)[...] = windows[:, ::-1].transpose(1, 0, 3, 2)
         return out
+
+    def shift(self, q: int) -> np.ndarray:
+        """For every momentum index p, the index of p + q, q a transfer index
+        (-1 where p + q is not in M), in O(S^2 + N): with q's frequency index
+        f, p = (b, u) goes to (b + f - nf + 1, s) where spatial_diff[s, u] is
+        q's spatial index."""
+        nf, ns = (len(self.freq_n0) + 1) // 2, len(self.spatial_diff)
+        f, j = divmod(int(q), len(self.spatial_m))
+        s, u = np.nonzero(self.spatial_diff == j)
+        b = np.arange(max(0, nf - 1 - f), min(nf, 2 * nf - 1 - f))
+        out = np.full((nf, ns), -1, dtype=np.intp)
+        out[np.ix_(b, u)] = (b + f - nf + 1)[:, None] * ns + s
+        return out.ravel()
+
+    def pair_sum(self, weight) -> np.ndarray:
+        """Per q, the sum of weight(k, p) over momenta k, p with k - p = q.
+
+        `weight` maps a column of momentum indices k and the row of all
+        indices p to their real weights.  The sum runs over the frequencies a
+        of k, S rows k at a time, so no N x N array is formed: k - p has
+        frequency index a - b + nf - 1, distinct across p's b, and spatial
+        index spatial_diff[s, u], so one bincount over (b, j), the same for
+        every a, sums a block into Q's frequency rows a + nf - 1 down to a.
+        """
+        nf, sm = (len(self.freq_n0) + 1) // 2, len(self.spatial_diff)
+        sq = len(self.spatial_m)
+        local = (np.arange(nf)[None, :, None] * sq + self.spatial_diff[:, None, :]).ravel()
+        p = np.arange(self.n_momenta)
+        out = np.zeros((len(self.freq_n0), sq))
+        for a in range(nf):
+            k = p[a * sm : (a + 1) * sm, None]
+            sums = np.bincount(local, weight(k, p).ravel(), minlength=nf * sq)
+            out[a : a + nf][::-1] += sums.reshape(nf, sq)
+        return out.ravel()
 
     @cached_property
     def fft_box(self):

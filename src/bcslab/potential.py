@@ -259,9 +259,9 @@ class DisplacedPotential:
     The base carries only the zero mode, as the mean-field minimum does, so a
     displaced field is phi = sum_t phi_t E_t over the zero mode and the
     stepped transfers, where E_t is the 0/1 matrix of k - p = t.  Row k
-    of E_t has its one entry in column k - t (none if k - t is not in M), so
-    the reduced matrix Id + (lam/kappa) Cbar phi C phi^H has, for each pair
-    t, s, the entry
+    of E_t has its one entry in column k - t (none if k - t is not in M),
+    read off `TransferSet.shift`, so the reduced matrix
+    Id + (lam/kappa) Cbar phi C phi^H has, for each pair t, s, the entry
 
         (lam/kappa) Cbar_k phi_t conj(phi_s) C_{k-t}   at (k, k - t + s).
 
@@ -272,9 +272,10 @@ class DisplacedPotential:
     (|n0_t - n0_s| + 1) S: kl, ku < (max |n0_t - n0_s| + 1) S over the step
     set and the zero mode.  Each ordered pair's pattern (rows minus columns,
     columns, weights and its own kl, ku) does not depend on the step, so it
-    is built once (`_pair`) and a call only scales its weights.  A base with
-    any other nonzero transfer raises ValueError.  Rays from such a base, for
-    the cubic remainder probe, go through `potential_ray`.
+    is built once (`_pair`) and a call only scales its weights, in a band
+    buffer of the evaluator's own, grown to the widest band seen: one thread
+    at a time calls an evaluator.  A base with any other nonzero transfer
+    raises ValueError.  Rays from such a base go through `potential_ray`.
     """
 
     def __init__(self, spec: ModelSpec, M: MomentumSet, base: FieldConfig):
@@ -284,31 +285,21 @@ class DisplacedPotential:
         self.base = base
         self.rc = (spec.lam / spec.kappa) / np.conj(M.a)
         self.C = 1.0 / M.a
-        self.maps: dict = {}
         self.pairs: dict = {}
-
-    def _map(self, t: int):
-        """E_t's nonzeros (k, j = k - t), their weights (lam/kappa) Cbar_k C_j,
-        and dst[j] = k, the index of j + t (-1 where it is not in M)."""
-        if t not in self.maps:
-            Q = self.base.transfer
-            k, j = np.nonzero(Q.gather(np.arange(len(Q)) == t))
-            dst = np.full(len(self.C), -1, dtype=np.intp)
-            dst[j] = k
-            self.maps[t] = (k, j, self.rc[k] * self.C[j], dst)
-        return self.maps[t]
+        self.band = np.empty(0, dtype=complex)
 
     def _pair(self, t: int, s: int):
         """The entries of the ordered pair (t, s) before phi_t conj(phi_s):
         rows minus columns, columns, weights, and the pair's kl and ku."""
         if (t, s) not in self.pairs:
-            k, j, weight = self._map(t)[:3]
-            l = self._map(s)[3][j]
-            keep = l >= 0
-            cols = l[keep]
-            below = k[keep] - cols
+            Q = self.base.transfer
+            j = Q.shift(Q.neg_index[t])
+            cols = np.where(j >= 0, Q.shift(s)[j], -1)
+            k = np.flatnonzero(cols >= 0)
+            j, cols = j[k], cols[k]
+            below = k - cols
             kl, ku = int(below.max(initial=0)), int(-below.min(initial=0))
-            self.pairs[t, s] = (below, cols, weight[keep], kl, ku)
+            self.pairs[t, s] = (below, cols, self.rc[k] * self.C[j], kl, ku)
         return self.pairs[t, s]
 
     def __call__(self, steps=()) -> complex:
@@ -326,7 +317,11 @@ class DisplacedPotential:
                  for t, phi_t in phi.items() for s, phi_s in phi.items()]
         kl = max(pair[3] for pair, _ in pairs)
         ku = max(pair[4] for pair, _ in pairs)
-        ab = np.zeros((2 * kl + ku + 1, len(self.C)), dtype=complex, order="F")
+        rows, n = 2 * kl + ku + 1, len(self.C)
+        if self.band.size < rows * n:
+            self.band = np.empty(rows * n, dtype=complex)
+        ab = self.band[: rows * n].reshape((rows, n), order="F")
+        ab[...] = 0.0
         ab[kl + ku] = 1.0
         for (below, cols, weight, _, _), factor in pairs:
             # one pair's rows are distinct; entries that pairs share, as the

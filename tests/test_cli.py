@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bcslab as bl
 from bcslab import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -758,6 +759,40 @@ def test_hessian_check_d2_remainder_passes(tmp_path, capsys):
     assert 6.0 <= float(kv["remainder_ratio_min"])
     assert float(kv["remainder_ratio_max"]) <= 10.0
     assert kv["pass"] == "True"
+    assert code == 0
+
+
+def test_hessian_check_away_from_half_filling(tmp_path, capsys):
+    # at mu = 0 gamma_q vanishes, so the imaginary Hessians compare zeros; at
+    # mu = 0.3 the (+-1, 0) frequency transfers give the compared block
+    # imaginary entries of ~0.18, which the finite differences must match
+    path = tmp_path / "mu.cfg"
+    path.write_text("d = 2\nL = 4\nbeta = 2\nnu = 4\nmu = 0.3\nlambda_factor = 2\n")
+    code, out, _ = run_cli(
+        ["hessian-check", "--config", str(path), "--orbits", "3", "--count", "3",
+         "--seed", "0"],
+        capsys,
+    )
+    assert parse_kv(out)["pass"] == "True"
+    assert code == 0
+    spec, M, _ = cli.build_spec(cli.parse_config(str(path)))
+    Q = bl.build_transfer_set(M)
+    qf = bl.coefficients(spec, M, Q, bl.solve_gap(spec, M).r0, 0.0)
+    _, him = bl.analytic_hessian(spec, qf, coords=cli._hessian_coords(Q, 3))
+    assert np.max(np.abs(him)) > 0.1
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: bound_report's fixed slack "
+                   "of 1e-9 kappa is below one rounding of Re V at large fields")
+def test_verify_bound_large_field_chain(config_path, tmp_path, capsys):
+    # seed 0 gives re_v 4.3938585973106797e+17 one rounding below rhs26
+    # 4.3938585973106803e+17, so the chain's verdict is decided by rounding
+    code, out, _ = run_cli(
+        ["verify-bound", "--config", config_path, "--count", "3",
+         "--scale", "177827941.00389227", "--output", str(tmp_path / "bound.csv")],
+        capsys,
+    )
+    assert "all_chains_ok True" in out.splitlines()
     assert code == 0
 
 

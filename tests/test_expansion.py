@@ -321,6 +321,23 @@ def test_fd_hessian_matches_loop_oracle(fd_case):
     assert np.max(np.abs(got_im - ref_im)) <= 1e-8
 
 
+def test_fd_hessian_gathers_no_square_array(desk_spec, desk_M, desk_Q, desk_sol, monkeypatch):
+    # the band patterns come from TransferSet.shift, so fd_hessian builds no
+    # N x N index: with gather refused it returns the same matrices
+    base = bl.bcs_config(desk_spec, desk_Q, desk_sol.r0, 0.0)
+    h = default_fd_step(desk_spec, desk_sol.r0)
+    coords = _hessian_coords(desk_Q, 3)
+    assert len(coords) == 14
+    want = bl.fd_hessian(desk_spec, desk_M, base, h, coords=coords)
+
+    def refuse(self, values, out=None):
+        raise AssertionError("fd_hessian gathered an N x N array")
+
+    monkeypatch.setattr(bl.model.TransferSet, "gather", refuse)
+    got = bl.fd_hessian(desk_spec, desk_M, base, h, coords=coords)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_analytic_hessian_matches_jacobi_oracle(lattice):
     # the exact Hessian at the minimum, from Jacobi's formula with no step and
     # no LU: analytic_hessian within 1e-10 under hessian-check's normalisation,

@@ -13,7 +13,6 @@ from bcslab.gaussian import (
     FlatGaussianMode,
     nonzero,
     pair_denominator,
-    pair_factor_coeffs,
     radial_integral,
     representatives,
 )
@@ -23,10 +22,10 @@ from oracles import (
 
 
 def test_pair_factor_closed_form():
-    assert pair_factor_coeffs(2.0, 0.5, 0.0) == pytest.approx(1.0 / (4.0 + 2.0))
+    assert 1.0 / pair_denominator(2.0, 0.5, 0.0) == pytest.approx(1.0 / (4.0 + 2.0))
     assert pair_denominator(1.0, 0.0, 3.0) == pytest.approx(10.0)
     with pytest.raises(FlatGaussianMode):
-        pair_factor_coeffs(0.0, 0.0, 0.0)
+        pair_denominator(0.0, 0.0, 0.0)
 
 
 def test_pair_factor_vs_oracle_random():
@@ -35,7 +34,7 @@ def test_pair_factor_vs_oracle_random():
         alpha = 0.2 + rng.random()
         beta = rng.random()
         gamma = rng.standard_normal()
-        closed = pair_factor_coeffs(alpha, beta, gamma)
+        closed = 1.0 / pair_denominator(alpha, beta, gamma)
         oracle = pair_oracle(alpha, beta, gamma)
         assert closed == pytest.approx(oracle, rel=1e-8)
 

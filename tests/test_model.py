@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import bcslab as bl
-from bcslab.expansion import _pair_sum as pair_sum
 from bcslab.model import dispersion_array, spatial_grid
 from oracles import autocorrelation, dispersion, field_tilt, index_of, labels, nondegenerate
 
@@ -336,10 +335,40 @@ def test_pair_sum_bins_match_diff_index(lattice):
     # of the oracle's index of k - p
     Q = bl.build_transfer_set(lattice)
     W = np.random.default_rng(3).integers(0, 2**20, (len(lattice), len(lattice)))
-    got = pair_sum(lattice, Q, lambda k, p: W[k, p].astype(float))
+    got = Q.pair_sum(lambda k, p: W[k, p].astype(float))
     diff = transfer_set_oracle(lattice)["diff_index"]
     want = np.bincount(diff.ravel(), W.ravel().astype(float), minlength=len(Q))
     assert np.array_equal(got, want)
+
+
+def _shift_oracle(M, Q, qs) -> list:
+    """Per transfer index q of qs, the index of p + q for every momentum p
+    (-1 where it is not in M), by label lookup."""
+    where, q_labels, out = index_of(M), labels(Q), []
+    for q in qs:
+        n0, m = q_labels[q]
+        out.append([where.get((n + n0, tuple(a + b for a, b in zip(mp, m))), -1)
+                    for n, mp in labels(M)])
+    return out
+
+
+@pytest.mark.parametrize("case", ["small-d1", "small-d2", "gapped", "d3-L4-beta8"])
+def test_shift_matches_label_oracle(case):
+    M = {
+        "small-d1": lambda: _lattice(1, 4.0, 2.0, 4.0),
+        "small-d2": lambda: _lattice(2, 4.0, 2.0, 4.0),
+        "gapped": _gapped_set,
+        "d3-L4-beta8": lambda: _lattice(3, 4.0, 8.0, 20.0),
+    }[case]()
+    Q = bl.build_transfer_set(M)
+    qs = range(len(Q))
+    if case == "d3-L4-beta8":  # N = 1600, |Q| = 19899: the ends, q = 0 and a sample
+        rng = np.random.default_rng(5)
+        qs = [0, Q.zero_index, len(Q) - 1, *rng.integers(0, len(Q), 20).tolist()]
+    for q, want in zip(qs, _shift_oracle(M, Q, qs)):
+        got = Q.shift(q)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, want), q
 
 
 def _traced(fn):

@@ -57,8 +57,7 @@ from .gaussian import (
     gaussian_report,
     lambda2,
     lambda2_zero,
-    pair_factor,
-    z2,
+    log_z2,
 )
 
 __version__ = "0.1.0"

@@ -346,10 +346,11 @@ def cmd_expand(args) -> int:
 
 
 def _hessian_coords(Q, max_orbits: int):
-    """Zero-mode coordinates plus the first few {q, -q} orbits."""
+    """Zero-mode coordinates plus the max_orbits {q, -q} orbits of smallest
+    |q|; a stable sort sends ties (q and -q always tie) to the lower Q index."""
     coords = [2 * Q.zero_index, 2 * Q.zero_index + 1]
     seen = {Q.zero_index}
-    order = np.argsort(Q.qnorm)
+    order = np.argsort(Q.qnorm, kind="stable")
     taken = 0
     for i in order:
         i = int(i)

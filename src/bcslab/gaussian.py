@@ -5,10 +5,11 @@ integrals Gaussian: each {q, -q} pair contributes 1/(alpha^2 + gamma^2 +
 2 alpha beta), the condensate modulus contributes a one-dimensional radial
 integral, and the pair correlation becomes
 Lambda_2(q) = (1/lambda)[(alpha + i gamma + beta)/(alpha^2 + gamma^2 +
-2 alpha beta) - 1].  Transfers are indices into Q: `pair_factor` and `lambda2`
-take one index or an index array, and the radial integral and the zero-mode
-moment are closed forms in erf.  The quadrature oracles that check these
-live with the tests.
+2 alpha beta) - 1].  Transfers are indices into Q: `lambda2` takes one index
+or an index array, and `log_z2` reads the pair factors at the orbit
+representatives, the indices above Q.zero_index.  The radial integral and the
+zero-mode moment are closed forms in erf.  The quadrature oracles that check
+these live with the tests.
 """
 
 from __future__ import annotations
@@ -28,12 +29,11 @@ class FlatGaussianMode(ValueError):
 
 @dataclass
 class GaussianReport:
-    """lambda2 is aligned to `nonzero(Q)`, pair_factors to `representatives`."""
+    """lambda2 is aligned to `nonzero(Q)`."""
 
     log_z2: float
     lambda2: np.ndarray
     eps_int2: float
-    pair_factors: np.ndarray
     q0_zero_handling: str
 
 
@@ -45,21 +45,6 @@ def pair_denominator(alpha, beta_coef, gamma):
     if np.any(den <= 0.0):
         raise FlatGaussianMode("flat Gaussian mode")
     return den
-
-
-def _nonzero_coeffs(qf: QuadraticForm, q, zero_message: str):
-    """alpha, beta, gamma at a transfer index or index array that avoids q = 0."""
-    iq = np.asarray(q)
-    if np.any(iq == qf.transfer.zero_index):
-        raise ValueError(zero_message)
-    return qf.alpha[iq], qf.beta_coef[iq], qf.gamma[iq]
-
-
-def pair_factor(qf: QuadraticForm, q):
-    """1/(alpha_q^2 + gamma_q^2 + 2 alpha_q beta_q) at a nonzero transfer index
-    or index array."""
-    coeffs = _nonzero_coeffs(qf, q, "pair_factor is undefined at q = 0")
-    return 1.0 / pair_denominator(*coeffs)
 
 
 def _radial_moments(beta0: float, center: float):
@@ -79,30 +64,19 @@ def _radial_moments(beta0: float, center: float):
     return i0, i1, i2, i3
 
 
-def radial_integral(beta0: float, center: float) -> float:
-    """int_0^inf exp(-2 beta0 (rho - center)^2) 2 rho drho, in closed form."""
-    return 2.0 * _radial_moments(beta0, center)[1]
-
-
-def representatives(qf: QuadraticForm) -> np.ndarray:
-    """One transfer index per {q, -q} orbit: q0 > 0, or q0 = 0 and the first
-    nonzero spatial component positive.  In Q's lexicographic order these are
-    exactly the indices after zero_index."""
-    Q = qf.transfer
-    return np.arange(Q.zero_index + 1, len(Q))
-
-
 def nonzero(Q: TransferSet) -> np.ndarray:
     """Every transfer index but zero_index, in Q's order."""
     return np.delete(np.arange(len(Q)), Q.zero_index)
 
 
-def z2(spec: ModelSpec, qf: QuadraticForm):
-    """(z2, log_z2): radial integral times the pair factors, in log space."""
+def log_z2(spec: ModelSpec, qf: QuadraticForm) -> float:
+    """log of the radial integral times the pair factors, one per {q, -q}
+    orbit: the indices above zero_index (see TransferSet)."""
     center = math.sqrt(spec.kappa) * qf.r0
-    log_val = -qf.v_min + math.log(radial_integral(qf.beta0, center))
-    log_val += float(np.sum(np.log(pair_factor(qf, representatives(qf)))))
-    return math.exp(log_val) if log_val < 700 else math.inf, log_val
+    log_val = -qf.v_min + math.log(2.0 * _radial_moments(qf.beta0, center)[1])
+    orbits = slice(qf.transfer.zero_index + 1, None)
+    den = pair_denominator(qf.alpha[orbits], qf.beta_coef[orbits], qf.gamma[orbits])
+    return log_val + float(np.sum(np.log(1.0 / den)))
 
 
 def lambda2(spec: ModelSpec, qf: QuadraticForm, q):
@@ -110,7 +84,10 @@ def lambda2(spec: ModelSpec, qf: QuadraticForm, q):
     at a nonzero transfer index or index array."""
     if spec.lam == 0.0:
         raise ValueError("lambda2 needs lambda > 0; at lambda = 0 it is the free bubble")
-    alpha, beta_coef, gamma = _nonzero_coeffs(qf, q, "use lambda2_zero at q = 0")
+    iq = np.asarray(q)
+    if np.any(iq == qf.transfer.zero_index):
+        raise ValueError("use lambda2_zero at q = 0")
+    alpha, beta_coef, gamma = qf.alpha[iq], qf.beta_coef[iq], qf.gamma[iq]
     den = pair_denominator(alpha, beta_coef, gamma)
     return ((alpha + beta_coef) / den - 1.0) / spec.lam + 1j * ((gamma / den) / spec.lam)
 
@@ -142,10 +119,9 @@ def gaussian_report(
     spec: ModelSpec, qf: QuadraticForm, include_zero_mode: bool = True
 ) -> GaussianReport:
     return GaussianReport(
-        log_z2=z2(spec, qf)[1],
+        log_z2=log_z2(spec, qf),
         lambda2=lambda2(spec, qf, nonzero(qf.transfer)),
         eps_int2=eps_int2(spec, qf, include_zero_mode),
-        pair_factors=pair_factor(qf, representatives(qf)),
         # the wording predates the closed form; the benchmark compares it verbatim
         q0_zero_handling=(
             "zero-mode moment computed by radial quadrature; "

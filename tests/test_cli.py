@@ -745,6 +745,25 @@ def test_hessian_check_orbits_bound(config_path, capsys):
     assert err.startswith("error: --orbits must be at most 4") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("lattice", ["desk", "d2-L4"])
+def test_hessian_coords_break_ties_by_index(request, lattice):
+    # q and -q always tie in |q|, and so do permuted spatial vectors: the
+    # orbits taken must not depend on which sort kernel numpy dispatches to
+    if lattice == "desk":
+        Q = request.getfixturevalue("desk_Q")
+    else:
+        spec = bl.ModelSpec(d=2, L=4.0, beta=2.0, nu=4.0, lam=1.0)
+        Q = bl.build_transfer_set(bl.build_momentum_set(spec))
+    for k in range(1, 7):
+        coords, seen = [2 * Q.zero_index, 2 * Q.zero_index + 1], {Q.zero_index}
+        for i in sorted(range(len(Q)), key=lambda i: (Q.qnorm[i], i)):
+            if i not in seen and len(seen) < 1 + 2 * k:
+                j = int(Q.neg_index[i])
+                seen.update((i, j))
+                coords += [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
+        assert cli._hessian_coords(Q, k).tolist() == coords, k
+
+
 def test_hessian_check_d2_remainder_passes(tmp_path, capsys):
     # the reduced route keeps Im V on one branch: with the full route one of
     # these ten remainder ratios read 1.02e8 and the check failed

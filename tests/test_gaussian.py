@@ -9,13 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import bcslab as bl
-from bcslab.gaussian import (
-    FlatGaussianMode,
-    nonzero,
-    pair_denominator,
-    radial_integral,
-    representatives,
-)
+from bcslab.gaussian import FlatGaussianMode, _radial_moments, nonzero, pair_denominator
 from oracles import (
     QuadratureError, free_bubble, index_of, labels, lambda2_zero_quadrature, pair_oracle
 )
@@ -90,18 +84,9 @@ def test_pair_oracle_theta_invariant():
     )
 
 
-def test_pair_factor_lattice(desk_spec, desk_Q, desk_qf):
-    i = next(j for j in range(len(desk_Q)) if j != desk_Q.zero_index)
-    assert bl.pair_factor(desk_qf, np.array([i]))[0] == bl.pair_factor(desk_qf, i)
-    with pytest.raises(ValueError):
-        bl.pair_factor(desk_qf, desk_Q.zero_index)
-    with pytest.raises(ValueError):
-        bl.pair_factor(desk_qf, np.array([i, desk_Q.zero_index]))
-
-
 def test_radial_integral_vs_quad():
     for beta0, center in ((0.4, 2.0), (1.5, 0.0), (0.05, 10.0)):
-        closed = radial_integral(beta0, center)
+        closed = 2.0 * _radial_moments(beta0, center)[1]
         val, err = quad(
             lambda rho: math.exp(-2.0 * beta0 * (rho - center) ** 2) * 2.0 * rho,
             0.0,
@@ -109,33 +94,19 @@ def test_radial_integral_vs_quad():
         )
         assert closed == pytest.approx(val, rel=1e-8)
     with pytest.raises(FlatGaussianMode):
-        radial_integral(0.0, 1.0)
-
-
-def test_representatives_partition(desk_Q, desk_qf):
-    reps = representatives(desk_qf)
-    seen = set()
-    for i in reps:
-        assert i != desk_Q.zero_index
-        j = int(desk_Q.neg_index[i])
-        assert j not in reps
-        seen.update((i, j))
-    assert len(seen) == len(desk_Q) - 1
+        _radial_moments(0.0, 1.0)
 
 
 def test_z2_theta_invariant(desk_spec, desk_M, desk_Q, desk_sol):
     vals = []
     for theta in (0.0, 0.9, -2.2):
         qf = bl.coefficients(desk_spec, desk_M, desk_Q, desk_sol.r0, theta)
-        _, logz = bl.z2(desk_spec, qf)
-        vals.append(logz)
+        vals.append(bl.log_z2(desk_spec, qf))
     assert max(vals) - min(vals) <= 1e-12 * max(1.0, abs(vals[0]))
 
 
 def test_z2_finite(desk_spec, desk_qf):
-    zval, logz = bl.z2(desk_spec, desk_qf)
-    assert math.isfinite(logz)
-    assert zval == math.inf or zval == pytest.approx(math.exp(logz))
+    assert math.isfinite(bl.log_z2(desk_spec, desk_qf))
 
 
 def test_lambda2_formula(desk_spec, desk_Q, desk_qf):
@@ -178,8 +149,10 @@ def test_lambda2_symmetry(desk_spec, desk_Q, desk_qf):
 
 
 def test_lambda2_guards(desk_spec, desk_Q, desk_qf):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lambda2_zero"):
         bl.lambda2(desk_spec, desk_qf, desk_Q.zero_index)
+    with pytest.raises(ValueError, match="lambda2_zero"):
+        bl.lambda2(desk_spec, desk_qf, np.array([1, desk_Q.zero_index]))
     spec0 = bl.ModelSpec(lam=0.0)
     with pytest.raises(ValueError):
         bl.lambda2(spec0, desk_qf, 1)
@@ -230,19 +203,16 @@ def test_free_bubble_pairing_structure(small_spec, small_M):
 
 def test_gaussian_report(desk_spec, desk_qf):
     rep = bl.gaussian_report(desk_spec, desk_qf)
-    assert rep.log_z2 == pytest.approx(bl.z2(desk_spec, desk_qf)[1])
+    assert rep.log_z2 == bl.log_z2(desk_spec, desk_qf)
     assert rep.eps_int2 == pytest.approx(bl.eps_int2(desk_spec, desk_qf))
     assert len(rep.lambda2) == len(desk_qf.transfer) - 1
     assert "included" in rep.q0_zero_handling
-    # lambda2 is aligned to the nonzero transfers, pair_factors to representatives
+    # lambda2 is aligned to the nonzero transfers
     Q = desk_qf.transfer
-    nz, reps = nonzero(Q), representatives(desk_qf)
+    nz = nonzero(Q)
     assert Q.zero_index not in nz and len(nz) == len(Q) - 1
     for j in (0, 17, len(nz) - 1):
         assert rep.lambda2[j] == bl.lambda2(desk_spec, desk_qf, int(nz[j]))
-    assert len(rep.pair_factors) == len(reps)
-    for j in (0, 5, len(reps) - 1):
-        assert rep.pair_factors[j] == bl.pair_factor(desk_qf, int(reps[j]))
 
 
 def test_lambda2_array_matches_scalar_formula(desk_spec, desk_qf):
@@ -267,10 +237,10 @@ def test_index_and_array_paths_agree_d2():
     Q = bl.build_transfer_set(M)
     qf = bl.coefficients(spec, M, Q, bl.solve_gap(spec, M).r0, 0.0)
     nz = nonzero(Q)
-    factors = bl.pair_factor(qf, nz)
+    dens = pair_denominator(qf.alpha[nz], qf.beta_coef[nz], qf.gamma[nz])
     lam2 = bl.lambda2(spec, qf, nz)
     for j, i in enumerate(nz.tolist()):
-        assert bl.pair_factor(qf, i) == factors[j], i
+        assert pair_denominator(qf.alpha[i], qf.beta_coef[i], qf.gamma[i]) == dens[j], i
         assert bl.lambda2(spec, qf, i) == lam2[j], i
 
 
@@ -285,10 +255,11 @@ def test_sums_match_sequential_loops(desk_spec, desk_qf):
         eps, rel=1e-13
     )
     center = math.sqrt(desk_spec.kappa) * desk_qf.r0
-    log_val = -desk_qf.v_min + math.log(radial_integral(desk_qf.beta0, center))
-    for i in representatives(desk_qf):
-        log_val += math.log(bl.pair_factor(desk_qf, int(i)))
-    assert bl.z2(desk_spec, desk_qf)[1] == pytest.approx(log_val, rel=1e-13)
+    log_val = -desk_qf.v_min + math.log(2.0 * _radial_moments(desk_qf.beta0, center)[1])
+    for i in range(Q.zero_index + 1, len(Q)):
+        a, b, g = desk_qf.alpha[i], desk_qf.beta_coef[i], desk_qf.gamma[i]
+        log_val += math.log(1.0 / pair_denominator(a, b, g))
+    assert bl.log_z2(desk_spec, desk_qf) == pytest.approx(log_val, rel=1e-13)
 
 
 @pytest.mark.parametrize("factor", [1.2, 2.0, 5.0])

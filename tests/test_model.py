@@ -300,6 +300,27 @@ def test_transfer_maps_match_oracle(lattice):
     assert np.array_equal(got, ref["diff_index"])
 
 
+def test_orbit_representatives_above_zero_index(lattice):
+    # the ordering contract that gaussian.log_z2, analytic_hessian and
+    # cli._hessian_coords rely on: the indices above zero_index hold exactly
+    # one transfer of each {q, -q} orbit, and neg_index sends each below it
+    Q = bl.build_transfer_set(lattice)
+    z = Q.zero_index
+    lab = labels(Q)
+
+    def neg(label):
+        return -label[0], tuple(-x for x in label[1])
+
+    assert lab[z] == neg(lab[z])
+    reps = {lab[i] for i in range(z + 1, len(Q))}
+    partners = {neg(label) for label in reps}
+    assert len(reps) == len(Q) - 1 - z and reps.isdisjoint(partners)
+    assert reps | partners | {lab[z]} == set(lab)
+    for i in range(z + 1, len(Q)):
+        j = int(Q.neg_index[i])
+        assert j < z and lab[j] == neg(lab[i]), i
+
+
 def test_gather_writes_into_strided_out(lattice):
     # out may be any N x N view, such as a quadrant's transpose of a
     # Fortran-ordered block; the values' dtype carries through

@@ -4,7 +4,9 @@ For a reference momentum t the Gram columns of the block matrix give
 Re V >= V_BCS(||phi||) - sum_{q != 0} (1/2)[log(1 - |(e_{t-q}, e_t)|^2)
                                          + log(1 - |(e'_{t-q}, e_t)|^2)]
 and the best (largest) right-hand side over t is reported.  Since every
-log factor is <= 1 the chain Re V >= rhs >= V_BCS(||phi||) follows.
+log factor is <= 1 the chain Re V >= rhs >= V_BCS(||phi||) follows.  The
+overlaps' denominators are E_k^2 = |a_k|^2 + lam ||phi||^2, with |a_k|^2 read
+from `MomentumSet.abs_a_sq`.
 
 bound_report runs once per field on the calling thread's two scratch buffers
 of its lattice (`TransferSet.scratch`), so threads can check fields of one
@@ -35,10 +37,6 @@ from .potential import SingularMatrixError, potential_reduced
 EPS_CLAMP = 1e-300
 
 
-def _denominators(spec: ModelSpec, M: MomentumSet, norm_sq: float) -> np.ndarray:
-    return M.k0**2 + M.e**2 + spec.lam * norm_sq
-
-
 def _overlaps(spec: ModelSpec, M: MomentumSet, phi: FieldConfig):
     """(o1, o2): o1[k, t] = |(e_k, e_t)|^2 and o2[k, t] = |(e'_k, e_t)|^2,
     clipped into [0, 1], as N x N float views of the lattice's two scratch
@@ -53,7 +51,7 @@ def _overlaps(spec: ModelSpec, M: MomentumSet, phi: FieldConfig):
     """
     Q = phi.transfer
     n, ns = len(M), len(M.spatial_m)
-    inv = 1.0 / _denominators(spec, M, field_norm(phi))
+    inv = 1.0 / (M.abs_a_sq + spec.lam * field_norm(phi))
     ratio = spec.lam / spec.kappa
     num1 = (np.abs(ratio * autocorrelation_all(phi)) ** 2)[::-1]
     num2 = (ratio * np.abs(phi.values) ** 2)[::-1]
@@ -63,7 +61,7 @@ def _overlaps(spec: ModelSpec, M: MomentumSet, phi: FieldConfig):
     o1 *= z
     Q.gather(num2, out=o2)
     o2 *= z
-    k0, e = M.k0[::ns], M.e[:ns]  # k0 per frequency, e per spatial vector
+    k0, e = M.k0[::ns], M.spatial_e  # k0 per frequency, e per spatial vector
     dk0, de = (k0[:, None] - k0) ** 2, (e[:, None] - e) ** 2
     np.add(dk0[:, None, :, None], de[:, None], out=z.reshape(len(k0), ns, len(k0), ns))
     o2 *= z

@@ -50,7 +50,7 @@ from .expansion import (
     fd_hessian,
     remainder,
 )
-from .gaussian import eps_int2, gaussian_report, lambda2, lambda2_zero, nonzero
+from .gaussian import eps_int2, gaussian_report, lambda2, lambda2_zero
 
 FMT = "%.17g"
 
@@ -347,22 +347,12 @@ def cmd_expand(args) -> int:
 
 def _hessian_coords(Q, max_orbits: int):
     """Zero-mode coordinates plus the max_orbits {q, -q} orbits of smallest
-    |q|; a stable sort sends ties (q and -q always tie) to the lower Q index."""
-    coords = [2 * Q.zero_index, 2 * Q.zero_index + 1]
-    seen = {Q.zero_index}
-    order = np.argsort(Q.qnorm, kind="stable")
-    taken = 0
-    for i in order:
-        i = int(i)
-        if i in seen:
-            continue
-        j = int(Q.neg_index[i])
-        seen.update((i, j))
-        coords += [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
-        taken += 1
-        if taken >= max_orbits:
-            break
-    return np.array(coords, dtype=int)
+    |q|, each as its lower index (below zero_index) then its partner; a stable
+    sort sends ties (permuted spatial vectors) to the lower Q index."""
+    lower = np.argsort(Q.qnorm[: Q.zero_index], kind="stable")[:max_orbits]
+    pairs = np.column_stack((lower, Q.neg_index[lower])).ravel()
+    t = np.concatenate(([Q.zero_index], pairs))
+    return np.column_stack((2 * t, 2 * t + 1)).ravel()
 
 
 # with lambda = 0, V = sum |phi_q|^2, so the FD Hessian is 2 Id up to rounding;
@@ -371,10 +361,13 @@ LAMBDA0_TOL = 1e-6
 
 
 def ordered_gap(spec, M, lam_c: float, why: str):
-    """solve_gap, or a ConfigError naming lambda/lambda_c if r0 = 0 (lambda < lambda_c)."""
+    """solve_gap, or a ConfigError naming lambda/lambda_c if r0 = 0: lambda <
+    lambda_c, or lambda_c itself where the gap equation rounds below 1 there."""
     sol = solve_gap(spec, M)
     if sol.trivial:
-        raise ConfigError(f"lambda/lambda_c = {spec.lam / lam_c:.6g} < 1, so r0 = 0: {why}")
+        shown = f"{spec.lam / lam_c:.6g}"
+        op = "<" if float(shown) < 1.0 else "<="  # as printed: lambda_c reads "1 <= 1"
+        raise ConfigError(f"lambda/lambda_c = {shown} {op} 1, so r0 = 0: {why}")
     return sol
 
 
@@ -434,7 +427,7 @@ def cmd_gaussian(args) -> int:
     rep = gaussian_report(spec, qf, include_zero_mode=args.include_zero_mode)
     labels = q_labels(Q)
     rows = list(zip(
-        [labels[i] for i in nonzero(Q).tolist()],
+        [labels[i] for i in Q.nonzero.tolist()],
         rep.lambda2.real.tolist(),
         rep.lambda2.imag.tolist(),
     ))
@@ -483,7 +476,7 @@ def cmd_scan(args) -> int:
         # reference transfer: smallest nonzero spatial one (the infrared
         # direction); fall back to the overall smallest if none exists.
         # argmin takes the first minimum, so ties go to the lower index
-        nz = nonzero(Q)
+        nz = Q.nonzero
         if np.any(Q.n0[nz] == 0):
             nz = nz[Q.n0[nz] == 0]
         iq = int(nz[np.argmin(Q.qnorm[nz])])

@@ -59,7 +59,7 @@ def _quadratic_form(spec, M, Q, r0, theta0, v_min, shift=0.0, field=None):
     delta_sq = spec.lam * r0**2
     ratio = spec.lam / spec.kappa
     k0, e = M.k0, M.e
-    e_sq = k0**2 + e**2 + delta_sq
+    e_sq = M.abs_a_sq + delta_sq
     if np.max(e_sq) > math.sqrt(sys.float_info.max):
         raise OverflowError(f"E_k^2 E_p^2 overflows at lam r0^2 = {delta_sq:g}")
 
@@ -108,7 +108,7 @@ def decomposition_lhs(
     the a_k products, so it shares only the summation primitive
     `TransferSet.pair_sum` with the coefficient code.
     """
-    a, e_sq = M.a, M.k0**2 + M.e**2 + delta_sq
+    a, e_sq = M.a, M.abs_a_sq + delta_sq
 
     def part(f):  # real or imaginary part of a_k abar_p / (E_k^2 E_p^2)
         return Q.pair_sum(lambda k, p: f(a[k] * np.conj(a[p]) / (e_sq[k] * e_sq[p])))
@@ -121,13 +121,12 @@ def _second_order(qf: QuadraticForm, phi: FieldConfig, rad, phase: float, sign: 
     sum (alpha_q + i gamma_q)|phi_q|^2, then (1/2) sum beta_q |w_q|^2 with
     w_q = e^{-i phase} phi_q + sign e^{i phase} conj(phi_{-q})."""
     Q = qf.transfer
-    mask = np.ones(len(Q), dtype=bool)
-    mask[Q.zero_index] = False
+    nz = Q.nonzero
     vals = phi.values
-    diag = np.sum((qf.alpha[mask] + 1j * qf.gamma[mask]) * np.abs(vals[mask]) ** 2)
+    diag = np.sum((qf.alpha[nz] + 1j * qf.gamma[nz]) * np.abs(vals[nz]) ** 2)
     ph = np.exp(-1j * phase)
     w = ph * vals + (sign * np.conj(ph)) * np.conj(vals[Q.neg_index])
-    anom = 0.5 * np.sum(qf.beta_coef[mask] * np.abs(w[mask]) ** 2)
+    anom = 0.5 * np.sum(qf.beta_coef[nz] * np.abs(w[nz]) ** 2)
     return qf.v_min + rad + diag + anom
 
 
@@ -146,7 +145,7 @@ def u2_external(spec: ModelSpec, qf: QuadraticForm, phi: FieldConfig) -> complex
     z0 = phi.values[Q.zero_index]
     dv = z0.imag - math.sqrt(spec.kappa) * qf.r0
     total = _second_order(qf, phi, 2.0 * qf.beta0 * dv**2, qf.theta0, -1.0)
-    rest = float(np.sum(np.abs(np.delete(phi.values, Q.zero_index)) ** 2))
+    rest = float(np.sum(np.abs(phi.values[Q.nonzero]) ** 2))
     return complex(total + qf.shift * (z0.real**2 + dv**2 + rest))
 
 
@@ -258,10 +257,11 @@ def remainder(
     """|V(phi_min + t xi) - V_2(phi_min + t xi)| for each t of `ts`, the
     cubic remainder probe.
 
-    V comes from the reduced route, whose imaginary part stays smooth near the
-    minimum; the full route's per-pivot imaginary part can jump by 2 pi k.
-    One `potential_ray` from the minimum's zero mode gives every t's V from
-    one N x N product, and one LU per t.
+    Branch rule: Im V, a sum of per-pivot logs, is defined only mod 2 pi, so
+    Im(V - V_2) is reduced to (-pi, pi] before |.|, which keeps a difference
+    already there bit for bit (at large coupling the reduced route's Im V can
+    step by 2 pi at the probe's t).  One `potential_ray` from the minimum's
+    zero mode gives every t's V from one N x N product, and one LU per t.
     """
     ts = [float(t) for t in ts]
     if not all(t >= 0 for t in ts):
@@ -269,7 +269,10 @@ def remainder(
     Q = qf.transfer
     base = bcs_config(spec, Q, qf.r0, qf.theta0)
     values = potential_ray(spec, M, base.values[Q.zero_index], xi, ts)
-    return [
-        abs(v - v2(spec, qf, FieldConfig(Q, base.values + t * xi.values)))
-        for t, v in zip(ts, values)
-    ]
+    out = []
+    for t, v in zip(ts, values):
+        dv = v - v2(spec, qf, FieldConfig(Q, base.values + t * xi.values))
+        # n = 0, which leaves dv's bits, where Im dv is in (-pi, pi] or not finite
+        n = math.ceil((dv.imag - math.pi) / math.tau) if math.isfinite(dv.imag) else 0
+        out.append(abs(dv - 1j * (math.tau * n)))
+    return out

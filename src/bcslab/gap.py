@@ -8,8 +8,9 @@ where the left-hand side is smooth and strictly decreasing.  With an external
 field the minimizer y0 < 0 of V_BCS,r solves the equation of state
 (lambda/kappa) sum_k 1/E_k^2 = 1 - |r|/(g|y|), E_k^2 = k0^2 + e_k^2 + lam y^2,
 whose two sides differ monotonically in |y|.  Both are solved by one
-bracket-and-bisect loop.  The field's |r|/g is `model.ExternalField.ratio`:
-0 for the zero field, refused at lambda = 0.
+bracket-and-bisect loop.  Each k0^2 + e_k^2 is read from
+`MomentumSet.abs_a_sq`, the one place it is formed.  The field's |r|/g is
+`model.ExternalField.ratio`: 0 for the zero field, refused at lambda = 0.
 """
 
 from __future__ import annotations
@@ -45,9 +46,8 @@ class GapSolution:
 
 def _sum_form(spec: ModelSpec, M: MomentumSet, y: float, ratio: float) -> float:
     """kappa (y + ratio)^2 - sum_k log(1 + lam y^2/(k0^2 + e_k^2)); ratio = |r|/g."""
-    absa2 = M.k0**2 + M.e**2
     return float(
-        spec.kappa * (y + ratio) ** 2 - np.sum(np.log1p(spec.lam * y**2 / absa2))
+        spec.kappa * (y + ratio) ** 2 - np.sum(np.log1p(spec.lam * y**2 / M.abs_a_sq))
     )
 
 
@@ -90,13 +90,12 @@ def gap_lhs(spec: ModelSpec, M: MomentumSet, delta_sq: float) -> float:
     """(lambda/kappa) sum_k 1/(k0^2 + e_k^2 + Delta^2); decreasing in Delta^2."""
     if delta_sq < 0:
         raise ValueError("Delta^2 must be nonnegative")
-    denom = M.k0**2 + M.e**2 + delta_sq
-    return float(spec.lam / spec.kappa * np.sum(1.0 / denom))
+    return float(spec.lam / spec.kappa * np.sum(1.0 / (M.abs_a_sq + delta_sq)))
 
 
 def critical_coupling(spec: ModelSpec, M: MomentumSet) -> float:
     """lambda_c = kappa / sum_k 1/(k0^2 + e_k^2): threshold for a nontrivial gap."""
-    return float(spec.kappa / np.sum(1.0 / (M.k0**2 + M.e**2)))
+    return float(spec.kappa / np.sum(1.0 / M.abs_a_sq))
 
 
 def _bisect(f, inner: float, outer: float, tol: float, what: str) -> tuple:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expansion import QuadraticForm
-from .model import ModelSpec, TransferSet
+from .model import ModelSpec
 
 
 class FlatGaussianMode(ValueError):
@@ -29,7 +29,7 @@ class FlatGaussianMode(ValueError):
 
 @dataclass
 class GaussianReport:
-    """lambda2 is aligned to `nonzero(Q)`."""
+    """lambda2 is aligned to `Q.nonzero`."""
 
     log_z2: float
     lambda2: np.ndarray
@@ -62,11 +62,6 @@ def _radial_moments(beta0: float, center: float):
     i2 = center * i1 + i0 / (2.0 * a)
     i3 = center * i2 + 2.0 * i1 / (2.0 * a)
     return i0, i1, i2, i3
-
-
-def nonzero(Q: TransferSet) -> np.ndarray:
-    """Every transfer index but zero_index, in Q's order."""
-    return np.delete(np.arange(len(Q)), Q.zero_index)
 
 
 def log_z2(spec: ModelSpec, qf: QuadraticForm) -> float:
@@ -104,7 +99,7 @@ def eps_int2(
     spec: ModelSpec, qf: QuadraticForm, include_zero_mode: bool = True
 ) -> float:
     """(1/kappa) sum_q Lambda_2(q); the q = 0 moment enters via lambda2_zero."""
-    total = np.sum(lambda2(spec, qf, nonzero(qf.transfer)))
+    total = np.sum(lambda2(spec, qf, qf.transfer.nonzero))
     if abs(total.imag) > 1e-10 * max(1.0, abs(total.real)):
         raise ValueError(
             f"imaginary residue {total.imag:.3e} of the transfer sum did not cancel"
@@ -120,7 +115,7 @@ def gaussian_report(
 ) -> GaussianReport:
     return GaussianReport(
         log_z2=log_z2(spec, qf),
-        lambda2=lambda2(spec, qf, nonzero(qf.transfer)),
+        lambda2=lambda2(spec, qf, qf.transfer.nonzero),
         eps_int2=eps_int2(spec, qf, include_zero_mode),
         # the wording predates the closed form; the benchmark compares it verbatim
         q0_zero_handling=(

@@ -13,6 +13,10 @@ k - p); no N x N index is built.  A momentum or transfer is an integer index
 into its set's arrays.  M is ordered frequency-major; Q is sorted
 lexicographically by (n0, m), so negation reverses its index and the indices
 above zero_index are the {q, -q} orbit representatives (see TransferSet).
+The lattice conventions that other modules read live here, each once:
+|a_k|^2 = k0^2 + e_k^2 is `MomentumSet.abs_a_sq`, to which the gap, bound
+and expansion denominators E_k^2 add Delta^2 or lam ||phi||^2, and the
+transfers other than q = 0 are `TransferSet.nonzero`.
 """
 
 from __future__ import annotations
@@ -110,7 +114,8 @@ def spatial_grid(spec: ModelSpec) -> np.ndarray:
 
 
 class MomentumSet:
-    """Ordered fermionic cutoff set with cached e_k and a_k = i k0 - e_k.
+    """Ordered fermionic cutoff set with cached e_k (spatial_e tiled over the
+    frequencies), a_k = i k0 - e_k and abs_a_sq = |a_k|^2 = k0^2 + e_k^2.
 
     Index i is the momentum (n0[i], mvec[i]): the frequencies freq_n0, one
     contiguous run (ValueError otherwise), times the spatial vectors
@@ -126,9 +131,10 @@ class MomentumSet:
         self.n0 = np.repeat(self.freq_n0, len(self.spatial_m))
         self.mvec = np.tile(self.spatial_m, (len(self.freq_n0), 1))
         self.k0 = (math.pi / spec.beta) * (2 * self.n0 + 1)
-        self.e = dispersion_array(spec, self.mvec)
-        self.a = 1j * self.k0 - self.e
         self.spatial_e = dispersion_array(spec, self.spatial_m)
+        self.e = np.tile(self.spatial_e, len(self.freq_n0))
+        self.a = 1j * self.k0 - self.e
+        self.abs_a_sq = self.k0**2 + self.e**2
 
     def __len__(self) -> int:
         return len(self.n0)
@@ -155,7 +161,8 @@ class TransferSet:
     times the spatial differences, sorted lexicographically by (n0, m).  Both
     factors are symmetric, so -q has index |Q| - 1 - i, zero_index is the
     middle, and the indices above it (the lexicographically positive q) hold
-    one representative per {q, -q} orbit.  Transfer i is (n0[i], mvec[i]).
+    one representative per {q, -q} orbit.  Transfer i is (n0[i], mvec[i]);
+    `nonzero` holds every index but zero_index, in Q's order.
 
     M's nf frequencies are one contiguous run, so freq_n0 = arange(1 - nf, nf),
     and spatial_diff[s, u] indexes spatial_m at M.spatial_m[s] - M.spatial_m[u]:
@@ -184,6 +191,7 @@ class TransferSet:
         self.qnorm = np.sqrt(self.q0**2 + (self.qvec**2).sum(axis=1))
         self.zero_index = (nq - 1) // 2
         self.neg_index = nq - 1 - np.arange(nq)
+        self.nonzero = np.delete(np.arange(nq), self.zero_index)
         self._local = threading.local()
 
     def __len__(self) -> int:

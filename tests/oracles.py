@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 import bcslab as bl
-from bcslab.bound import _denominators, _overlaps
+from bcslab.bound import _overlaps
 from bcslab.gaussian import FlatGaussianMode
 
 
@@ -67,20 +67,25 @@ def autocorrelation(phi, q) -> complex:
     return complex(acc)
 
 
+def gram_denominator(spec, M, phi, k: int) -> float:
+    """k0^2 + e_k^2 + lambda ||phi||^2 at momentum k, from its label and the
+    scalar dispersion."""
+    k0 = math.pi / spec.beta * (2 * int(M.n0[k]) + 1)
+    return k0**2 + dispersion(spec, M.mvec[k]) ** 2 + spec.lam * bl.field_norm(phi)
+
+
 def overlap_sq(spec, M, phi, k: int, t: int) -> float:
     """|(e_k, e_t)|^2: normalized Gram overlap of two unprimed columns."""
     q = difference(M, phi.transfer, t, k)
     num = abs(spec.lam / spec.kappa * autocorrelation(phi, q)) ** 2
-    den = _denominators(spec, M, bl.field_norm(phi))
-    return float(num / (den[k] * den[t]))
+    return float(num / (gram_denominator(spec, M, phi, k) * gram_denominator(spec, M, phi, t)))
 
 
 def overlap_prime_sq(spec, M, phi, k: int, t: int) -> float:
     """|(e'_k, e_t)|^2: primed-against-unprimed Gram overlap."""
     phi_tk = phi.values[difference(M, phi.transfer, t, k)]
     num = spec.lam / spec.kappa * abs(phi_tk) ** 2 * abs(M.a[t] - M.a[k]) ** 2
-    den = _denominators(spec, M, bl.field_norm(phi))
-    return float(num / (den[k] * den[t]))
+    return float(num / (gram_denominator(spec, M, phi, k) * gram_denominator(spec, M, phi, t)))
 
 
 def overlap_matrices(spec, M, phi):

@@ -202,7 +202,7 @@ def test_criterion_6_coefficient_identities(
 
 def test_criterion_7_pair_factors(desk_spec, desk_M, desk_Q, desk_sol, desk_qf):
     # every nonzero transfer in one batched quadrature
-    nz = bl.gaussian.nonzero(desk_Q)
+    nz = desk_Q.nonzero
     closed = 1.0 / bl.gaussian.pair_denominator(
         desk_qf.alpha[nz], desk_qf.beta_coef[nz], desk_qf.gamma[nz]
     )

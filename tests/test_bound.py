@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import bcslab as bl
-from bcslab.bound import _denominators
 from oracles import (
     difference, index_of, labels, overlap_matrices, overlap_prime_sq, overlap_sq
 )
@@ -32,7 +31,7 @@ def brute_autocorrelation(phi, q):
 def test_overlap_sq_oracle(small_spec, small_M, small_Q):
     # |(e_k, e_t)|^2 rebuilt from a brute-force field autocorrelation
     phi = bl.random_config(small_spec, small_Q, 1.0, seed=5)
-    den = _denominators(small_spec, small_M, bl.field_norm(phi))
+    den = small_M.k0**2 + small_M.e**2 + small_spec.lam * bl.field_norm(phi)
     ratio = small_spec.lam / small_spec.kappa
     for ik in range(len(small_M)):
         for it in range(len(small_M)):
@@ -45,7 +44,7 @@ def test_overlap_sq_oracle(small_spec, small_M, small_Q):
 
 def test_overlap_prime_sq_oracle(small_spec, small_M, small_Q):
     phi = bl.random_config(small_spec, small_Q, 1.0, seed=6)
-    den = _denominators(small_spec, small_M, bl.field_norm(phi))
+    den = small_M.k0**2 + small_M.e**2 + small_spec.lam * bl.field_norm(phi)
     ratio = small_spec.lam / small_spec.kappa
     for ik in range(len(small_M)):
         for it in range(len(small_M)):

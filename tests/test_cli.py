@@ -287,15 +287,21 @@ def test_hessian_check_lambda_zero(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["gaussian", "hessian-check"])
 def test_trivial_phase_exits_2(tmp_path, capsys, command):
-    # 0 < lambda < lambda_c: r0 = 0, where the Gaussian radial mode is flat
-    # and the analytic Hessian's zero-mode block does not hold
+    # 0 < lambda <= lambda_c: r0 = 0, where the Gaussian radial mode is flat
+    # and the analytic Hessian's zero-mode block does not hold.  At lambda =
+    # lambda_c desk's gap equation at Delta = 0 rounds below 1, so it is
+    # refused too, and the message must not read "1 < 1"
     path = tmp_path / "trivial.cfg"
-    path.write_text(SMALL_CONFIG + "lambda_factor = 0.5\n")
-    code, out, err = run_cli([command, "--config", str(path)], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: lambda/lambda_c = 0.5 < 1, so r0 = 0: ")
-    assert err.count("\n") == 1
+    for config, reads in [
+        (SMALL_CONFIG + "lambda_factor = 0.5\n", "0.5 < 1"),
+        (DESK_CONFIG + "lambda_factor = 1\n", "1 <= 1"),
+    ]:
+        path.write_text(config)
+        code, out, err = run_cli([command, "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: lambda/lambda_c = {reads}, so r0 = 0: ")
+        assert err.count("\n") == 1
 
 
 def test_gaussian(config_path, tmp_path, capsys):
@@ -754,7 +760,8 @@ def test_hessian_coords_break_ties_by_index(request, lattice):
     else:
         spec = bl.ModelSpec(d=2, L=4.0, beta=2.0, nu=4.0, lam=1.0)
         Q = bl.build_transfer_set(bl.build_momentum_set(spec))
-    for k in range(1, 7):
+    every = (len(Q) - 1) // 2
+    for k in [*range(1, 7), every]:
         coords, seen = [2 * Q.zero_index, 2 * Q.zero_index + 1], {Q.zero_index}
         for i in sorted(range(len(Q)), key=lambda i: (Q.qnorm[i], i)):
             if i not in seen and len(seen) < 1 + 2 * k:
@@ -762,6 +769,8 @@ def test_hessian_coords_break_ties_by_index(request, lattice):
                 seen.update((i, j))
                 coords += [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
         assert cli._hessian_coords(Q, k).tolist() == coords, k
+    # every orbit: each of the 2|Q| real coordinates exactly once
+    assert sorted(coords) == list(range(2 * len(Q)))
 
 
 def test_hessian_check_d2_remainder_passes(tmp_path, capsys):
@@ -776,6 +785,20 @@ def test_hessian_check_d2_remainder_passes(tmp_path, capsys):
     )
     kv = parse_kv(out)
     assert 6.0 <= float(kv["remainder_ratio_min"])
+    assert float(kv["remainder_ratio_max"]) <= 10.0
+    assert kv["pass"] == "True"
+    assert code == 0
+
+
+@pytest.mark.parametrize("factor", ["300", "1e3"])
+def test_hessian_check_large_coupling_branch(tmp_path, capsys, factor):
+    # at lambda >= 300 lambda_c one direction's Im V steps by -2 pi at the
+    # probe's t: without remainder's branch rule its ratio read 1.55e9 (300)
+    # and 1.37e9 (1e3), and the check exited 1
+    path = tmp_path / "desk.cfg"
+    path.write_text(DESK_CONFIG + f"lambda_factor = {factor}\n")
+    code, out, _ = run_cli(["hessian-check", "--config", str(path), "--seed", "0"], capsys)
+    kv = parse_kv(out)
     assert float(kv["remainder_ratio_max"]) <= 10.0
     assert kv["pass"] == "True"
     assert code == 0

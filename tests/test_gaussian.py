@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import bcslab as bl
-from bcslab.gaussian import FlatGaussianMode, _radial_moments, nonzero, pair_denominator
+from bcslab.gaussian import FlatGaussianMode, _radial_moments, pair_denominator
 from oracles import (
     QuadratureError, free_bubble, index_of, labels, lambda2_zero_quadrature, pair_oracle
 )
@@ -209,7 +209,7 @@ def test_gaussian_report(desk_spec, desk_qf):
     assert "included" in rep.q0_zero_handling
     # lambda2 is aligned to the nonzero transfers
     Q = desk_qf.transfer
-    nz = nonzero(Q)
+    nz = Q.nonzero
     assert Q.zero_index not in nz and len(nz) == len(Q) - 1
     for j in (0, 17, len(nz) - 1):
         assert rep.lambda2[j] == bl.lambda2(desk_spec, desk_qf, int(nz[j]))
@@ -217,7 +217,7 @@ def test_gaussian_report(desk_spec, desk_qf):
 
 def test_lambda2_array_matches_scalar_formula(desk_spec, desk_qf):
     # the array form is bit for bit the per-transfer complex arithmetic
-    nz = nonzero(desk_qf.transfer)
+    nz = desk_qf.transfer.nonzero
     got = bl.lambda2(desk_spec, desk_qf, nz)
     ref = []
     for i in nz:
@@ -236,7 +236,7 @@ def test_index_and_array_paths_agree_d2():
     M = bl.build_momentum_set(spec)
     Q = bl.build_transfer_set(M)
     qf = bl.coefficients(spec, M, Q, bl.solve_gap(spec, M).r0, 0.0)
-    nz = nonzero(Q)
+    nz = Q.nonzero
     dens = pair_denominator(qf.alpha[nz], qf.beta_coef[nz], qf.gamma[nz])
     lam2 = bl.lambda2(spec, qf, nz)
     for j, i in enumerate(nz.tolist()):
@@ -248,7 +248,7 @@ def test_sums_match_sequential_loops(desk_spec, desk_qf):
     # eps_int2 and log z2 sum with np.sum; a sequential loop differs by rounding only
     Q = desk_qf.transfer
     total = 0.0 + 0.0j
-    for i in nonzero(Q):
+    for i in Q.nonzero:
         total += bl.lambda2(desk_spec, desk_qf, int(i))
     eps = total.real / desk_spec.kappa
     assert bl.eps_int2(desk_spec, desk_qf, include_zero_mode=False) == pytest.approx(

@@ -303,7 +303,8 @@ def test_transfer_maps_match_oracle(lattice):
 def test_orbit_representatives_above_zero_index(lattice):
     # the ordering contract that gaussian.log_z2, analytic_hessian and
     # cli._hessian_coords rely on: the indices above zero_index hold exactly
-    # one transfer of each {q, -q} orbit, and neg_index sends each below it
+    # one transfer of each {q, -q} orbit, and neg_index sends each below it,
+    # so the indices below hold one each too
     Q = bl.build_transfer_set(lattice)
     z = Q.zero_index
     lab = labels(Q)
@@ -319,6 +320,8 @@ def test_orbit_representatives_above_zero_index(lattice):
     for i in range(z + 1, len(Q)):
         j = int(Q.neg_index[i])
         assert j < z and lab[j] == neg(lab[i]), i
+    # Q.nonzero: every label but q = 0's, in Q's order
+    assert [lab[i] for i in Q.nonzero] == [x for x in lab if x != lab[z]]
 
 
 def test_gather_writes_into_strided_out(lattice):

@@ -48,7 +48,6 @@ from .expansion import (
     decomposition_lhs,
     fd_hessian,
     remainder,
-    u2_external,
     v2,
 )
 from .gaussian import (

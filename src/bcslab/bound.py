@@ -32,8 +32,9 @@ from .model import FieldConfig, ModelSpec, MomentumSet, autocorrelation_all, fie
 from .gap import vbcs_sum
 from .potential import SingularMatrixError, potential_reduced
 
-# floor on (1 - overlap) before the log; an exactly parallel column pair means
-# det = 0 and Re V = +inf, so the clamped bound stays valid
+# floor on (1 - overlap) before the log: an exactly parallel column pair means
+# det = 0 and Re V = +inf, so the bound stays valid.  An overlap below 1 that rounds
+# to 1 is clamped too, lifting rhs26 by ~345: chain_ok False there is no counterexample
 EPS_CLAMP = 1e-300
 
 

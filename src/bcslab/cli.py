@@ -361,8 +361,7 @@ LAMBDA0_TOL = 1e-6
 
 
 def ordered_gap(spec, M, lam_c: float, why: str):
-    """solve_gap, or a ConfigError naming lambda/lambda_c if r0 = 0: lambda <
-    lambda_c, or lambda_c itself where the gap equation rounds below 1 there."""
+    """solve_gap, or a ConfigError naming lambda/lambda_c if lambda <= lambda_c."""
     sol = solve_gap(spec, M)
     if sol.trivial:
         shown = f"{spec.lam / lam_c:.6g}"
@@ -392,8 +391,8 @@ def cmd_hessian_check(args) -> int:
     sol = ordered_gap(spec, M, lam_c, "the Hessian and remainder expand about r0 > 0")
     qf = coefficients(spec, M, Q, sol.r0, 0.0)
     are, aim = analytic_hessian(spec, qf, coords=coords)
-    h = default_fd_step(spec, sol.r0)
-    fre, fim = fd_hessian(spec, M, bcs_config(spec, Q, sol.r0, 0.0), h, coords=coords)
+    h = default_fd_step(spec, qf.r0)
+    fre, fim = fd_hessian(spec, M, bcs_config(spec, Q, qf.r0, qf.theta0), h, coords=coords)
     # the block's largest entry is at most the full Hessian's: --tol is no looser
     scale = max(np.max(np.abs(are)), 1.0)
     err_re = np.max(np.abs(fre - are)) / scale
@@ -463,7 +462,7 @@ def cmd_scan(args) -> int:
     rows = []
     for val in grid:
         here = dict(cfg)
-        here[key] = int(val) if key == "L" and float(val).is_integer() else float(val)
+        here[key] = float(val)
         if key == "lambda_factor":
             here.pop("lambda", None)
         spec, M, _ = build_spec(here)

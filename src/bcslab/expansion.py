@@ -19,8 +19,10 @@ then holds exactly per k and is exposed for verification.  As lam -> 0,
 beta_q -> 0 and alpha_q + i gamma_q -> 1, matching V = sum |phi_q|^2.
 
 A QuadraticForm records its expansion point: r0, theta0 and the field, None
-from `coefficients` and r from `coefficients_external` (theta0 = r's phase),
-which `analytic_hessian` and `u2_external` read from it.
+from `coefficients` and r from `coefficients_external` (theta0 = r's phase).
+Its readers take the point from it: `v2` is V_2 without a field and U_2, U_r's
+expansion about phi_0 = i sqrt(kappa) y0, with one; `analytic_hessian` picks
+its blocks by the same rule, and `remainder`, which probes V, refuses a field.
 """
 
 from __future__ import annotations
@@ -116,37 +118,26 @@ def decomposition_lhs(
     return 1.0 - (spec.lam / spec.kappa) * (part(np.real) + 1j * part(np.imag))
 
 
-def _second_order(qf: QuadraticForm, phi: FieldConfig, rad, phase: float, sign: float):
-    """v_min + the condensate term `rad` + the q != 0 terms, added in that order:
-    sum (alpha_q + i gamma_q)|phi_q|^2, then (1/2) sum beta_q |w_q|^2 with
-    w_q = e^{-i phase} phi_q + sign e^{i phase} conj(phi_{-q})."""
-    Q = qf.transfer
-    nz = Q.nonzero
-    vals = phi.values
+def v2(spec: ModelSpec, qf: QuadraticForm, phi: FieldConfig) -> complex:
+    """Second-order approximation about the form's point: V_2 about the mean-field
+    minimum without a field, U_2 about phi_0 = i sqrt(kappa) y0 with one (plus
+    shift |phi - phi_0|^2).  Added in order: v_min, the condensate term, sum_{q != 0}
+    (alpha_q + i gamma_q)|phi_q|^2, (1/2) sum_{q != 0} beta_q |w_q|^2 with w_q =
+    e^{-i theta0} phi_q + sign e^{i theta0} conj(phi_{-q}), sign -1 iff qf has a field."""
+    Q, vals = qf.transfer, phi.values
+    nz, z0 = Q.nonzero, vals[Q.zero_index]
+    if qf.field is None:
+        sign, dv = 1.0, abs(z0) - math.sqrt(spec.kappa) * qf.r0
+    else:
+        sign, dv = -1.0, z0.imag - math.sqrt(spec.kappa) * qf.r0
     diag = np.sum((qf.alpha[nz] + 1j * qf.gamma[nz]) * np.abs(vals[nz]) ** 2)
-    ph = np.exp(-1j * phase)
+    ph = np.exp(-1j * qf.theta0)
     w = ph * vals + (sign * np.conj(ph)) * np.conj(vals[Q.neg_index])
     anom = 0.5 * np.sum(qf.beta_coef[nz] * np.abs(w[nz]) ** 2)
-    return qf.v_min + rad + diag + anom
-
-
-def v2(spec: ModelSpec, qf: QuadraticForm, phi: FieldConfig) -> complex:
-    """Second-order approximation of V at the field configuration."""
-    rho0 = abs(phi.values[qf.transfer.zero_index])
-    rad = 2.0 * qf.beta0 * (rho0 - math.sqrt(spec.kappa) * qf.r0) ** 2
-    return complex(_second_order(qf, phi, rad, qf.theta0, 1.0))
-
-
-def u2_external(spec: ModelSpec, qf: QuadraticForm, phi: FieldConfig) -> complex:
-    """Second-order approximation of U_r around phi_0 = i sqrt(kappa) y0."""
-    if qf.field is None:
-        raise ValueError("u2_external needs a form from coefficients_external")
-    Q = qf.transfer
-    z0 = phi.values[Q.zero_index]
-    dv = z0.imag - math.sqrt(spec.kappa) * qf.r0
-    total = _second_order(qf, phi, 2.0 * qf.beta0 * dv**2, qf.theta0, -1.0)
-    rest = float(np.sum(np.abs(phi.values[Q.nonzero]) ** 2))
-    return complex(total + qf.shift * (z0.real**2 + dv**2 + rest))
+    total = qf.v_min + 2.0 * qf.beta0 * dv**2 + diag + anom
+    if qf.field is not None:
+        total += qf.shift * (z0.real**2 + dv**2 + float(np.sum(np.abs(vals[nz]) ** 2)))
+    return complex(total)
 
 
 def _coordinates(Q: TransferSet, coords) -> np.ndarray:
@@ -263,6 +254,8 @@ def remainder(
     step by 2 pi at the probe's t).  One `potential_ray` from the minimum's
     zero mode gives every t's V from one N x N product, and one LU per t.
     """
+    if qf.field is not None:
+        raise ValueError("remainder probes V; a form from coefficients_external expands U_r")
     ts = [float(t) for t in ts]
     if not all(t >= 0 for t in ts):
         raise ValueError("t must be nonnegative")

@@ -127,10 +127,10 @@ def solve_gap(spec: ModelSpec, M: MomentumSet, tol: float = 1e-12) -> GapSolutio
     """Bisection on Delta^2; trivial solution r0 = 0 when lambda <= lambda_c."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    f0 = gap_lhs(spec, M, 0.0)
-    trivial = f0 < 1.0
+    # not gap_lhs(0) < 1, which rounds either way at lambda = lambda_c
+    trivial = spec.lam <= critical_coupling(spec, M)
     if trivial:
-        r0, res, it = 0.0, abs(f0 - 1.0), 0
+        r0, res, it = 0.0, abs(gap_lhs(spec, M, 0.0) - 1.0), 0
     else:
         delta_sq, res, it = _bisect(
             lambda d: gap_lhs(spec, M, d) - 1.0, 0.0, 1.0, tol, "the gap equation"

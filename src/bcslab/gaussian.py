@@ -64,11 +64,18 @@ def _radial_moments(beta0: float, center: float):
     return i0, i1, i2, i3
 
 
+def _radial_center(spec: ModelSpec, qf: QuadraticForm) -> float:
+    """sqrt(kappa) r0, the radial weight's centre; a form with a field has none."""
+    if qf.field is not None:
+        raise ValueError("a form from coefficients_external expands U_r, not V")
+    return math.sqrt(spec.kappa) * qf.r0
+
+
 def log_z2(spec: ModelSpec, qf: QuadraticForm) -> float:
     """log of the radial integral times the pair factors, one per {q, -q}
     orbit: the indices above zero_index (see TransferSet)."""
-    center = math.sqrt(spec.kappa) * qf.r0
-    log_val = -qf.v_min + math.log(2.0 * _radial_moments(qf.beta0, center)[1])
+    i1 = _radial_moments(qf.beta0, _radial_center(spec, qf))[1]
+    log_val = -qf.v_min + math.log(2.0 * i1)
     orbits = slice(qf.transfer.zero_index + 1, None)
     den = pair_denominator(qf.alpha[orbits], qf.beta_coef[orbits], qf.gamma[orbits])
     return log_val + float(np.sum(np.log(1.0 / den)))
@@ -91,7 +98,7 @@ def lambda2_zero(spec: ModelSpec, qf: QuadraticForm) -> float:
     """(<rho^2> - 1)/lambda under the radial weight, <rho^2> = I_3/I_1 in closed form."""
     if spec.lam == 0.0:
         raise ValueError("lambda2_zero needs lambda > 0")
-    _, i1, _, i3 = _radial_moments(qf.beta0, math.sqrt(spec.kappa) * abs(qf.r0))
+    _, i1, _, i3 = _radial_moments(qf.beta0, _radial_center(spec, qf))
     return (i3 / i1 - 1.0) / spec.lam
 
 

@@ -288,13 +288,15 @@ def test_hessian_check_lambda_zero(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["gaussian", "hessian-check"])
 def test_trivial_phase_exits_2(tmp_path, capsys, command):
     # 0 < lambda <= lambda_c: r0 = 0, where the Gaussian radial mode is flat
-    # and the analytic Hessian's zero-mode block does not hold.  At lambda =
-    # lambda_c desk's gap equation at Delta = 0 rounds below 1, so it is
-    # refused too, and the message must not read "1 < 1"
+    # and the analytic Hessian's zero-mode block does not hold.  lambda =
+    # lambda_c is refused too, whichever way the gap equation at Delta = 0
+    # rounds there (below 1 on desk, at or above 1 on small), and the
+    # message must not read "1 < 1"
     path = tmp_path / "trivial.cfg"
     for config, reads in [
         (SMALL_CONFIG + "lambda_factor = 0.5\n", "0.5 < 1"),
         (DESK_CONFIG + "lambda_factor = 1\n", "1 <= 1"),
+        (SMALL_CONFIG + "lambda_factor = 1\n", "1 <= 1"),
     ]:
         path.write_text(config)
         code, out, err = run_cli([command, "--config", str(path)], capsys)

@@ -596,12 +596,26 @@ def test_coefficients_external_needs_a_field(desk_spec, desk_M, desk_Q, desk_sol
         bl.coefficients_external(desk_spec, desk_M, desk_Q, -desk_sol.r0, r)
 
 
-def test_u2_external_needs_external_form(desk_spec, desk_Q, desk_qf):
-    # a form from `coefficients` carries no field, so it is refused, not
-    # expanded with the wrong condensate block
-    phi = bl.FieldConfig(desk_Q, np.zeros(len(desk_Q), dtype=complex))
+@pytest.mark.parametrize("which", ["desk", "small"])
+def test_v2_reads_the_forms_field(request, which):
+    # a form from coefficients_external expands U_r: at U_r's minimum
+    # phi_0 = i sqrt(kappa) y0 every term but v_min vanishes, so v2 is U_2 there
+    spec, M, Q = (request.getfixturevalue(f"{which}_{x}") for x in ("spec", "M", "Q"))
+    r = bl.ExternalField(1e-2, 0.4)
+    sol = bl.solve_gap_external(spec, M, r)
+    qf = bl.coefficients_external(spec, M, Q, sol.y0, r)
+    base = bl.bcs_config(spec, Q, abs(sol.y0), -math.pi / 2)
+    assert bl.v2(spec, qf, base) == pytest.approx(qf.v_min, abs=1e-12)
+
+
+def test_remainder_refuses_a_form_with_a_field(small_spec, small_M, small_Q):
+    # remainder probes V, while a form with a field expands U_r
+    r = bl.ExternalField(1e-2, 0.4)
+    y0 = bl.solve_gap_external(small_spec, small_M, r).y0
+    qf = bl.coefficients_external(small_spec, small_M, small_Q, y0, r)
+    xi = bl.FieldConfig(small_Q, np.ones(len(small_Q), dtype=complex))
     with pytest.raises(ValueError, match="coefficients_external"):
-        bl.u2_external(desk_spec, desk_qf, phi)
+        bl.remainder(small_spec, small_M, qf, xi, (1e-3,))
 
 
 def test_external_hessian_zero_mode_lift(desk_spec, desk_M, desk_Q):
@@ -652,7 +666,7 @@ def test_u2_matches_fd_at_minimum(desk_spec, desk_M, desk_Q):
     )
     cfg = bl.FieldConfig(desk_Q, base.values + pert.values)
     exact = potential_external_reduced(desk_spec, desk_M, cfg, r)
-    approx = bl.u2_external(desk_spec, qf, cfg)
+    approx = bl.v2(desk_spec, qf, cfg)
     assert abs(exact - approx) < 1e-5 * max(1.0, abs(exact))
 
 

@@ -1,5 +1,6 @@
 """Gap equation solver and its external-field variant."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -51,6 +52,18 @@ def test_trivial_below_critical(desk_M):
     assert sol.trivial
     assert sol.r0 == 0.0
     assert sol.v_min_sum == 0.0
+
+
+@pytest.mark.parametrize("which", ["desk", "small"])
+def test_trivial_at_critical(request, which):
+    # lambda = lambda_c is trivial by the rule itself, whichever way
+    # gap_lhs(0) rounds about 1 there
+    M = request.getfixturevalue(f"{which}_M")
+    spec = request.getfixturevalue(f"{which}_spec")
+    spec = dataclasses.replace(spec, lam=bl.critical_coupling(spec, M))
+    sol = bl.solve_gap(spec, M)
+    assert sol.trivial
+    assert sol.r0 == 0.0
 
 
 def test_minimum_is_stationary(desk_spec, desk_M, desk_sol):

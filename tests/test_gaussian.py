@@ -148,6 +148,17 @@ def test_lambda2_symmetry(desk_spec, desk_Q, desk_qf):
         assert li == pytest.approx(np.conj(lj), rel=1e-12)
 
 
+def test_radial_centre_refuses_a_form_with_a_field(desk_spec, desk_M, desk_Q):
+    # U_r's form is centred at phi_0 = i sqrt(kappa) y0 with y0 < 0: it has no
+    # radial centre sqrt(kappa) r0, so the Gaussian zero mode is refused
+    r = bl.ExternalField(1e-2, 0.4)
+    y0 = bl.solve_gap_external(desk_spec, desk_M, r).y0
+    qf = bl.coefficients_external(desk_spec, desk_M, desk_Q, y0, r)
+    for f in (bl.log_z2, bl.lambda2_zero, bl.eps_int2, bl.gaussian_report):
+        with pytest.raises(ValueError, match="coefficients_external"):
+            f(desk_spec, qf)
+
+
 def test_lambda2_guards(desk_spec, desk_Q, desk_qf):
     with pytest.raises(ValueError, match="lambda2_zero"):
         bl.lambda2(desk_spec, desk_qf, desk_Q.zero_index)

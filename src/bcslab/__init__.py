@@ -2,7 +2,6 @@
 attractive-delta many-electron system."""
 
 from .model import (
-    DispersionSpec,
     ExternalField,
     FieldConfig,
     ModelSpec,

@@ -14,6 +14,7 @@ CSV output round-trips exactly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -21,7 +22,6 @@ import sys
 import numpy as np
 
 from .model import (
-    DispersionSpec,
     ExternalField,
     FieldConfig,
     ModelSpec,
@@ -59,17 +59,12 @@ class ConfigError(ValueError):
     pass
 
 
+# ModelSpec's fields but lam, each parsed by its default's type; lam is lambda
+# or lambda_factor * lambda_c
 CONFIG_KEYS = {
-    "d": int,
-    "L": float,
-    "beta": float,
-    "nu": float,
-    "mu": float,
-    "t": float,
-    "dispersion": str,
+    **{f.name: type(f.default) for f in dataclasses.fields(ModelSpec) if f.name != "lam"},
     "lambda": float,
     "lambda_factor": float,
-    "energy_window": float,
 }
 
 
@@ -103,12 +98,10 @@ def parse_config(path: str | None) -> dict:
 
 
 def build_spec(cfg: dict):
-    """ModelSpec from the keys the config sets, the rest at ModelSpec's and
-    DispersionSpec's defaults; lambda defaults to lambda_factor * lambda_c."""
-    disp = {f: cfg[k] for k, f in (("dispersion", "kind"), ("t", "t")) if k in cfg}
-    base = {k: cfg[k] for k in ("d", "L", "beta", "nu", "mu", "energy_window") if k in cfg}
+    """ModelSpec from the keys the config sets, the rest at ModelSpec's
+    defaults; lambda defaults to lambda_factor * lambda_c."""
+    base = {k: v for k, v in cfg.items() if k not in ("lambda", "lambda_factor")}
     try:
-        base["dispersion"] = DispersionSpec(**disp)
         probe = ModelSpec(lam=0.0, **base)
         M0 = build_momentum_set(probe)
         lam_c = critical_coupling(probe, M0)

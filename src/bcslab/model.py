@@ -24,51 +24,41 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(frozen=True)
-class DispersionSpec:
-    """Dispersion selector: 'tight_binding' (hopping t on L sites per axis, so
-    L must be an integer) or 'quadratic' (k^2/2 in a box of side L, any
-    positive L)."""
-
-    kind: str = "tight_binding"
-    t: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("tight_binding", "quadratic"):
-            raise ValueError(f"unknown dispersion kind {self.kind!r}")
-        if not math.isfinite(self.t):
-            raise ValueError(f"t must be finite, not {self.t}")
-
-
-@dataclass(frozen=True)
 class ModelSpec:
-    """All physical and numerical parameters of the finite-volume model."""
+    """All physical and numerical parameters of the finite-volume model; every
+    field but lam is the config key of its name.  dispersion is
+    'tight_binding' (hopping t on L sites per axis, so L must be an integer)
+    or 'quadratic' (k^2/2 in a box of side L, any positive L)."""
 
     d: int = 1
     L: float = 16.0
     beta: float = 8.0
     nu: float = 20.0
     mu: float = 0.0
-    dispersion: DispersionSpec = field(default_factory=DispersionSpec)
+    dispersion: str = "tight_binding"
+    t: float = 1.0
     lam: float = 1.0
     energy_window: float = 1.0
 
     def __post_init__(self):
-        for name in ("L", "beta", "nu", "mu", "lam"):
+        if self.dispersion not in ("tight_binding", "quadratic"):
+            raise ValueError(f"unknown dispersion kind {self.dispersion!r}")
+        for name in ("t", "L", "beta", "nu", "mu", "lam"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, not {getattr(self, name)}")
         if self.d not in (1, 2, 3):
             raise ValueError("d must be 1, 2 or 3")
         if self.beta <= 0 or self.L <= 0:
             raise ValueError("beta and L must be positive")
-        if self.dispersion.kind == "tight_binding" and not float(self.L).is_integer():
+        if self.dispersion == "tight_binding" and not float(self.L).is_integer():
             raise ValueError(f"L must be an integer for tight_binding, not {self.L}")
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
@@ -91,15 +81,17 @@ class ModelSpec:
 
 
 def dispersion_array(spec: ModelSpec, mvecs: np.ndarray) -> np.ndarray:
-    """Vectorized dispersion over an (n, d) integer array."""
-    mvecs = np.atleast_2d(mvecs)
-    disp = spec.dispersion
-    k = 2.0 * math.pi * mvecs / spec.L
-    if disp.kind == "tight_binding":
-        eps = -2.0 * disp.t * np.cos(k).sum(axis=1)
-    else:
-        eps = 0.5 * (k**2).sum(axis=1)
-    return eps - spec.mu
+    """Vectorized dispersion over an (n, d) integer array.  Each row's terms are
+    added in ascending order (columns sorted by min/max, cheaper than np.sort),
+    so a momentum on the window's edge is kept or dropped as its sorted sum
+    rounds, alike for all its images under axis permutations and sign flips."""
+    k = 2.0 * math.pi * np.atleast_2d(mvecs) / spec.L
+    tb = spec.dispersion == "tight_binding"
+    terms = list((np.cos(k) if tb else k**2).T)
+    for end in range(len(terms) - 1, 0, -1):
+        for j in range(end):
+            terms[j : j + 2] = np.minimum(*terms[j : j + 2]), np.maximum(*terms[j : j + 2])
+    return (-2.0 * spec.t if tb else 0.5) * reduce(np.add, terms) - spec.mu
 
 
 def spatial_grid(spec: ModelSpec) -> np.ndarray:

@@ -11,12 +11,13 @@ external pairing field (its zero-mode shift and tilt, `model.ExternalField`),
 and the propagators are test oracles and live with the tests.
 
 The reduced route serves Re V, the bound chain, the cubic remainder probe and
-finite differencing, where its imaginary part is smooth near the minimum; the
-full route serves eval and is the oracle in the checks.  Both read phi by
-`TransferSet.gather` alone: the full route's block is built Fortran-ordered
-and factored in place, and the reduced matrix is built, Fortran-ordered, in
-the calling thread's two scratch buffers (`TransferSet.scratch`) and
-factored in place there; Re V is `potential_reduced`'s real part.
+finite differencing; its imaginary part is smooth for small steps, such as
+the FD step, and `remainder` reduces it mod 2 pi.  The full route serves eval
+and is the oracle in the checks.  Both read phi by `TransferSet.gather`
+alone: the full route's block is built Fortran-ordered and factored in place,
+and the reduced matrix is built, Fortran-ordered, in the calling thread's two
+scratch buffers (`TransferSet.scratch`) and factored in place there; Re V is
+`potential_reduced`'s real part.
 Every determinant is one LAPACK LU from scipy's f2py LAPACK extension
 (`_flapack`), zgetrf for a dense matrix and zgbtrf for a band.  It is loaded
 from its file on the first `logdet` (`_lapack`), so scipy's package init

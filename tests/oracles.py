@@ -38,15 +38,15 @@ def difference(M, Q, k: int, p: int) -> int:
 
 
 def dispersion(spec, m) -> float:
-    """Single-particle energy e_k = eps_k - mu at spatial index vector m."""
+    """Single-particle energy e_k = eps_k - mu at spatial index vector m, its
+    per-axis terms summed in sorted order like dispersion_array's."""
     m = tuple(m)
     if len(m) != spec.d:
         raise ValueError("spatial index has wrong dimension")
-    disp = spec.dispersion
-    if disp.kind == "tight_binding":
-        eps = -2.0 * disp.t * sum(math.cos(2.0 * math.pi * mi / spec.L) for mi in m)
+    if spec.dispersion == "tight_binding":
+        eps = -2.0 * spec.t * sum(sorted(math.cos(2.0 * math.pi * mi / spec.L) for mi in m))
     else:
-        k2 = sum((2.0 * math.pi * mi / spec.L) ** 2 for mi in m)
+        k2 = sum(sorted((2.0 * math.pi * mi / spec.L) ** 2 for mi in m))
         eps = 0.5 * k2
     return eps - spec.mu
 

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import dataclasses
 import importlib.util
 import io
 import os
@@ -477,6 +478,23 @@ def test_unknown_config_key(tmp_path, capsys):
     code, _, err = run_cli(["lattice-info", "--config", str(path)], capsys)
     assert code == 2
     assert "unknown key" in err
+
+
+def test_config_keys_are_model_spec_fields(tmp_path):
+    # the config file's keys are ModelSpec's fields, lam given as lambda or
+    # lambda_factor, so a setting is declared once and passed through
+    names = [f.name for f in dataclasses.fields(bl.ModelSpec)]
+    assert set(cli.CONFIG_KEYS) == set(names) - {"lam"} | {"lambda", "lambda_factor"}
+    types = {"d": int, "dispersion": str}
+    assert cli.CONFIG_KEYS == {key: types.get(key, float) for key in cli.CONFIG_KEYS}
+    path = tmp_path / "every.cfg"
+    path.write_text(
+        "d = 2\nL = 6\nbeta = 3\nnu = 5\nmu = 0.1\ndispersion = quadratic\nt = 0.5\n"
+        "energy_window = 3\nlambda = 1.5\nlambda_factor = 3\n"
+    )
+    spec, _, _ = cli.build_spec(cli.parse_config(str(path)))
+    assert spec == bl.ModelSpec(d=2, L=6.0, beta=3.0, nu=5.0, mu=0.1, dispersion="quadratic",
+                                t=0.5, lam=1.5, energy_window=3.0)
 
 
 BAD_CONFIG_LINES = [

@@ -62,8 +62,7 @@ def test_dispersion_even(desk_spec):
 
 def test_quadratic_dispersion():
     spec = bl.ModelSpec(
-        d=1, L=8.0, beta=2.0, nu=4.0, lam=0.0,
-        dispersion=bl.DispersionSpec(kind="quadratic"),
+        d=1, L=8.0, beta=2.0, nu=4.0, lam=0.0, dispersion="quadratic", t=1.0,
         energy_window=5.0,
     )
     assert dispersion(spec, (2,)) == pytest.approx(0.5 * (2 * math.pi * 2 / 8.0) ** 2)
@@ -80,15 +79,14 @@ def test_tight_binding_refuses_non_integer_L(L):
 
 def test_quadratic_keeps_real_L():
     # there L is the side of a box, any positive real
-    quadratic = bl.DispersionSpec(kind="quadratic")
-    spec = bl.ModelSpec(d=1, L=7.5, beta=2.0, nu=4.0, dispersion=quadratic)
+    spec = bl.ModelSpec(d=1, L=7.5, beta=2.0, nu=4.0, dispersion="quadratic", t=1.0)
     assert spec.L == 7.5 and spec.kappa == 2.0 * 7.5
     assert len(bl.build_momentum_set(spec)) > 0
 
 
 def test_dispersion_kind_rejected():
     with pytest.raises(ValueError):
-        bl.DispersionSpec(kind="linear")
+        bl.ModelSpec(dispersion="linear")
 
 
 def test_spec_validation():
@@ -104,12 +102,8 @@ def test_spec_validation():
 @pytest.mark.parametrize("name", ["L", "beta", "nu", "mu", "lam", "t"])
 def test_spec_refuses_non_finite(name, value):
     # NaN passed the sign checks, and inf overflowed or was accepted
-    if name == "t":
-        make = lambda: bl.ModelSpec(dispersion=bl.DispersionSpec(t=value))
-    else:
-        make = lambda: bl.ModelSpec(**{name: value})
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        make()
+        bl.ModelSpec(**{name: value})
 
 
 def test_a_values(desk_spec, desk_M):
@@ -460,14 +454,11 @@ def _dispersion_cases():
     for d, Ls in ((1, (2, 3, 4, 7, 16)), (2, (2, 3, 4, 8)), (3, (2, 3, 4))):
         for L in Ls:
             for mu in (0.0, 0.3):
-                for disp in (
-                    bl.DispersionSpec("tight_binding", 1.0),
-                    bl.DispersionSpec("tight_binding", 0.0),
-                    bl.DispersionSpec("quadratic"),
-                ):
+                for disp, t in (("tight_binding", 1.0), ("tight_binding", 0.0),
+                                ("quadratic", 1.0)):
                     cases.append(
                         bl.ModelSpec(d=d, L=float(L), beta=2.0, nu=4.0, mu=mu,
-                                     dispersion=disp, lam=1.0, energy_window=2.0)
+                                     dispersion=disp, t=t, lam=1.0, energy_window=2.0)
                     )
     return cases
 
@@ -490,6 +481,18 @@ def test_dispersion_array_matches_scalar_oracle():
         assert verdict == nondegenerate(spec, Q), spec
         verdicts.append(verdict)
     assert False in verdicts and True in verdicts
+
+
+@pytest.mark.parametrize("L", [6.0, 12.0])
+def test_cutoff_set_closed_under_point_group_d3(L):
+    # summed in axis order, permuted momenta rounded to different sides of
+    # |e| = energy_window: at L = 6, (0, 1, -3) was kept and (0, -3, 1) dropped
+    M = bl.build_momentum_set(bl.ModelSpec(d=3, L=L))
+    kept = {tuple(m) for m in M.spatial_m.tolist()}
+    for m in kept:
+        for perm in itertools.permutations(m):
+            for signs in itertools.product((1, -1), repeat=3):
+                assert tuple(s * x for s, x in zip(signs, perm)) in kept, (m, perm, signs)
 
 
 @pytest.mark.parametrize(

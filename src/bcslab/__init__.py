@@ -12,6 +12,7 @@ from .model import (
     build_momentum_set,
     build_transfer_set,
     field_norm,
+    field_sum,
     nondegeneracy_check,
     random_config,
 )

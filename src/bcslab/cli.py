@@ -6,9 +6,10 @@ gaussian, scan, external.  Configuration comes from a plain key = value file
 0 success, 1 verification failure, 2 configuration error (including an
 --output path that cannot be opened, a gap equation the solver cannot solve,
 an external field at lambda = 0, gaussian or hessian-check with a trivial gap,
-and dense matrices that eval, verify-bound or hessian-check would build
-beyond physical memory).  Numbers are printed with 17 significant digits so
-CSV output round-trips exactly.
+and, beyond physical memory, dense matrices that eval, verify-bound or
+hessian-check would build, the lattice's arrays (`model.check_memory`),
+verify-bound's --count fields or scan's --sweep points).  Numbers are
+printed with 17 significant digits so CSV output round-trips exactly.
 """
 
 from __future__ import annotations
@@ -25,11 +26,15 @@ from .model import (
     ExternalField,
     FieldConfig,
     ModelSpec,
+    PhysicalMemoryError,
     bcs_config,
     build_momentum_set,
     build_transfer_set,
+    check_memory,
     field_norm,
+    field_sum,
     nondegeneracy_check,
+    physical_memory,
     random_config,
 )
 from .potential import potential_full, potential_reduced
@@ -173,7 +178,7 @@ def _scaled_field(spec, M, Q, scale: float, seed: int, hadamard: bool = False) -
     """
     phi = random_config(spec, Q, 1.0, seed)
     with np.errstate(over="ignore"):  # the factor 2 leaves headroom for the products
-        total = np.sum(np.abs(phi.values) ** 2)  # sum_q |phi_q|^2, still unscaled
+        total = field_sum(phi.values)  # still unscaled
         bounds = [np.float64(2.0 * scale / np.min(np.abs(M.a))) ** 2 * total]
         if hadamard:
             total *= np.float64(scale) ** 2
@@ -206,11 +211,6 @@ def worker_bytes(command: str, Q) -> int:
     if command == "hessian-check":
         return 49 * n * n + libraries
     return 32 * n * n + max(4 * n * n, 48 * math.prod(Q.fft_box[0])) + libraries
-
-
-def physical_memory() -> int:
-    """Bytes of physical memory: pages times page size."""
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def usable_cores() -> int:
@@ -287,10 +287,19 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# bytes that each verify-bound field holds until the rows are written: its
+# seed, future and work item in the pool's queue, and its CSV row (tracemalloc,
+# Python 3.11: 1.87 kB with every field queued and none done, 1.31 kB per
+# field over a whole run on a 4-momentum lattice)
+FIELD_BYTES = 2048
+
+
 def cmd_verify_bound(args) -> int:
     # imported here: the other subcommands run no pool
     from concurrent.futures import ThreadPoolExecutor
 
+    what = f"--count {args.count} queues {args.count + 1} fields, whose futures and rows"
+    check_memory(FIELD_BYTES * (args.count + 1), what)
     spec, M, _ = build_spec(parse_config(args.config))
     seeds = [None] + list(range(args.seed, args.seed + args.count))  # None: the BCS field
     Q = build_transfer_set(M)
@@ -375,7 +384,7 @@ def cmd_hessian_check(args) -> int:
     coords = _hessian_coords(Q, args.orbits)
     if spec.lam == 0.0:
         base = bcs_config(spec, Q, 0.0, 0.0)
-        hre, him = fd_hessian(spec, M, base, 1e-4 * math.sqrt(spec.kappa), coords=coords)
+        hre, him = fd_hessian(spec, M, base, default_fd_step(spec, 0.0), coords=coords)
         err = max(
             np.max(np.abs(hre - 2.0 * np.eye(len(coords)))), np.max(np.abs(him))
         )
@@ -400,7 +409,7 @@ def cmd_hessian_check(args) -> int:
         xi = FieldConfig(
             Q, rng.standard_normal(len(Q)) + 1j * rng.standard_normal(len(Q))
         )
-        xi.values /= math.sqrt(float(np.sum(np.abs(xi.values) ** 2)))
+        xi.values /= math.sqrt(field_sum(xi.values))
         r1, r2 = remainder(spec, M, qf, xi, (t, t / 2.0))
         ratios.append(r1 / r2 if r2 > 0 else math.inf)
     ratios = np.array(ratios)
@@ -431,6 +440,11 @@ def cmd_gaussian(args) -> int:
     return 0
 
 
+# bytes per scan point: its grid value and CSV row (tracemalloc, Python 3.11:
+# 245 per point over a whole run on a 4-momentum lattice)
+ROW_BYTES = 256
+
+
 def parse_sweep(arg: str):
     try:
         key, _, grid = arg.partition("=")
@@ -444,6 +458,7 @@ def parse_sweep(arg: str):
         raise ConfigError(f"cannot sweep key {key!r}")
     if steps <= 0:
         raise ConfigError("sweep grid is empty")
+    check_memory(ROW_BYTES * steps, f"--sweep {arg} gives {steps} points, whose rows")
     return key, np.linspace(start, stop, steps)
 
 
@@ -585,7 +600,7 @@ def main(argv=None) -> int:
         # before any lattice work, so a bad path costs nothing
         check_output(getattr(args, "output", None))
         return COMMANDS[args.command][0](args)
-    except (ConfigError, GapConvergenceError) as exc:
+    except (ConfigError, GapConvergenceError, PhysicalMemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    ExternalField, FieldConfig, ModelSpec, MomentumSet, TransferSet, bcs_config
+    ExternalField, FieldConfig, ModelSpec, MomentumSet, TransferSet, bcs_config, field_sum
 )
 from .gap import vbcs_r, vbcs_sum
 from .potential import DisplacedPotential, potential_ray
@@ -136,7 +136,7 @@ def v2(spec: ModelSpec, qf: QuadraticForm, phi: FieldConfig) -> complex:
     anom = 0.5 * np.sum(qf.beta_coef[nz] * np.abs(w[nz]) ** 2)
     total = qf.v_min + 2.0 * qf.beta0 * dv**2 + diag + anom
     if qf.field is not None:
-        total += qf.shift * (z0.real**2 + dv**2 + float(np.sum(np.abs(vals[nz]) ** 2)))
+        total += qf.shift * (z0.real**2 + dv**2 + field_sum(vals[nz]))
     return complex(total)
 
 

@@ -21,8 +21,8 @@ transfers other than q = 0 are `TransferSet.nonzero`.
 
 from __future__ import annotations
 
-import itertools
 import math
+import os
 import threading
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -80,6 +80,33 @@ class ModelSpec:
         return math.sqrt(self.lam)
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory: pages times page size."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+class PhysicalMemoryError(MemoryError):
+    """Raised by `check_memory` before an allocation beyond physical memory."""
+
+
+def check_memory(nbytes: float, what: str) -> None:
+    """A PhysicalMemoryError, raised before anything is allocated, unless
+    `nbytes` fit in physical memory; `what` names the setting and the count
+    that need them.  The lattice builders call it with the bytes per element
+    that they hold at their peak (tracemalloc, numpy 2.4): 8 per Matsubara
+    frequency; 48 d per point of `spatial_grid`, with the dispersion arrays
+    ModelSpec and build_momentum_set build over it (measured 48, 88 and 136
+    at d = 1, 2, 3); 60 + 8 d per momentum (65-80); 25 + 24 d per pair of
+    spatial vectors, whose differences TransferSet sorts by np.unique
+    (49-97); and 56 + 16 d per transfer (65-104)."""
+    have = physical_memory()
+    if nbytes > have:
+        raise PhysicalMemoryError(
+            f"{what} need {nbytes / 2**30:.3g} GiB, more than the "
+            f"{have / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def dispersion_array(spec: ModelSpec, mvecs: np.ndarray) -> np.ndarray:
     """Vectorized dispersion over an (n, d) integer array.  Each row's terms are
     added in ascending order (columns sorted by min/max, cheaper than np.sort),
@@ -98,11 +125,18 @@ def spatial_grid(spec: ModelSpec) -> np.ndarray:
     """Spatial index grid {m : |m_i| <= L/2} as an (n, d) array, lexicographic.
 
     This is not one period: for even L it keeps both m_i = -L/2 and m_i = L/2,
-    L + 1 points per axis.
+    L + 1 points per axis.  A grid that would not fit in physical memory is
+    refused before it is built (`check_memory`).
     """
     half = int(math.floor(spec.L / 2.0))
-    rng = range(-half, half + 1)
-    return np.array(list(itertools.product(rng, repeat=spec.d)), dtype=int)
+    side = 2 * half + 1
+    points = math.prod([float(side)] * spec.d)  # a float: inf, not an OverflowError
+    what = f"L = {spec.L:g} at d = {spec.d} gives {points:.3g} grid points, which"
+    check_memory(48 * spec.d * points, what)
+    # row-major index arithmetic: the last axis runs fastest, as in lexicographic order
+    grid = np.indices((side,) * spec.d).reshape(spec.d, -1).T.copy()
+    grid -= half
+    return grid
 
 
 class MomentumSet:
@@ -133,17 +167,24 @@ class MomentumSet:
 
 
 def build_momentum_set(spec: ModelSpec) -> MomentumSet:
-    """All momenta with |e_k| <= energy_window and |k0| <= nu."""
+    """All momenta with |e_k| <= energy_window and |k0| <= nu.  The frequency
+    list and the momentum set are each refused (`check_memory`) before they
+    are built if they would not fit in physical memory, as is the spatial
+    grid (`spatial_grid`)."""
     # |2 n0 + 1| <= beta * nu / pi, odd-integer band around zero
     bound = spec.beta * spec.nu / math.pi
+    # 2 floor((bound + 1) / 2) <= bound + 1 frequencies, and bound may be inf
+    what = f"nu = {spec.nu:g} at beta = {spec.beta:g} gives {bound:.3g} frequencies, which"
+    check_memory(8 * (bound + 1.0), what)
     n_hi = int(math.floor((bound - 1.0) / 2.0))
-    n_lo = -n_hi - 1
-    freq_n0 = np.arange(n_lo, n_hi + 1)
     grid = spatial_grid(spec)
     spatial = grid[np.abs(dispersion_array(spec, grid)) <= spec.energy_window]
-    if len(freq_n0) == 0 or len(spatial) == 0:
+    n = 2 * (n_hi + 1) * len(spatial)
+    if n == 0:
         raise ValueError("empty cutoff set")
-    return MomentumSet(spec, freq_n0, spatial)
+    what = f"nu = {spec.nu:g} and L = {spec.L:g} give N = {n} momenta, which"
+    check_memory((60 + 8 * spec.d) * n, what)
+    return MomentumSet(spec, np.arange(-n_hi - 1, n_hi + 1), spatial)
 
 
 class TransferSet:
@@ -160,6 +201,9 @@ class TransferSet:
     and spatial_diff[s, u] indexes spatial_m at M.spatial_m[s] - M.spatial_m[u]:
     for k, p of frequency indices a, b, k - p has index (a - b + nf - 1)
     len(spatial_m) + spatial_diff[s, u], read by `gather`, `shift`, `pair_sum`.
+    The spatial differences and the transfer arrays are each refused
+    (`check_memory`) before they are built if they would not fit in
+    physical memory.
     """
 
     def __init__(self, M: MomentumSet):
@@ -167,6 +211,8 @@ class TransferSet:
         self.spec = spec
         spatial = M.spatial_m
         nf, ns = len(M.freq_n0), len(spatial)
+        what = f"L = {spec.L:g} gives {ns} spatial vectors, whose differences"
+        check_memory((25 + 24 * spec.d) * ns**2, what)
         self.freq_n0 = np.arange(1 - nf, nf)
         self.spatial_m, sdiff = np.unique(
             (spatial[:, None, :] - spatial[None, :, :]).reshape(-1, spec.d),
@@ -176,6 +222,8 @@ class TransferSet:
         self.spatial_diff = sdiff.reshape(ns, ns)
         self.n_momenta = nf * ns  # N, the side of every array that gather writes
         nq = len(self.freq_n0) * len(self.spatial_m)
+        what = f"nu = {spec.nu:g} and L = {spec.L:g} give |Q| = {nq} transfers, which"
+        check_memory((56 + 16 * spec.d) * nq, what)
         self.n0 = np.repeat(self.freq_n0, len(self.spatial_m))
         self.mvec = np.tile(self.spatial_m, (len(self.freq_n0), 1))
         self.q0 = (2.0 * math.pi / spec.beta) * self.n0
@@ -349,9 +397,15 @@ def bcs_config(spec: ModelSpec, Q: TransferSet, r0: float, theta: float) -> Fiel
     return FieldConfig(Q, values)
 
 
+def field_sum(values) -> float:
+    """sum_q |phi_q|^2 over an array of field amplitudes: the field term of V,
+    and what ||phi||^2 and the bounds on a field's matrices are stated in."""
+    return float(np.sum(np.abs(values) ** 2))
+
+
 def field_norm(phi: FieldConfig) -> float:
     """||phi||^2 = (1/kappa) sum_q |phi_q|^2."""
-    return float(np.sum(np.abs(phi.values) ** 2) / phi.kappa)
+    return field_sum(phi.values) / phi.kappa
 
 
 def random_config(

@@ -6,9 +6,11 @@ with (phi)_{k,p} = phi_{k-p} and C = diag(1/a_k), a_k = i k0 - e_k.  Its
 N x N Schur complement Id + (lambda/kappa) Cbar phi C phi* has the same
 determinant: the routes agree in the real part, and their per-pivot imaginary
 parts may differ by 2 pi k.  This module computes V only, as a plain
-complex.  The mean-field closed forms V_BCS live in `gap`; U_r, V with an
-external pairing field (its zero-mode shift and tilt, `model.ExternalField`),
-and the propagators are test oracles and live with the tests.
+complex; every route's sum term is `model.field_sum`, the one body of
+sum_q |phi_q|^2.  The mean-field closed forms V_BCS live in `gap`; U_r, V
+with an external pairing field (its zero-mode shift and tilt,
+`model.ExternalField`), and the propagators are test oracles and live with
+the tests.
 
 The reduced route serves Re V, the bound chain, the cubic remainder probe and
 finite differencing; its imaginary part is smooth for small steps, such as
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FieldConfig, ModelSpec, MomentumSet
+from .model import FieldConfig, ModelSpec, MomentumSet, field_sum
 
 
 class SingularMatrixError(ValueError):
@@ -163,18 +165,13 @@ def assemble_block(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> np.ndar
     return block
 
 
-def _field_sum(phi: FieldConfig) -> float:
-    """sum_q |phi_q|^2."""
-    return float(np.sum(np.abs(phi.values) ** 2))
-
-
 def potential_full(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> complex:
     """V = sum_q |phi_q|^2 - log det of the full block matrix.
 
     The imaginary part of log det is summed per LU pivot on the principal
     branch, so Im V is defined only mod 2 pi globally.  The block is built
     for this call alone and factored in place."""
-    return _field_sum(phi) - logdet(assemble_block(spec, M, phi), overwrite=True)
+    return field_sum(phi.values) - logdet(assemble_block(spec, M, phi), overwrite=True)
 
 
 def reduced_matrix(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> np.ndarray:
@@ -213,7 +210,7 @@ def reduced_matrix(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> np.ndar
 def potential_reduced(spec: ModelSpec, M: MomentumSet, phi: FieldConfig) -> complex:
     """Same value as potential_full via the N x N reduced determinant,
     factored in place in the scratch buffers."""
-    return _field_sum(phi) - logdet(reduced_matrix(spec, M, phi), overwrite=True)
+    return field_sum(phi.values) - logdet(reduced_matrix(spec, M, phi), overwrite=True)
 
 
 def potential_ray(spec: ModelSpec, M: MomentumSet, z0: complex, xi: FieldConfig, ts) -> list:
@@ -250,7 +247,8 @@ def potential_ray(spec: ModelSpec, M: MomentumSet, z0: complex, xi: FieldConfig,
         mat.reshape(-1)[:: len(mat) + 1] += diag
         values = t * xi.values
         values[Q.zero_index] += z0
-        out.append(_field_sum(FieldConfig(Q, values)) - logdet(mat.T, overwrite=True))
+        # FieldConfig refuses a non-finite field
+        out.append(field_sum(FieldConfig(Q, values).values) - logdet(mat.T, overwrite=True))
     return out
 
 
@@ -310,7 +308,7 @@ class DisplacedPotential:
         values = self.base.values.copy()
         for t, delta in steps:
             values[int(t)] += delta
-        sum_term = _field_sum(FieldConfig(Q, values))  # refuses a non-finite field
+        sum_term = field_sum(FieldConfig(Q, values).values)  # refuses a non-finite field
         # the stepped transfers, then the zero mode: the band's summation order
         phi = {int(t): values[t] for t, _ in steps}
         phi[Q.zero_index] = values[Q.zero_index]

@@ -982,6 +982,43 @@ def test_dense_preflight_exits_2(config_path, monkeypatch, capsys, command):
     assert cli.dense_preflight(command, Q) == 1  # an estimate that fits passes
 
 
+# inputs whose arrays fit in no machine's memory: the extra config lines or
+# flags on the small lattice, and the start of the refusal's one stderr line
+OVERSIZED = {
+    "frequencies": ("lattice-info", "nu = 1e15\n", [], "error: nu = 1e+15 at beta = 2 gives "),
+    "grid": ("lattice-info", "d = 3\nL = 2000\n", [], "error: L = 2000 at d = 3 gives "),
+    "count": ("verify-bound", "", ["--count", "10000000000000"],
+              "error: --count 10000000000000 queues "),
+    "sweep": ("scan", "", ["--sweep", "lambda_factor=1:2:100000000000000"],
+              "error: --sweep lambda_factor=1:2:100000000000000 gives "),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERSIZED))
+def test_oversized_input_exits_2(tmp_path, case):
+    # refused before anything is allocated, so within 2 s; the child's address
+    # space is capped at 4 GB, so an allocation that gets through fails there
+    # rather than fill the host's memory
+    command, lines, flags, message = OVERSIZED[case]
+    path = tmp_path / "oversized.cfg"
+    path.write_text(SMALL_CONFIG + lines)
+    script = (
+        "import resource, sys, time\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (4 * 10**9, hard))\n"
+        "from bcslab import cli\n"
+        "start = time.monotonic()\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, time.monotonic() - start)\n"
+    )
+    proc = run_child(["-W", "error", "-c", script, command, "--config", str(path)] + flags)
+    assert proc.returncode == 0, proc.stderr
+    code, seconds = proc.stdout.split()
+    assert code == "2" and float(seconds) < 2.0
+    assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
+    assert "GiB, more than the " in proc.stderr
+
+
 def test_first_bound_report_fits_worker_bytes(tmp_path):
     # a worker's first field on a fresh lattice builds the two scratch
     # buffers, and at d = 3 L = 4 (N = 1600) the Hadamard side's FFT box

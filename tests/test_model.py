@@ -483,6 +483,48 @@ def test_dispersion_array_matches_scalar_oracle():
     assert False in verdicts and True in verdicts
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("L", [1.0, 4.0, 5.0])
+def test_spatial_grid_is_lexicographic(d, L):
+    # spatial_grid builds by index arithmetic what this product lists
+    spec = bl.ModelSpec(d=d, L=L, lam=1.0)
+    half = int(L // 2)
+    ref = np.array(list(itertools.product(range(-half, half + 1), repeat=d)), dtype=int)
+    grid = spatial_grid(spec)
+    assert grid.dtype == ref.dtype and grid.flags.c_contiguous
+    assert np.array_equal(grid, ref)
+
+
+# each builder's need on d = 1, L = 4, beta = 2: at nu = 400, 2045.2 bytes for
+# the 255 frequencies, 240 for the 5 grid points, 34544 for N = 508 momenta,
+# 196 for the spatial differences and 109512 for |Q| = 1521 transfers; at
+# L = 64 with every momentum kept, 207025 for the 65^2 spatial differences
+REFUSALS = [
+    (dict(nu=400.0), 239, "L = 4 at d = 1 gives 5 grid points, which need "),
+    (dict(nu=400.0), 2045, "nu = 400 at beta = 2 gives 255 frequencies, which need "),
+    (dict(nu=400.0), 34543, "nu = 400 and L = 4 give N = 508 momenta, which need "),
+    (dict(nu=400.0), 109511, "nu = 400 and L = 4 give |Q| = 1521 transfers, which need "),
+    (dict(nu=4.0, L=64.0, energy_window=math.inf), 207024,
+     "L = 64 gives 65 spatial vectors, whose differences need "),
+    (dict(nu=400.0), 109512, None),  # every need fits
+]
+
+
+@pytest.mark.parametrize("settings, have, message", REFUSALS)
+def test_lattice_builders_refuse_beyond_memory(monkeypatch, settings, have, message):
+    # physical memory one byte short of one builder's need, and above every
+    # earlier builder's: that builder refuses before it allocates
+    monkeypatch.setattr(bl.model, "physical_memory", lambda: have)
+    settings = {"d": 1, "L": 4.0, "beta": 2.0, "lam": 1.0, **settings}
+    if message is None:
+        assert len(bl.build_transfer_set(bl.build_momentum_set(bl.ModelSpec(**settings)))) == 1521
+        return
+    with pytest.raises(bl.model.PhysicalMemoryError) as refusal:
+        bl.build_transfer_set(bl.build_momentum_set(bl.ModelSpec(**settings)))
+    assert str(refusal.value).startswith(message)
+    assert str(refusal.value).endswith(f"more than the {have / 2**30:.3g} GiB of physical memory")
+
+
 @pytest.mark.parametrize("L", [6.0, 12.0])
 def test_cutoff_set_closed_under_point_group_d3(L):
     # summed in axis order, permuted momenta rounded to different sides of
